@@ -1,7 +1,11 @@
 //! Kernel microbenchmarks tracking the perf trajectory of the SIMD /
 //! fusion / quantization layer: GEMM row microkernels (SIMD vs scalar),
-//! aggregation-into-GEMM fusion (fused vs materialize-then-GEMM), and the
-//! i8 quantized matmul. Prints a table and writes `BENCH_kernels.json`.
+//! aggregation-into-GEMM fusion (fused vs materialize-then-GEMM), the GCN
+//! aggregation launch across column widths, and the i8 quantized matmul.
+//! Every row carries a roofline pair — achieved GFLOP/s and GB/s over the
+//! *computed* compulsory bytes (operands read once, result written once) —
+//! and graph rows carry edges/s. Prints a table and writes
+//! `BENCH_kernels.json`.
 //!
 //! ```sh
 //! cargo run --release -p stgraph-bench --bin kernels
@@ -17,8 +21,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Instant;
 use stgraph::backend::{AggregationBackend, SeastarBackend};
-use stgraph_graph::base::Snapshot;
-use stgraph_seastar::ir::{Program, ProgramBuilder};
+use stgraph_graph::base::{gcn_norm, Snapshot};
+use stgraph_seastar::ir::{gcn_aggregation, Program, ProgramBuilder};
 use stgraph_tensor::tensor::{gemm_row, gemm_row_scalar};
 use stgraph_tensor::{quant, simd, Tensor};
 
@@ -29,7 +33,24 @@ struct KernelRow {
     simd: bool,
     ms_per_iter: f64,
     gflops: f64,
+    /// Computed compulsory bytes / time.
+    gb_per_s: f64,
+    /// Edges traversed / time (graph kernels only).
+    edges_per_s: Option<f64>,
     speedup_vs_baseline: f64,
+}
+
+const F32: f64 = 4.0;
+
+/// Compulsory traffic of an `[n,k] x [k,m]` GEMM.
+fn gemm_bytes(n: usize, k: usize, m: usize) -> f64 {
+    F32 * (n * k + k * m + n * m) as f64
+}
+
+/// Compulsory traffic of a width-`w` neighbour aggregation: per edge one
+/// `u32` index and one gathered source row.
+fn gather_bytes(edges: usize, w: usize) -> f64 {
+    edges as f64 * (4.0 + F32 * w as f64)
 }
 
 /// Median-of-reps wall time per iteration, in milliseconds.
@@ -78,19 +99,29 @@ fn main() {
         }
     );
     println!(
-        "{:<26} {:<22} {:>12} {:>10} {:>9}",
-        "kernel", "config", "ms/iter", "GFLOP/s", "speedup"
+        "{:<26} {:<26} {:>10} {:>9} {:>8} {:>10} {:>9}",
+        "kernel", "config", "ms/iter", "GFLOP/s", "GB/s", "Medges/s", "speedup"
     );
-    let mut push = |kernel: &str, config: String, ms: f64, flops: f64, base_ms: f64| {
-        let gflops = flops / (ms * 1e-3) / 1e9;
+    // (flops, compulsory bytes, edges traversed) of one iteration.
+    type Work = (f64, f64, Option<usize>);
+    let mut push = |kernel: &str, config: String, ms: f64, work: Work, base_ms: f64| {
+        let (flops, bytes, edges) = work;
+        let per_s = |x: f64| x / (ms * 1e-3);
+        let (gflops, gb_per_s) = (per_s(flops) / 1e9, per_s(bytes) / 1e9);
+        let edges_per_s = edges.map(|e| per_s(e as f64));
         let speedup = base_ms / ms;
-        println!("{kernel:<26} {config:<22} {ms:>12.4} {gflops:>10.2} {speedup:>8.2}x");
+        let medges = edges_per_s.map_or("-".to_string(), |e| format!("{:.1}", e / 1e6));
+        println!(
+            "{kernel:<26} {config:<26} {ms:>10.4} {gflops:>9.2} {gb_per_s:>8.2} {medges:>10} {speedup:>8.2}x"
+        );
         rows.push(KernelRow {
             kernel: kernel.to_string(),
             config,
             simd: simd_on,
             ms_per_iter: ms,
             gflops,
+            gb_per_s,
+            edges_per_s,
             speedup_vs_baseline: speedup,
         });
     };
@@ -102,14 +133,14 @@ fn main() {
         let b = Tensor::rand_uniform((k, m), -1.0, 1.0, &mut rng);
         let (ad, bd) = (a.data(), b.data());
         let mut out = vec![0f32; n * m];
-        let flops = (2 * n * k * m) as f64;
+        let work = ((2 * n * k * m) as f64, gemm_bytes(n, k, m), None);
         let cfg = format!("{n}x{k}x{m}");
         let scalar_ms = time_ms(|| {
             for (i, row) in out.chunks_mut(m).enumerate() {
                 gemm_row_scalar(row, &ad[i * k..(i + 1) * k], bd, m);
             }
         });
-        push("gemm_row scalar", cfg.clone(), scalar_ms, flops, scalar_ms);
+        push("gemm_row scalar", cfg.clone(), scalar_ms, work, scalar_ms);
         let dispatch_ms = time_ms(|| {
             for (i, row) in out.chunks_mut(m).enumerate() {
                 gemm_row(row, &ad[i * k..(i + 1) * k], bd, m);
@@ -119,14 +150,14 @@ fn main() {
             "gemm_row dispatch",
             cfg.clone(),
             dispatch_ms,
-            flops,
+            work,
             scalar_ms,
         );
         // The full parallel matmul (what table3's training path calls).
         let par_ms = time_ms(|| {
             std::hint::black_box(a.matmul(&b));
         });
-        push("matmul parallel", cfg, par_ms, flops, scalar_ms);
+        push("matmul parallel", cfg, par_ms, work, scalar_ms);
     }
 
     // --- Aggregation-into-GEMM fusion: materialize-then-GEMM vs the fused
@@ -146,8 +177,13 @@ fn main() {
         let w = Tensor::rand_uniform((k, m), -0.5, 0.5, &mut rng);
         let unfused = agg_gemm_program(k, m);
         let (fused, _) = unfused.fuse_agg_matmul(&[]);
-        // Edge traversals + the dense GEMM, as multiply-adds.
-        let flops = (2 * (edges.len() * k + n * k * m)) as f64;
+        // Edge traversals + the dense GEMM, as multiply-adds; the fused
+        // kernel's compulsory traffic (it never writes the `[n,k]` aggregate).
+        let work = (
+            (2 * (edges.len() * k + n * k * m)) as f64,
+            gather_bytes(edges.len(), k) + F32 * (k * m + n * m) as f64,
+            Some(edges.len()),
+        );
         let cfg = format!("n={n} d={deg} {k}->{m}");
         let unfused_ms = time_ms(|| {
             std::hint::black_box(SeastarBackend.execute(
@@ -164,7 +200,7 @@ fn main() {
             "agg+gemm unfused",
             cfg.clone(),
             unfused_ms,
-            flops,
+            work,
             unfused_ms,
         );
         let fused_ms = time_ms(|| {
@@ -178,23 +214,74 @@ fn main() {
                 &[],
             ));
         });
-        push("agg+gemm fused", cfg, fused_ms, flops, unfused_ms);
+        push("agg+gemm fused", cfg, fused_ms, work, unfused_ms);
+    }
+
+    // --- GCN aggregation launch vs column width, on the two graph shapes
+    // the benchmark trains on: WO (complete, 319 nodes) and SO at 1/48
+    // (sparse). The baseline is a TGCN step before gates shared their
+    // propagation — three width-32 launches — so `speedup` reads as "one
+    // launch at this width instead": 9 is `[X|1]` aggregate-first at 8
+    // input features, 96 the three gates side by side transform-first. ---
+    let complete: Vec<(u32, u32)> = (0..319u32)
+        .flat_map(|s| (0..319u32).map(move |d| (s, d)))
+        .collect();
+    let sparse: Vec<(u32, u32)> = (0..19_453)
+        .map(|_| (rng.gen_range(0..4041u32), rng.gen_range(0..4041u32)))
+        .collect();
+    for (shape, n, edges) in [("WO", 319usize, complete), ("SO/48", 4041, sparse)] {
+        let snap = Snapshot::from_edges(n, &edges);
+        let norm = Tensor::from_vec((n, 1), gcn_norm(&snap.in_degrees));
+        let timed: Vec<(usize, f64)> = [8usize, 9, 32, 96]
+            .into_iter()
+            .map(|w| {
+                let (prog, x) = (
+                    gcn_aggregation(w),
+                    Tensor::rand_uniform((n, w), -1.0, 1.0, &mut rng),
+                );
+                let ms = time_ms(|| {
+                    std::hint::black_box(SeastarBackend.execute(
+                        &prog,
+                        &snap,
+                        &[&x],
+                        &[&norm],
+                        &[],
+                        &[],
+                        &[],
+                    ));
+                });
+                (w, ms)
+            })
+            .collect();
+        let three_at_32 = 3.0 * timed[2].1;
+        for (w, ms) in timed {
+            // One multiply-add per edge column plus the self-loop and the
+            // two norm scalings per node column; edge rows, the input read
+            // for the self-loop, the output write and the norms.
+            let work = (
+                (2 * edges.len() * w + 3 * n * w) as f64,
+                gather_bytes(edges.len(), w) + F32 * (2 * n * w + n) as f64,
+                Some(edges.len()),
+            );
+            let cfg = format!("{shape} n={n} m={} w={w}", edges.len());
+            push("gcn_aggregation", cfg, ms, work, three_at_32);
+        }
     }
 
     // --- Quantized matmul vs f32 (the serve --quantize path). ---
     for (n, k, m) in [(4096usize, 64usize, 64usize), (1024, 256, 256)] {
         let x = Tensor::rand_uniform((n, k), -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform((k, m), -0.5, 0.5, &mut rng);
-        let flops = (2 * n * k * m) as f64;
+        let work = ((2 * n * k * m) as f64, gemm_bytes(n, k, m), None);
         let cfg = format!("{n}x{k}x{m}");
         let f32_ms = time_ms(|| {
             std::hint::black_box(x.matmul(&w));
         });
-        push("matmul f32", cfg.clone(), f32_ms, flops, f32_ms);
+        push("matmul f32", cfg.clone(), f32_ms, work, f32_ms);
         let q_ms = time_ms(|| {
             std::hint::black_box(quant::quantized_matmul(&x, &w));
         });
-        push("matmul i8 quantized", cfg, q_ms, flops, f32_ms);
+        push("matmul i8 quantized", cfg, q_ms, work, f32_ms);
     }
 
     let path = "BENCH_kernels.json";

@@ -10,8 +10,9 @@
 //! (`Get-Backward-Graph`, which rewinds the GPMA), and runs the backward
 //! kernels over the out-edge CSR.
 //!
-//! Snapshot construction within one timestamp is memoised (a TGCN applies
-//! three convolutions per timestamp on the same snapshot); the memo is
+//! Snapshot construction within one timestamp is memoised (a layer reads
+//! the snapshot for its degree norms, then `apply` reads it again; Chebyshev
+//! and diffusion cells launch several times per timestamp); the memo is
 //! flushed whenever the executor switches between forward and backward
 //! phases so every cross-timestamp transition really exercises the
 //! update/rewind path whose cost Figure 9 measures.

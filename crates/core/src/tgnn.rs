@@ -3,7 +3,7 @@
 //! backend recurrent gates (temporal); swapping either yields a new model.
 
 use crate::executor::TemporalExecutor;
-use crate::layers::{ChebConv, GcnConv};
+use crate::layers::{ChebConv, GcnConv, GcnPropagate};
 use rand::Rng;
 use stgraph_tensor::nn::{Linear, ParamSet};
 use stgraph_tensor::{Param, StateDict, Tape, Tensor, Var};
@@ -53,10 +53,14 @@ fn hidden_or_zeros<'t>(tape: &'t Tape, h: Option<&Var<'t>>, rows: usize, width: 
 /// is a GCN —
 /// `Z = σ(W_z [GCN_z(X) ‖ H])`, `R = σ(W_r [GCN_r(X) ‖ H])`,
 /// `H̃ = tanh(W_h [GCN_h(X) ‖ R⊙H])`, `H' = Z⊙H + (1-Z)⊙H̃`.
+///
+/// The three GCNs read the same `(X, A_t)`, so a step propagates once
+/// ([`GcnConv::forward_shared`]) and fans the result out to the gates.
 pub struct Tgcn {
     conv_z: GcnConv,
     conv_r: GcnConv,
     conv_h: GcnConv,
+    prop: GcnPropagate,
     lin_z: Linear,
     lin_r: Linear,
     lin_h: Linear,
@@ -76,6 +80,7 @@ impl Tgcn {
             conv_z: GcnConv::new(params, &format!("{name}.conv_z"), in_features, hidden, rng),
             conv_r: GcnConv::new(params, &format!("{name}.conv_r"), in_features, hidden, rng),
             conv_h: GcnConv::new(params, &format!("{name}.conv_h"), in_features, hidden, rng),
+            prop: GcnPropagate::new(GcnConv::shared_width(in_features, hidden, 3)),
             lin_z: Linear::new(
                 params,
                 &format!("{name}.lin_z"),
@@ -143,17 +148,16 @@ impl RecurrentCell for Tgcn {
     ) -> Var<'t> {
         let n = x.value().rows();
         let h = hidden_or_zeros(tape, h, n, self.hidden);
-        let cz = self.conv_z.forward(tape, exec, t, x);
+        let gates = [&self.conv_z, &self.conv_r, &self.conv_h];
+        let [cz, cr, ch] = GcnConv::forward_shared(gates, &self.prop, tape, exec, t, x);
         let z = self
             .lin_z
             .forward(tape, &Var::concat_cols(&[&cz, &h]))
             .sigmoid();
-        let cr = self.conv_r.forward(tape, exec, t, x);
         let r = self
             .lin_r
             .forward(tape, &Var::concat_cols(&[&cr, &h]))
             .sigmoid();
-        let ch = self.conv_h.forward(tape, exec, t, x);
         let rh = r.mul(&h);
         let htilde = self
             .lin_h
@@ -224,20 +228,17 @@ impl RecurrentCell for GConvGru {
     ) -> Var<'t> {
         let n = x.value().rows();
         let h = hidden_or_zeros(tape, h, n, self.hidden);
-        let z = self
-            .xz
-            .forward(tape, exec, t, x)
-            .add(&self.hz.forward(tape, exec, t, &h))
-            .sigmoid();
-        let r = self
-            .xr
-            .forward(tape, exec, t, x)
-            .add(&self.hr.forward(tape, exec, t, &h))
-            .sigmoid();
+        // One Chebyshev basis per distinct input: x (three gates), h (two).
+        let bx = self.xz.basis(tape, exec, t, x);
+        let bh = self.hz.basis(tape, exec, t, &h);
+        let gate =
+            |xc: &ChebConv, hc: &ChebConv| xc.transform(tape, &bx).add(&hc.transform(tape, &bh));
+        let z = gate(&self.xz, &self.hz).sigmoid();
+        let r = gate(&self.xr, &self.hr).sigmoid();
         let rh = r.mul(&h);
         let htilde = self
             .xh
-            .forward(tape, exec, t, x)
+            .transform(tape, &bx)
             .add(&self.hh.forward(tape, exec, t, &rh))
             .tanh();
         z.mul(&h).add(&z.one_minus().mul(&htilde))
@@ -316,26 +317,15 @@ impl RecurrentCell for GConvLstm {
         let state = hidden_or_zeros(tape, state, n, 2 * k);
         let h = state.slice_cols(0, k);
         let c = state.slice_cols(k, 2 * k);
-        let i = self
-            .xi
-            .forward(tape, exec, t, x)
-            .add(&self.hi.forward(tape, exec, t, &h))
-            .sigmoid();
-        let f = self
-            .xf
-            .forward(tape, exec, t, x)
-            .add(&self.hf.forward(tape, exec, t, &h))
-            .sigmoid();
-        let g = self
-            .xc
-            .forward(tape, exec, t, x)
-            .add(&self.hc.forward(tape, exec, t, &h))
-            .tanh();
-        let o = self
-            .xo
-            .forward(tape, exec, t, x)
-            .add(&self.ho.forward(tape, exec, t, &h))
-            .sigmoid();
+        // All four gates read the same x and the same h: one basis each.
+        let bx = self.xi.basis(tape, exec, t, x);
+        let bh = self.hi.basis(tape, exec, t, &h);
+        let gate =
+            |xc: &ChebConv, hc: &ChebConv| xc.transform(tape, &bx).add(&hc.transform(tape, &bh));
+        let i = gate(&self.xi, &self.hi).sigmoid();
+        let f = gate(&self.xf, &self.hf).sigmoid();
+        let g = gate(&self.xc, &self.hc).tanh();
+        let o = gate(&self.xo, &self.ho).sigmoid();
         let c_new = f.mul(&c).add(&i.mul(&g));
         let h_new = o.mul(&c_new.tanh());
         Var::concat_cols(&[&h_new, &c_new])

@@ -11,6 +11,7 @@
 //!   LSTM cell; gradients flow through the whole weight trajectory.
 
 use crate::executor::{compile, CompiledProgram, TemporalExecutor};
+use crate::layers::GcnPropagate;
 use crate::tgnn::RecurrentCell;
 use rand::Rng;
 use std::rc::Rc;
@@ -114,6 +115,57 @@ impl DConv {
         }
     }
 
+    /// The parameter-free half: `[X, P_o X, P_i X, P_o² X, P_i² X, …]` for
+    /// the out-/in-walk matrices `P_o = D_O^{-1}A`, `P_i = D_I^{-1}Aᵀ` at
+    /// timestamp `t` — `2k` propagations. Gates that share an input compute
+    /// it once and hand it to each gate's [`DConv::transform`].
+    pub fn walks<'t>(
+        &self,
+        tape: &'t Tape,
+        exec: &TemporalExecutor,
+        t: usize,
+        x: &Var<'t>,
+    ) -> Vec<Var<'t>> {
+        let snap: Snapshot = exec.snapshot_for(t);
+        let inv_out = inv_degree_tensor(&snap.out_degrees);
+        let inv_in = inv_degree_tensor(&snap.in_degrees);
+        let (mut fwd, mut bwd) = (x.clone(), x.clone());
+        let mut walks = vec![x.clone()];
+        for _ in 0..self.k {
+            fwd = exec.apply(
+                tape,
+                &self.prog_out,
+                t,
+                &[&fwd],
+                vec![inv_out.clone()],
+                vec![],
+            );
+            bwd = exec.apply(
+                tape,
+                &self.prog_in,
+                t,
+                &[&bwd],
+                vec![inv_in.clone()],
+                vec![],
+            );
+            walks.extend([fwd.clone(), bwd.clone()]);
+        }
+        walks
+    }
+
+    /// The dense half over walks from [`DConv::walks`] (of this layer or a
+    /// same-shaped sibling): `X W_0 + Σ_k P_o^k X W_k^out + P_i^k X W_k^in`.
+    pub fn transform<'t>(&self, tape: &'t Tape, walks: &[Var<'t>]) -> Var<'t> {
+        assert_eq!(walks.len(), 1 + 2 * self.k, "walk count vs K");
+        let mut out = self.w0.forward(tape, &walks[0]);
+        for step in 0..self.k {
+            out = out
+                .add(&self.w_out[step].forward(tape, &walks[1 + 2 * step]))
+                .add(&self.w_in[step].forward(tape, &walks[2 + 2 * step]));
+        }
+        out
+    }
+
     /// Applies the layer at timestamp `t`.
     pub fn forward<'t>(
         &self,
@@ -122,34 +174,7 @@ impl DConv {
         t: usize,
         x: &Var<'t>,
     ) -> Var<'t> {
-        let snap: Snapshot = exec.snapshot_for(t);
-        let inv_out = inv_degree_tensor(&snap.out_degrees);
-        let inv_in = inv_degree_tensor(&snap.in_degrees);
-        let mut out = self.w0.forward(tape, x);
-        let mut fwd_walk = x.clone();
-        let mut bwd_walk = x.clone();
-        for step in 0..self.k {
-            fwd_walk = exec.apply(
-                tape,
-                &self.prog_out,
-                t,
-                &[&fwd_walk],
-                vec![inv_out.clone()],
-                vec![],
-            );
-            bwd_walk = exec.apply(
-                tape,
-                &self.prog_in,
-                t,
-                &[&bwd_walk],
-                vec![inv_in.clone()],
-                vec![],
-            );
-            out = out
-                .add(&self.w_out[step].forward(tape, &fwd_walk))
-                .add(&self.w_in[step].forward(tape, &bwd_walk));
-        }
-        out
+        self.transform(tape, &self.walks(tape, exec, t, x))
     }
 }
 
@@ -225,8 +250,10 @@ impl RecurrentCell for Dcrnn {
             None => tape.constant(Tensor::zeros((n, self.hidden))),
         };
         let xh = Var::concat_cols(&[x, &h]);
-        let z = self.conv_z.forward(tape, exec, t, &xh).sigmoid();
-        let r = self.conv_r.forward(tape, exec, t, &xh).sigmoid();
+        // The update and reset gates diffuse the same [X ‖ H]: walk it once.
+        let walks = self.conv_z.walks(tape, exec, t, &xh);
+        let z = self.conv_z.transform(tape, &walks).sigmoid();
+        let r = self.conv_r.transform(tape, &walks).sigmoid();
         let xrh = Var::concat_cols(&[x, &r.mul(&h)]);
         let htilde = self.conv_h.forward(tape, exec, t, &xrh).tanh();
         z.mul(&h).add(&z.one_minus().mul(&htilde))
@@ -252,7 +279,7 @@ pub struct EvolveGcnO {
     u_o: Param,
     v_o: Param,
     b_o: Param,
-    agg: Rc<CompiledProgram>,
+    prop: GcnPropagate,
     features: usize,
 }
 
@@ -296,7 +323,7 @@ impl EvolveGcnO {
             u_o,
             v_o,
             b_o,
-            agg: compile(stgraph_seastar::ir::gcn_aggregation(features)),
+            prop: GcnPropagate::new(features),
             features,
         }
     }
@@ -340,10 +367,8 @@ impl EvolveGcnO {
             let (w_new, c_new) = self.evolve(tape, &w, &c);
             w = w_new;
             c = c_new;
-            let h = x.matmul(&w);
-            let snap = exec.snapshot_for(t);
-            let norm = crate::layers::norm_tensor(&snap);
-            outs.push(exec.apply(tape, &self.agg, t, &[&h], vec![norm], vec![]));
+            // W_t is square, so the width rule keeps this transform-first.
+            outs.push(self.prop.forward(tape, exec, t, &x.matmul(&w)));
         }
         outs
     }

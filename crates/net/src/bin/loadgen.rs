@@ -428,9 +428,9 @@ fn main() {
             rec.record(d);
         }
         let (p50, p95, p99) = (
-            rec.percentile(0.50).as_micros(),
-            rec.percentile(0.95).as_micros(),
-            rec.percentile(0.99).as_micros(),
+            rec.p50().as_micros(),
+            rec.p95().as_micros(),
+            rec.p99().as_micros(),
         );
         println!(
             "tenant t{idx}: requests={} ok={} ingests={} r429={} r503={} r504={} \

@@ -939,9 +939,9 @@ impl InferenceEngine {
             batches: self.batches,
             forwards: self.forwards,
             generation: self.live.generation(),
-            p50: self.latencies.percentile(50.0),
-            p95: self.latencies.percentile(95.0),
-            p99: self.latencies.percentile(99.0),
+            p50: self.latencies.p50(),
+            p95: self.latencies.p95(),
+            p99: self.latencies.p99(),
             mean: self.latencies.mean(),
             elapsed,
             ingest: self.live.stats(),

@@ -50,9 +50,23 @@ impl LatencyRecorder {
         self.hist.is_empty()
     }
 
-    /// Nearest-rank percentile (`p` in 0..=100); zero when empty.
-    pub fn percentile(&mut self, p: f64) -> Duration {
-        self.hist.quantile_duration(p)
+    /// Median (nearest rank); zero when empty.
+    ///
+    /// The three accessors are the only way to read a percentile: the raw
+    /// `f64` form invited `percentile(0.50)` on a 0..=100 scale, which is
+    /// the 0.5th percentile (how `loadgen` under-reported by ~100×).
+    pub fn p50(&self) -> Duration {
+        self.hist.quantile_duration(50.0)
+    }
+
+    /// 95th percentile (nearest rank); zero when empty.
+    pub fn p95(&self) -> Duration {
+        self.hist.quantile_duration(95.0)
+    }
+
+    /// 99th percentile (nearest rank); zero when empty.
+    pub fn p99(&self) -> Duration {
+        self.hist.quantile_duration(99.0)
     }
 
     /// Arithmetic mean; zero when empty.
@@ -249,17 +263,30 @@ mod tests {
         for ms in 1..=100u64 {
             r.record(Duration::from_millis(ms));
         }
-        assert_eq!(r.percentile(50.0), Duration::from_millis(50));
-        assert_eq!(r.percentile(95.0), Duration::from_millis(95));
-        assert_eq!(r.percentile(99.0), Duration::from_millis(99));
-        assert_eq!(r.percentile(100.0), Duration::from_millis(100));
+        assert_eq!(r.p50(), Duration::from_millis(50));
+        assert_eq!(r.p95(), Duration::from_millis(95));
+        assert_eq!(r.p99(), Duration::from_millis(99));
         assert_eq!(r.mean(), Duration::from_micros(50500));
     }
 
     #[test]
-    fn percentile_of_empty_is_zero() {
+    fn accessors_are_on_the_percent_scale() {
+        // Regression: loadgen asked for `percentile(0.50 / 0.95 / 0.99)` on
+        // the 0..=100 scale and printed the 5th, 10th and 10th of 1000
+        // samples as p50/p95/p99.
         let mut r = LatencyRecorder::new();
-        assert_eq!(r.percentile(99.0), Duration::ZERO);
+        for ms in 1..=1000u64 {
+            r.record(Duration::from_millis(ms));
+        }
+        assert_eq!(r.p50(), Duration::from_millis(500));
+        assert_eq!(r.p95(), Duration::from_millis(950));
+        assert_eq!(r.p99(), Duration::from_millis(990));
+    }
+
+    #[test]
+    fn percentile_of_empty_is_zero() {
+        let r = LatencyRecorder::new();
+        assert_eq!(r.p99(), Duration::ZERO);
         assert_eq!(r.mean(), Duration::ZERO);
         assert!(r.is_empty());
     }
@@ -268,8 +295,8 @@ mod tests {
     fn percentile_single_sample() {
         let mut r = LatencyRecorder::new();
         r.record(Duration::from_millis(7));
-        assert_eq!(r.percentile(50.0), Duration::from_millis(7));
-        assert_eq!(r.percentile(99.0), Duration::from_millis(7));
+        assert_eq!(r.p50(), Duration::from_millis(7));
+        assert_eq!(r.p99(), Duration::from_millis(7));
         assert_eq!(r.len(), 1);
     }
 

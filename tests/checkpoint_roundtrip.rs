@@ -95,6 +95,57 @@ fn tgcn_roundtrip_is_bit_identical() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A checkpoint written by the build *before* the propagate/transform
+/// split (every `GcnConv` transform-first, three launches per TGCN step)
+/// loads into today's `Tgcn` — 4 → 8 features, so aggregate-first with one
+/// shared launch — and reproduces that build's hidden state after two
+/// steps. `tests/golden/tgcn_parent.stgc` carries the perturbed parameters
+/// (non-zero biases), the graph, both input frames and the old build's
+/// `h2` as extra entries, which `load_into` ignores.
+#[test]
+fn parent_build_checkpoint_reproduces_its_embeddings() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tgcn_parent.stgc");
+    let entries = load_checkpoint(path).unwrap();
+    let tensor = |name: &str| {
+        let (_, shape, data) = entries.iter().find(|(n, _, _)| n == name).expect(name);
+        Tensor::from_vec(*shape, data.clone())
+    };
+    let edges: Vec<(u32, u32)> = tensor("golden.edges")
+        .data()
+        .chunks(2)
+        .map(|e| (e[0] as u32, e[1] as u32))
+        .collect();
+    let (x0, x1, want) = (
+        tensor("golden.x0"),
+        tensor("golden.x1"),
+        tensor("golden.h2"),
+    );
+
+    let mut ps = ParamSet::new();
+    let cell = Tgcn::new(&mut ps, "cell", 4, 8, &mut ChaCha8Rng::seed_from_u64(77));
+    load_into(path, &ps).unwrap();
+    assert!(
+        ps.iter().filter(|p| p.name().ends_with(".bias")).all(|p| p
+            .value()
+            .data()
+            .iter()
+            .any(|&b| b != 0.0)),
+        "the golden model must exercise the bias identity"
+    );
+
+    let snap = Snapshot::from_edges(x0.rows(), &edges);
+    let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
+    let tape = Tape::new();
+    let h1 = cell.step(&tape, &exec, 0, &tape.constant(x0), None);
+    let h2 = cell.step(&tape, &exec, 1, &tape.constant(x1), Some(&h1));
+    assert!(
+        h2.value().approx_eq(&want, 1e-5),
+        "max diff {}",
+        h2.value().max_abs_diff(&want)
+    );
+    tape.backward(&h2.sum());
+}
+
 #[test]
 fn corrupted_file_is_a_typed_checksum_error() {
     let path = tmp_path("corrupt.stgc");

@@ -9,15 +9,20 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
-use stgraph::backend::create_backend;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use stgraph::backend::{create_backend, AggregationBackend, SeastarBackend};
 use stgraph::executor::{GraphSource, TemporalExecutor};
-use stgraph::tgnn::{GConvGru, Tgcn};
+use stgraph::tgnn::{GConvGru, GConvLstm, RecurrentCell, Tgcn};
 use stgraph::train::{link_prediction_batches, train_epoch_link_prediction};
 use stgraph_datasets::load_dynamic;
 use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph, ShardedGraph};
+use stgraph_graph::base::STGraphBase;
+use stgraph_seastar::exec::ExecOutput;
+use stgraph_seastar::ir::{Id, Program};
 use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::optim::Adam;
-use stgraph_tensor::Tensor;
+use stgraph_tensor::{Tape, Tensor};
 
 fn windowed_source(name: &str, pct: f64, max_t: usize) -> DtdgSource {
     let raw = load_dynamic(name, 300);
@@ -114,6 +119,98 @@ fn gconvgru_works_on_dynamic_graphs_too() {
         last = train_epoch_link_prediction(&cell, &exec, &mut opt, &feats, &batches, 3);
     }
     assert!(last < first, "loss should decrease: {first} -> {last}");
+}
+
+/// Seastar behind a launch counter (the `examples/custom_backend.rs` shape).
+struct CountingBackend(Arc<AtomicUsize>);
+
+impl AggregationBackend for CountingBackend {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn execute(
+        &self,
+        prog: &Program,
+        graph: &dyn STGraphBase,
+        inputs: &[&Tensor],
+        node_consts: &[&Tensor],
+        edge_consts: &[&Tensor],
+        mat_consts: &[&Tensor],
+        save: &[Id],
+    ) -> ExecOutput {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        SeastarBackend.execute(
+            prog,
+            graph,
+            inputs,
+            node_consts,
+            edge_consts,
+            mat_consts,
+            save,
+        )
+    }
+}
+
+/// Three steps of `cell` over `provider`, then backward. Returns
+/// `(forward launches, backward launches, loss bits)` and checks that
+/// every launch was one State-Stack push + pop and both stacks drained.
+fn launches(
+    cell: &dyn RecurrentCell,
+    feats: &Tensor,
+    provider: Rc<RefCell<dyn DtdgGraph>>,
+) -> (usize, usize, u32) {
+    const STEPS: usize = 3;
+    let count = Arc::new(AtomicUsize::new(0));
+    let exec = TemporalExecutor::new(
+        Box::new(CountingBackend(count.clone())),
+        GraphSource::Dynamic(provider),
+    );
+    let tape = Tape::new();
+    let x = tape.constant(feats.clone());
+    let mut h = None;
+    for t in 0..STEPS {
+        h = Some(cell.step(&tape, &exec, t, &x, h.as_ref()));
+    }
+    let forward = count.load(Ordering::Relaxed);
+    let loss = h.unwrap().square().sum();
+    tape.backward(&loss);
+    let backward = count.load(Ordering::Relaxed) - forward;
+    let (pushes, pops, _, live) = exec.state_stack_stats();
+    assert_eq!((pushes, pops, live), (forward, forward, 0));
+    let (graph_pushes, _, graph_depth) = exec.graph_stack_stats();
+    assert_eq!((graph_pushes, graph_depth), (forward, 0));
+    (forward, backward, loss.value().item().to_bits())
+}
+
+#[test]
+fn cells_propagate_once_per_distinct_input_and_timestamp() {
+    let src = windowed_source("sx-mathoverflow", 10.0, 3);
+    let mut rng = ChaCha8Rng::seed_from_u64(80);
+    let feats = Tensor::rand_uniform((src.num_nodes, 4), -1.0, 1.0, &mut rng);
+    let mut ps = ParamSet::new();
+    // (cell, launches per step): TGCN shares one propagation between its
+    // three gates on either side of the width rule; the Chebyshev cells run
+    // K - 1 per distinct basis — x, h and r⊙h for the GRU, x and h for the
+    // LSTM (six and eight convolutions before the bases were shared).
+    let cells: Vec<(Box<dyn RecurrentCell>, usize)> = vec![
+        (Box::new(Tgcn::new(&mut ps, "a", 4, 8, &mut rng)), 1),
+        (Box::new(Tgcn::new(&mut ps, "b", 4, 3, &mut rng)), 1),
+        (
+            Box::new(GConvGru::new(&mut ps, "c", 4, 6, 3, &mut rng)),
+            3 * 2,
+        ),
+        (Box::new(GConvLstm::new(&mut ps, "d", 4, 6, 2, &mut rng)), 2),
+    ];
+    for (cell, per_step) in &cells {
+        let naive = launches(cell, &feats, Rc::new(RefCell::new(NaiveGraph::new(&src))));
+        let gpma = launches(cell, &feats, Rc::new(RefCell::new(GpmaGraph::new(&src))));
+        assert_eq!((naive.0, naive.1), (3 * per_step, 3 * per_step));
+        assert_eq!(
+            naive, gpma,
+            "GPMA must match Naive launch for launch, bit for bit"
+        );
+    }
 }
 
 proptest! {

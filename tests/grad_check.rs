@@ -9,12 +9,23 @@
 //! matmul backward, an off-by-one slice — cannot cancel out. Inputs avoid
 //! the `relu`/`leaky_relu` kink (|x| >= 0.3) where the derivative is
 //! undefined and finite differences are meaningless.
+//!
+//! The last section runs the same check through the graph layers whose
+//! backward is hand-written or shared: the aggregate-first `GcnConv`
+//! (one GEMM over `[W; b]`) and full `Tgcn` / `GConvGru` steps, where one
+//! propagation feeds every gate.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::rc::Rc;
+use stgraph::backend::create_backend;
+use stgraph::executor::{GraphSource, TemporalExecutor};
+use stgraph::layers::GcnConv;
+use stgraph::tgnn::{GConvGru, RecurrentCell, Tgcn};
+use stgraph_graph::base::Snapshot;
 use stgraph_tensor::autograd::check::{assert_close, numeric_grad};
 use stgraph_tensor::autograd::Var;
+use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::{Shape, Tape, Tensor};
 
 const EPS: f32 = 1e-2;
@@ -196,4 +207,122 @@ fn losses() {
     check("bce_with_logits_loss", &logits, |_, v| {
         v.bce_with_logits_loss(&labels)
     });
+}
+
+// ---------- graph layers ----------
+
+/// Looser than `TOL`: a layer loss sums tens of weighted f32 terms, so the
+/// central difference itself carries ~1e-4 of rounding noise.
+const LAYER_TOL: f32 = 5e-3;
+
+/// A fresh executor per evaluation: numeric evaluations never run
+/// backward, so their State-Stack frames must not outlive them.
+fn layer_exec() -> TemporalExecutor {
+    let edges = [
+        (0, 1),
+        (1, 2),
+        (2, 0),
+        (3, 4),
+        (4, 5),
+        (5, 3),
+        (0, 3),
+        (2, 5),
+        (4, 1),
+    ];
+    TemporalExecutor::new(
+        create_backend("seastar"),
+        GraphSource::Static(Snapshot::from_edges(6, &edges)),
+    )
+}
+
+/// Every parameter's accumulated gradient from one backward pass vs central
+/// differences over that parameter. `loss(true)` must also run backward.
+fn check_params(name: &str, params: &ParamSet, loss: impl Fn(bool) -> f32) {
+    params.zero_grad();
+    loss(true);
+    for p in params.iter() {
+        let (analytic, p0) = (p.grad(), p.value());
+        assert!(
+            analytic.data().iter().any(|&g| g != 0.0),
+            "[{name}] no gradient reached {}",
+            p.name()
+        );
+        let mut f = |v: &Tensor| {
+            p.set_value(v.clone());
+            loss(false)
+        };
+        let numeric = numeric_grad(&mut f, &p0, EPS);
+        p.set_value(p0);
+        assert_close(&analytic, &numeric, LAYER_TOL);
+    }
+}
+
+/// Moves every parameter (zero-initialised biases included) off its init.
+fn perturb(params: &ParamSet, seed: u64) {
+    for (i, p) in params.iter().enumerate() {
+        let shape = p.value().shape();
+        p.set_value(test_tensor(shape, seed + i as u64).mul_scalar(0.5));
+    }
+}
+
+#[test]
+fn aggregate_first_gcn_conv() {
+    let mut ps = ParamSet::new();
+    let conv = GcnConv::new(&mut ps, "g", 3, 5, &mut ChaCha8Rng::seed_from_u64(20));
+    assert!(conv.aggregates_first());
+    perturb(&ps, 21);
+    let x = test_tensor(Shape::Mat(6, 3), 23);
+    check_params("gcn-agg-first", &ps, |backward| {
+        let tape = Tape::new();
+        let loss = weighted(&conv.forward(&tape, &layer_exec(), 0, &tape.constant(x.clone())));
+        if backward {
+            tape.backward(&loss);
+        }
+        loss.value().item()
+    });
+    check("gcn-agg-first-input", &x, |t, v| {
+        weighted(&conv.forward(t, &layer_exec(), 0, &v))
+    });
+}
+
+/// Two steps of `cell`, so gradients also flow through the carried state.
+fn check_cell(name: &str, params: &ParamSet, cell: &dyn RecurrentCell, in_w: usize) {
+    perturb(params, 30);
+    let x0 = test_tensor(Shape::Mat(6, in_w), 40);
+    let x1 = test_tensor(Shape::Mat(6, in_w), 41);
+    check_params(name, params, |backward| {
+        let (tape, exec) = (Tape::new(), layer_exec());
+        let h1 = cell.step(&tape, &exec, 0, &tape.constant(x0.clone()), None);
+        let h2 = cell.step(&tape, &exec, 1, &tape.constant(x1.clone()), Some(&h1));
+        let loss = weighted(&h2);
+        if backward {
+            tape.backward(&loss);
+            assert_eq!(exec.state_stack_stats().3, 0, "[{name}] stack must drain");
+        }
+        loss.value().item()
+    });
+}
+
+#[test]
+fn tgcn_step_shared_propagation() {
+    // Both sides of the width rule: `[X|1]` shared, then the three gates'
+    // transformed inputs side by side in one launch.
+    for (name, in_w, hidden) in [("tgcn-agg-first", 3, 4), ("tgcn-transform-first", 5, 3)] {
+        let mut ps = ParamSet::new();
+        let cell = Tgcn::new(
+            &mut ps,
+            "t",
+            in_w,
+            hidden,
+            &mut ChaCha8Rng::seed_from_u64(50),
+        );
+        check_cell(name, &ps, &cell, in_w);
+    }
+}
+
+#[test]
+fn gconv_gru_step_shared_basis() {
+    let mut ps = ParamSet::new();
+    let cell = GConvGru::new(&mut ps, "g", 3, 4, 3, &mut ChaCha8Rng::seed_from_u64(51));
+    check_cell("gconvgru", &ps, &cell, 3);
 }
