@@ -1,7 +1,6 @@
-//! Kernel microbenchmarks tracking the perf trajectory of the SIMD /
-//! fusion / quantization layer: GEMM row microkernels (SIMD vs scalar),
-//! aggregation-into-GEMM fusion (fused vs materialize-then-GEMM), the GCN
-//! aggregation launch across column widths, and the i8 quantized matmul.
+//! Kernel microbenchmarks tracking the perf trajectory of the SIMD layer:
+//! GEMM row microkernels (SIMD vs scalar), the parallel matmul built on
+//! them, and the GCN aggregation launch across column widths.
 //! Every row carries a roofline pair — achieved GFLOP/s and GB/s over the
 //! *computed* compulsory bytes (operands read once, result written once) —
 //! and graph rows carry edges/s. Prints a table and writes
@@ -19,12 +18,12 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::time::Instant;
 use stgraph::backend::{AggregationBackend, SeastarBackend};
+use stgraph_bench::time_ms;
 use stgraph_graph::base::{gcn_norm, Snapshot};
-use stgraph_seastar::ir::{gcn_aggregation, Program, ProgramBuilder};
+use stgraph_seastar::ir::gcn_aggregation;
 use stgraph_tensor::tensor::{gemm_row, gemm_row_scalar};
-use stgraph_tensor::{quant, simd, Tensor};
+use stgraph_tensor::{simd, Tensor};
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -51,39 +50,6 @@ fn gemm_bytes(n: usize, k: usize, m: usize) -> f64 {
 /// `u32` index and one gathered source row.
 fn gather_bytes(edges: usize, w: usize) -> f64 {
     edges as f64 * (4.0 + F32 * w as f64)
-}
-
-/// Median-of-reps wall time per iteration, in milliseconds.
-fn time_ms<F: FnMut()>(mut f: F) -> f64 {
-    // Warm up, then size the iteration count to ~60ms of work.
-    f();
-    let probe = Instant::now();
-    f();
-    let once = probe.elapsed().as_secs_f64().max(1e-7);
-    let iters = ((0.06 / once) as usize).clamp(1, 10_000);
-    let mut reps: Vec<f64> = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_secs_f64() * 1e3 / iters as f64
-        })
-        .collect();
-    reps.sort_by(f64::total_cmp);
-    reps[1]
-}
-
-/// `agg = sum_dst(gather_src(h)); out = agg @ W` — the aggregate-then-GEMM
-/// pattern the fusion pass rewrites into one adjacency pass.
-fn agg_gemm_program(k: usize, m: usize) -> Program {
-    let mut b = ProgramBuilder::new();
-    let h = b.input(k);
-    let w = b.mat_const(k, m);
-    let g = b.gather_src(h);
-    let agg = b.agg_sum_dst(g);
-    let out = b.matmul_const(agg, w);
-    b.finish(&[out])
 }
 
 fn main() {
@@ -160,63 +126,6 @@ fn main() {
         push("matmul parallel", cfg, par_ms, work, scalar_ms);
     }
 
-    // --- Aggregation-into-GEMM fusion: materialize-then-GEMM vs the fused
-    // single-pass kernel, same backend, same graph. ---
-    for (n, deg, k, m) in [
-        // L2-resident features (the per-snapshot working set of the paper's
-        // datasets) and a DRAM-resident sweep point.
-        (5_000usize, 16usize, 64usize, 64usize),
-        (20_000, 16, 64, 64),
-        (20_000, 16, 32, 128),
-    ] {
-        let edges: Vec<(u32, u32)> = (0..n * deg)
-            .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
-            .collect();
-        let snap = Snapshot::from_edges(n, &edges);
-        let h = Tensor::rand_uniform((n, k), -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform((k, m), -0.5, 0.5, &mut rng);
-        let unfused = agg_gemm_program(k, m);
-        let (fused, _) = unfused.fuse_agg_matmul(&[]);
-        // Edge traversals + the dense GEMM, as multiply-adds; the fused
-        // kernel's compulsory traffic (it never writes the `[n,k]` aggregate).
-        let work = (
-            (2 * (edges.len() * k + n * k * m)) as f64,
-            gather_bytes(edges.len(), k) + F32 * (k * m + n * m) as f64,
-            Some(edges.len()),
-        );
-        let cfg = format!("n={n} d={deg} {k}->{m}");
-        let unfused_ms = time_ms(|| {
-            std::hint::black_box(SeastarBackend.execute(
-                &unfused,
-                &snap,
-                &[&h],
-                &[],
-                &[],
-                &[&w],
-                &[],
-            ));
-        });
-        push(
-            "agg+gemm unfused",
-            cfg.clone(),
-            unfused_ms,
-            work,
-            unfused_ms,
-        );
-        let fused_ms = time_ms(|| {
-            std::hint::black_box(SeastarBackend.execute(
-                &fused,
-                &snap,
-                &[&h],
-                &[],
-                &[],
-                &[&w],
-                &[],
-            ));
-        });
-        push("agg+gemm fused", cfg, fused_ms, work, unfused_ms);
-    }
-
     // --- GCN aggregation launch vs column width, on the two graph shapes
     // the benchmark trains on: WO (complete, 319 nodes) and SO at 1/48
     // (sparse). The baseline is a TGCN step before gates shared their
@@ -266,22 +175,6 @@ fn main() {
             let cfg = format!("{shape} n={n} m={} w={w}", edges.len());
             push("gcn_aggregation", cfg, ms, work, three_at_32);
         }
-    }
-
-    // --- Quantized matmul vs f32 (the serve --quantize path). ---
-    for (n, k, m) in [(4096usize, 64usize, 64usize), (1024, 256, 256)] {
-        let x = Tensor::rand_uniform((n, k), -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform((k, m), -0.5, 0.5, &mut rng);
-        let work = ((2 * n * k * m) as f64, gemm_bytes(n, k, m), None);
-        let cfg = format!("{n}x{k}x{m}");
-        let f32_ms = time_ms(|| {
-            std::hint::black_box(x.matmul(&w));
-        });
-        push("matmul f32", cfg.clone(), f32_ms, work, f32_ms);
-        let q_ms = time_ms(|| {
-            std::hint::black_box(quant::quantized_matmul(&x, &w));
-        });
-        push("matmul i8 quantized", cfg, q_ms, work, f32_ms);
     }
 
     let path = "BENCH_kernels.json";

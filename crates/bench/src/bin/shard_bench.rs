@@ -30,8 +30,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::time::Instant;
+use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{community_stream, resolve_seed, SynthConfig, UpdateBatch, UpdateStream};
 use stgraph_dyngraph::{dense_forward_sum, ShardedGraph};
 use stgraph_graph::base::Snapshot;
@@ -52,37 +52,6 @@ Options:
   --seed <n>         stream seed (default: STGRAPH_SEED, else 42)
   --json <path>      write the report there (default BENCH_shard.json)
   --help             this text";
-
-fn parse_args() -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(key) = args.next() {
-        if key == "--help" || key == "-h" {
-            println!("{HELP}");
-            std::process::exit(0);
-        }
-        let Some(name) = key.strip_prefix("--") else {
-            eprintln!("unexpected argument '{key}' (try --help)");
-            std::process::exit(2);
-        };
-        let Some(value) = args.next() else {
-            eprintln!("missing value for --{name}");
-            std::process::exit(2);
-        };
-        out.insert(name.replace('-', "_"), value);
-    }
-    out
-}
-
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    match args.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{key}: '{v}'");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
 
 /// One measured arm.
 #[derive(Serialize)]
@@ -236,7 +205,7 @@ fn run_sharded(cfg: &SynthConfig, k: usize, batches: &[UpdateBatch], feats: &Ten
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit(HELP);
     let nodes = get(&args, "nodes", 10_000_000usize);
     let edges = get(&args, "edges", 30_000_000usize);
     let batches_n = get(&args, "batches", 12usize);

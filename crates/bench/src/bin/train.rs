@@ -23,6 +23,7 @@ use stgraph::train::{
     train_epoch_node_regression, NodeRegressor,
 };
 use stgraph_ctdg::{CtdgConfig, CtdgWorkload, Strategy};
+use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{info, load_dynamic, load_static, resolve_seed, GraphKind};
 use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph, ShardedGraph};
 use stgraph_graph::base::{STGraphBase, Snapshot};
@@ -80,41 +81,6 @@ Continuous-time options (--workload ctdg):
                           must be a directory) and continue after its
                           recorded epoch; the loss trajectory matches an
                           uninterrupted run exactly";
-
-fn parse_args() -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(key) = args.next() {
-        if key == "--help" || key == "-h" {
-            println!("{HELP}");
-            std::process::exit(0);
-        }
-        let Some(name) = key.strip_prefix("--") else {
-            eprintln!("unexpected argument '{key}' (try --help)");
-            std::process::exit(2);
-        };
-        if name == "resume" {
-            out.insert(name.to_string(), "1".to_string());
-            continue;
-        }
-        let Some(value) = args.next() else {
-            eprintln!("missing value for --{name}");
-            std::process::exit(2);
-        };
-        out.insert(name.replace('-', "_"), value);
-    }
-    out
-}
-
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    match args.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{key}: '{v}'");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
 
 fn make_cell(
     model: &str,
@@ -257,7 +223,7 @@ fn write_trace(path: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit(HELP);
     let seed = resolve_seed(args.get("seed").map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("invalid value for --seed: '{v}'");

@@ -3,8 +3,8 @@
 //! The harness regenerating every table and figure of the paper's
 //! evaluation (§VII). The library provides the measurement machinery; one
 //! binary per exhibit (`table2`, `fig5` … `fig9`, `table3`) drives it and
-//! prints the same rows/series the paper reports. Criterion micro-benches
-//! for the substrate-level design choices live in `benches/`.
+//! prints the same rows/series the paper reports; `ablations` and
+//! `kernels` time the substrate-level design choices.
 //!
 //! Absolute numbers are CPU numbers (see DESIGN.md's device substitution);
 //! the comparisons — who wins, by what factor, where the crossovers sit —
@@ -21,6 +21,28 @@ pub use report::{print_table, summarize, write_json, Row};
 pub use static_bench::{run_static, Framework, StaticConfig};
 
 use serde::Serialize;
+use std::time::Instant;
+
+/// Median-of-three wall time per call of `f`, in milliseconds, after a
+/// warm-up call; each repetition runs ~60 ms of iterations.
+pub fn time_ms<F: FnMut()>(mut f: F) -> f64 {
+    f();
+    let probe = Instant::now();
+    f();
+    let once = probe.elapsed().as_secs_f64().max(1e-7);
+    let iters = ((0.06 / once) as usize).clamp(1, 10_000);
+    let mut reps: Vec<f64> = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t.elapsed().as_secs_f64() * 1e3 / iters as f64
+        })
+        .collect();
+    reps.sort_by(f64::total_cmp);
+    reps[1]
+}
 
 /// Result of one benchmark run.
 #[derive(Debug, Clone, Serialize)]

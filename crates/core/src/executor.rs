@@ -67,21 +67,6 @@ fn compile_impl(forward: Program, save_all: bool) -> CompiledProgram {
     let forward = forward.eliminate_common_subexpressions();
     let mut backward = differentiate(&forward);
     backward.program = backward.program.eliminate_common_subexpressions();
-    // Aggregate-into-GEMM fusion: rewrite `matmul_const(agg_sum(e), W)`
-    // into one adjacency pass. Values the backward plan saves must survive
-    // as standalone tensors, so they protect their producers from fusion;
-    // the returned remap rebases the plan's forward ids onto the fused
-    // program. A no-op for programs without mat-consts.
-    let save_ids_pre = backward.save_ids();
-    let (forward, remap) = forward.fuse_agg_matmul(&save_ids_pre);
-    for s in &mut backward.node_saves {
-        if let NodeSave::Value(id) = s {
-            *id = remap[*id];
-        }
-    }
-    for id in &mut backward.edge_saves {
-        *id = remap[*id];
-    }
     let save_ids = backward.save_ids();
     let n_node_value_saves = backward
         .node_saves
@@ -221,24 +206,6 @@ impl TemporalExecutor {
         node_consts: Vec<Tensor>,
         edge_consts: Vec<Tensor>,
     ) -> Var<'t> {
-        self.apply_mats(tape, prog, t, inputs, node_consts, edge_consts, &[])
-    }
-
-    /// [`TemporalExecutor::apply`] for programs with mat-const slots:
-    /// `mats[i]` fills slot `i` and is differentiated through — its
-    /// gradient (`dW += operandᵀ · upstream`, accumulated over the
-    /// program's matmul sites) flows back on the tape like any other input.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_mats<'t>(
-        &self,
-        tape: &'t Tape,
-        prog: &Rc<CompiledProgram>,
-        t: usize,
-        inputs: &[&Var<'t>],
-        node_consts: Vec<Tensor>,
-        edge_consts: Vec<Tensor>,
-        mats: &[&Var<'t>],
-    ) -> Var<'t> {
         let shared = &self.shared;
         // Workspace buffers recycle within this timestamp's kernels; when an
         // epoch-level scope encloses this one (the train loops open one),
@@ -250,7 +217,6 @@ impl TemporalExecutor {
         let input_tensors: Vec<&Tensor> = inputs.iter().map(|v| v.value()).collect();
         let const_refs: Vec<&Tensor> = node_consts.iter().collect();
         let edge_refs: Vec<&Tensor> = edge_consts.iter().collect();
-        let mat_refs: Vec<&Tensor> = mats.iter().map(|v| v.value()).collect();
         let mut exec = {
             let _sp = span_timed("kernel.forward", &shared.gnn_time);
             shared.backend.execute(
@@ -259,7 +225,7 @@ impl TemporalExecutor {
                 &input_tensors,
                 &const_refs,
                 &edge_refs,
-                &mat_refs,
+                &[],
                 &prog.save_ids,
             )
         };
@@ -293,7 +259,6 @@ impl TemporalExecutor {
 
         // Context captured for the backward closure.
         let input_shapes: Vec<_> = inputs.iter().map(|v| v.value().shape()).collect();
-        let mat_values: Vec<Tensor> = mats.iter().map(|v| v.value().clone()).collect();
         let static_snap = match &shared.source {
             GraphSource::Static(_) => Some(snap),
             GraphSource::Dynamic(_) => None,
@@ -302,10 +267,7 @@ impl TemporalExecutor {
         let prog_bw = Rc::clone(prog);
         let output = exec.outputs.remove(0);
 
-        // Mats are tape inputs too: their gradients come back from the same
-        // closure, after the node-input gradients.
-        let all_inputs: Vec<&Var<'t>> = inputs.iter().chain(mats.iter()).copied().collect();
-        tape.custom(&all_inputs, output, move |grad_out| {
+        tape.custom(inputs, output, move |grad_out| {
             let shared = &shared_bw;
             let prog = &prog_bw;
             let _pool = stgraph_tensor::PoolScope::new();
@@ -336,7 +298,6 @@ impl TemporalExecutor {
             let mut b_edge_consts: Vec<&Tensor> = edge_consts.iter().collect();
             b_edge_consts.extend(frame.edge_values.iter());
 
-            let b_mat_consts: Vec<&Tensor> = mat_values.iter().collect();
             let bexec = {
                 let _sp = span_timed("kernel.backward", &shared.gnn_time);
                 shared.backend.execute(
@@ -345,13 +306,12 @@ impl TemporalExecutor {
                     &[grad_out],
                     &b_node_consts,
                     &b_edge_consts,
-                    &b_mat_consts,
+                    &[],
                     &[],
                 )
             };
 
-            let mut grads: Vec<Tensor> = prog
-                .backward
+            prog.backward
                 .input_grads
                 .iter()
                 .zip(&input_shapes)
@@ -359,23 +319,7 @@ impl TemporalExecutor {
                     Some(idx) => bexec.outputs[*idx].clone(),
                     None => Tensor::zeros(*shape),
                 })
-                .collect();
-            // Mat gradients: dense `operandᵀ · upstream` per matmul site,
-            // accumulated by slot.
-            let mut mat_grads: Vec<Option<Tensor>> = vec![None; mat_values.len()];
-            for mu in &prog.backward.mat_uses {
-                let dw = bexec.outputs[mu.operand_output]
-                    .transpose()
-                    .matmul(&bexec.outputs[mu.grad_output]);
-                mat_grads[mu.slot] = Some(match mat_grads[mu.slot].take() {
-                    Some(acc) => acc.add(&dw),
-                    None => dw,
-                });
-            }
-            for (mg, mv) in mat_grads.into_iter().zip(&mat_values) {
-                grads.push(mg.unwrap_or_else(|| Tensor::zeros(mv.shape())));
-            }
-            grads
+                .collect()
         })
     }
 }
@@ -623,6 +567,33 @@ mod tests {
                 .len(),
             prog.backward.program.len()
         );
+    }
+
+    /// `compile` hands the backward plan's forward ids to the kernels
+    /// unremapped, which is sound only while CSE leaves no dead node behind
+    /// (it ends in DCE) — so ids taken against the post-CSE forward program
+    /// stay valid.
+    #[test]
+    fn save_ids_index_live_nodes_of_the_compiled_forward() {
+        use stgraph_seastar::ir::gat_aggregation;
+        for w in [1, 4, 9] {
+            for prog in [
+                compile(gcn_aggregation(w)),
+                compile(gat_aggregation(w, 0.2)),
+            ] {
+                let fwd = &prog.forward;
+                let mut live = vec![false; fwd.len()];
+                let mut stack = fwd.outputs.clone();
+                while let Some(id) = stack.pop() {
+                    if !std::mem::replace(&mut live[id], true) {
+                        stack.extend(fwd.node(id).op.operands());
+                    }
+                }
+                assert!(live.iter().all(|&l| l), "dead node in compiled forward");
+                assert_eq!(prog.save_ids, prog.backward.save_ids());
+                assert!(prog.save_ids.iter().all(|&id| id < fwd.len()));
+            }
+        }
     }
 
     #[test]

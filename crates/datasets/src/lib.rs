@@ -10,6 +10,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod dynamic;
 pub mod io;
 pub mod static_temporal;

@@ -20,6 +20,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use stgraph_datasets::cli::{self, get};
 use stgraph_net::{http, wire};
 use stgraph_serve::LatencyRecorder;
 
@@ -43,37 +44,6 @@ Options:
   --seed <n>              RNG seed (default 7)
   --json <path>           also write the summary as JSON
   --help                  this text";
-
-fn parse_args() -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(key) = args.next() {
-        if key == "--help" || key == "-h" {
-            println!("{HELP}");
-            std::process::exit(0);
-        }
-        let Some(name) = key.strip_prefix("--") else {
-            eprintln!("unexpected argument '{key}' (try --help)");
-            std::process::exit(2);
-        };
-        let Some(value) = args.next() else {
-            eprintln!("missing value for --{name}");
-            std::process::exit(2);
-        };
-        out.insert(name.replace('-', "_"), value);
-    }
-    out
-}
-
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    match args.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{key}: '{v}'");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
 
 /// Zipfian sampler over `n` ranks: weight of rank `i` is `(i+1)^-s`.
 /// Precomputed CDF + binary search (the vendored `rand` has no Zipf).
@@ -341,7 +311,7 @@ fn worker(
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit(HELP);
     let http_addr = args.get("http").cloned();
     let bin_addr = args.get("bin").cloned();
     let proto = args

@@ -17,9 +17,9 @@
 //! job and the load generator read it to find the ephemeral ports.
 
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{info, load_dynamic, GraphKind};
 use stgraph_dyngraph::DtdgSource;
 use stgraph_net::{
@@ -80,43 +80,8 @@ exercise the net.accept / net.read sites alongside the engine's own; with
 --online the online.step / online.publish sites fire too (a faulted step
 rolls back exactly and halts training; serving continues).";
 
-fn parse_args() -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(key) = args.next() {
-        if key == "--help" || key == "-h" {
-            println!("{HELP}");
-            std::process::exit(0);
-        }
-        let Some(name) = key.strip_prefix("--") else {
-            eprintln!("unexpected argument '{key}' (try --help)");
-            std::process::exit(2);
-        };
-        if name == "online" {
-            out.insert(name.to_string(), "1".to_string());
-            continue;
-        }
-        let Some(value) = args.next() else {
-            eprintln!("missing value for --{name}");
-            std::process::exit(2);
-        };
-        out.insert(name.replace('-', "_"), value);
-    }
-    out
-}
-
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    match args.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{key}: '{v}'");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
-
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit(HELP);
     let dataset = args.get("dataset").map_or("MO", String::as_str).to_string();
     let meta = info(&dataset);
     assert_eq!(meta.kind, GraphKind::Dynamic, "net needs a dynamic dataset");

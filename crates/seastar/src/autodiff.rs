@@ -20,7 +20,7 @@
 //! runs over the forward CSR while the forward pass runs over the reverse
 //! CSR (§V.B, Figure 2).
 
-use crate::ir::{op_operands_mut, Id, Op, Program, ProgramBuilder, Space, Val};
+use crate::ir::{Id, Op, Program, ProgramBuilder, Space, Val};
 use std::collections::HashMap;
 
 /// A forward value the backward program needs, stored as a backward
@@ -32,21 +32,6 @@ pub enum NodeSave {
     Input(usize),
     /// A computed node-space forward value (by forward IR id).
     Value(Id),
-}
-
-/// One `MatmulConst` use in the forward program. The executor computes the
-/// matrix gradient `dW[slot] += operandᵀ · grad` as a dense tensor op from
-/// two extra backward-program outputs: the (recomputed) matmul operand and
-/// the upstream gradient flowing into that matmul. Several uses of the same
-/// slot accumulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatUse {
-    /// Mat-const slot the gradient belongs to.
-    pub slot: usize,
-    /// Backward output index holding the recomputed matmul operand.
-    pub operand_output: usize,
-    /// Backward output index holding the upstream gradient.
-    pub grad_output: usize,
 }
 
 /// The backward program and its saved-value requirements.
@@ -66,9 +51,6 @@ pub struct BackwardPlan {
     /// For each forward input slot: the index of its gradient among the
     /// backward program's outputs, or `None` if the gradient is zero.
     pub input_grads: Vec<Option<usize>>,
-    /// Matrix-gradient bridges, one per forward `MatmulConst` use (see
-    /// [`MatUse`]). Empty for programs without mat-consts.
-    pub mat_uses: Vec<MatUse>,
 }
 
 impl BackwardPlan {
@@ -105,15 +87,8 @@ struct Diff<'f> {
     b: ProgramBuilder,
     /// Memoised backward-program references to forward values.
     vals: HashMap<Id, Val>,
-    /// Memoised backward-program *recomputations* of forward values (see
-    /// [`Diff::reval`]) — kept separate from `vals` because a recomputation
-    /// never forces a save.
-    revals: HashMap<Id, Val>,
     node_saves: Vec<NodeSave>,
     edge_saves: Vec<Id>,
-    /// `(slot, operand value, upstream grad)` per forward `MatmulConst`,
-    /// turned into extra backward outputs + [`MatUse`] entries at the end.
-    pending_mat: Vec<(usize, Val, Val)>,
 }
 
 impl<'f> Diff<'f> {
@@ -155,37 +130,6 @@ impl<'f> Diff<'f> {
         v
     }
 
-    /// A backward-program value that *recomputes* the forward value of
-    /// `fid` from inputs and constants instead of loading a saved tensor.
-    ///
-    /// Used for the `MatmulConst` matrix gradient: saving the matmul
-    /// operand via [`Diff::val`] would put it in the saved set, which would
-    /// protect it from [`Program::fuse_agg_matmul`] and stop the fusion
-    /// from ever firing. Recomputing trades one extra aggregation pass in
-    /// the backward program for not materialising an `[n, k]` tensor per
-    /// timestamp on the State Stack.
-    fn reval(&mut self, fid: Id) -> Val {
-        if let Some(&v) = self.revals.get(&fid) {
-            return v;
-        }
-        let node = self.fwd.node(fid).clone();
-        let v = match node.op {
-            // Inputs and constants are already backward-visible — share the
-            // `val` path (memoised there, so no duplicate saves).
-            Op::NodeInput(_) | Op::NodeConst(_) | Op::EdgeConst(_) => self.val(fid),
-            _ => {
-                let mut op = node.op.clone();
-                let new: Vec<Val> = op.operands().iter().map(|&o| self.reval(o)).collect();
-                for (slot, nv) in op_operands_mut(&mut op).into_iter().zip(&new) {
-                    *slot = nv.id;
-                }
-                self.b.emit(op, node.space, node.width)
-            }
-        };
-        self.revals.insert(fid, v);
-        v
-    }
-
     /// Adapts a gradient of width `gw` to an operand of width `ow`
     /// (broadcast adjoint = feature reduction).
     fn adapt(&mut self, g: Val, gw: usize, ow: usize) -> Val {
@@ -216,10 +160,8 @@ pub fn differentiate(fwd: &Program) -> BackwardPlan {
         fwd,
         b: ProgramBuilder::new(),
         vals: HashMap::new(),
-        revals: HashMap::new(),
         node_saves: Vec::new(),
         edge_saves: Vec::new(),
-        pending_mat: Vec::new(),
     };
 
     // Seed output gradients as backward inputs FIRST so backward input slot
@@ -252,11 +194,6 @@ pub fn differentiate(fwd: &Program) -> BackwardPlan {
             }
             _ => {}
         }
-    }
-    // Mirror the forward mat-const slots likewise: backward mat slot i ==
-    // forward mat slot i (the `matmul_const_t` adjoints reference them).
-    for &(rows, cols) in &fwd.mat_const_dims {
-        d.b.mat_const(rows, cols);
     }
 
     let mut input_grads: Vec<Option<Val>> = vec![None; fwd.input_widths.len()];
@@ -393,22 +330,6 @@ pub fn differentiate(fwd: &Program) -> BackwardPlan {
                 let ga = d.b.reduce_feat(g);
                 d.add_grad(&mut grads, a, ga);
             }
-            Op::MatmulConst(a, slot) => {
-                // Operand gradient: da = g · Wᵀ.
-                if needs_grad(fwd, a) {
-                    let ga = d.b.matmul_const_t(g, slot);
-                    d.add_grad(&mut grads, a, ga);
-                }
-                // Matrix gradient: dW[slot] += aᵀ · g, assembled tensor-side
-                // by the executor from two extra backward outputs. The
-                // operand is recomputed (reval) rather than saved so the
-                // aggregate-into-GEMM fusion can still elide it.
-                let av = d.reval(a);
-                d.pending_mat.push((slot, av, g));
-            }
-            Op::MatmulConstT(..) | Op::AggMatmulDst(..) | Op::AggMatmulSrc(..) => {
-                unreachable!("only appears in backward or fused programs")
-            }
         }
     }
 
@@ -423,23 +344,12 @@ pub fn differentiate(fwd: &Program) -> BackwardPlan {
             None => input_grad_slots.push(None),
         }
     }
-    let mut mat_uses = Vec::with_capacity(d.pending_mat.len());
-    for &(slot, operand, grad) in &d.pending_mat {
-        mat_uses.push(MatUse {
-            slot,
-            operand_output: outputs.len(),
-            grad_output: outputs.len() + 1,
-        });
-        outputs.push(operand);
-        outputs.push(grad);
-    }
     let program = d.b.finish(&outputs);
     BackwardPlan {
         program,
         node_saves: d.node_saves,
         edge_saves: d.edge_saves,
         input_grads: input_grad_slots,
-        mat_uses,
     }
 }
 

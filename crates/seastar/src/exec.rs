@@ -15,7 +15,6 @@ use stgraph_graph::base::STGraphBase;
 use stgraph_graph::csr::Csr;
 use stgraph_tensor::mem::{self, TrackedBuf};
 use stgraph_tensor::simd::{self, F32x8, LANES};
-use stgraph_tensor::tensor::gemm_row;
 use stgraph_tensor::{par_min, Shape, Tensor};
 
 /// Lane-dispatched `dst[j] = scalar(a[j], b[j])` over equal-width scratch
@@ -309,11 +308,7 @@ impl<'p, 'a> EdgeCompiler<'p, 'a> {
             | Op::NodeConst(_)
             | Op::AggSumDst(_)
             | Op::AggSumSrc(_)
-            | Op::AggMaxDst(_)
-            | Op::MatmulConst(..)
-            | Op::MatmulConstT(..)
-            | Op::AggMatmulDst(..)
-            | Op::AggMatmulSrc(..) => {
+            | Op::AggMaxDst(_) => {
                 unreachable!("node-space op inside an edge plan")
             }
         };
@@ -602,91 +597,6 @@ fn run_aggregation(plan: &EdgePlan<'_>, csr: &Csr, kind: AggKind, num_nodes: usi
     Tensor::from_buf(Shape::Mat(num_nodes, w), out)
 }
 
-/// Runs the aggregate-into-GEMM fused kernel: per vertex, the edge plan is
-/// evaluated and summed into a width-`k` scratch row (never a whole `[n, k]`
-/// tensor), then that row is multiplied through the `[k, m]` mat-const with
-/// the *same* row kernel `Tensor::matmul` dispatches to — so the fused
-/// result is bitwise identical to `matmul(run_aggregation(..), mat)` while
-/// touching the adjacency once and skipping the intermediate materialise.
-fn run_agg_matmul(
-    plan: &EdgePlan<'_>,
-    csr: &Csr,
-    kind: AggKind,
-    num_nodes: usize,
-    mat: &Tensor,
-) -> Tensor {
-    let _sp = stgraph_telemetry::span_cat("seastar.agg_matmul", "kernel");
-    debug_assert!(!matches!(kind, AggKind::MaxDst), "fusion is sum-only");
-    let k = plan.root_w;
-    let m = mat.cols();
-    debug_assert_eq!(mat.rows(), k, "mat-const rows vs aggregate width");
-    let mat_d = mat.data();
-    let mem_pool = mem::current_pool();
-    let mut out = TrackedBuf::raw_in(mem_pool, num_nodes * m);
-    if csr.node_ids.len() != num_nodes {
-        // Defensive: rows not covered by node_ids must still read as zero.
-        out.as_mut_slice().fill(0.0);
-    }
-    {
-        struct Shared(*mut f32);
-        unsafe impl Sync for Shared {}
-        let shared = Shared(out.as_mut_slice().as_mut_ptr());
-        let node_ids = &csr.node_ids;
-        // Scratch layout: [plan registers | k-wide aggregate row].
-        let scratch_len = plan.scratch_len + k;
-        // Hoisted once per kernel launch, not per edge: the bare-gather
-        // fast path and its tensor slice.
-        let direct = plan
-            .direct_gather()
-            .map(|(t, is_src)| (plan.node_tensors[t].data(), is_src));
-        let per_vertex = |scratch: &mut [f32], v: u32| {
-            let shared = &shared;
-            let v = v as usize;
-            let row = unsafe { std::slice::from_raw_parts_mut(shared.0.add(v * m), m) };
-            let (plan_scr, agg) = scratch.split_at_mut(plan.scratch_len);
-            agg.fill(0.0);
-            let mut any = false;
-            for (nbr, eid) in csr.iter_row(v) {
-                let (src, dst) = match kind {
-                    AggKind::SumDst | AggKind::MaxDst => (nbr as usize, v),
-                    AggKind::SumSrc => (v, nbr as usize),
-                };
-                let val: &[f32] = if let Some((d, is_src)) = &direct {
-                    let i = if *is_src { src } else { dst };
-                    &d[i * k..i * k + k]
-                } else {
-                    plan.eval(plan_scr, src, dst, eid as usize);
-                    &plan_scr[plan.root..plan.root + k]
-                };
-                lane_accum(agg, val, |r, v| r.add(v), |r, v| r + v);
-                any = true;
-            }
-            if any {
-                gemm_row(row, agg, mat_d, m);
-            } else {
-                // A zero aggregate row matmuls to exactly +0.0 everywhere;
-                // skip the k·m flops.
-                row.fill(0.0);
-            }
-        };
-        if csr.num_edges() * k + csr.node_ids.len() * k * m >= par_min() {
-            let ranges = balanced_ranges(csr, rayon::current_num_threads() * 4);
-            ranges.par_iter().for_each(|range| {
-                let mut scratch = TrackedBuf::raw_in(mem_pool, scratch_len);
-                for &v in &node_ids[range.clone()] {
-                    per_vertex(scratch.as_mut_slice(), v);
-                }
-            });
-        } else {
-            let mut scratch = TrackedBuf::raw_in(mem_pool, scratch_len);
-            for &v in node_ids {
-                per_vertex(scratch.as_mut_slice(), v);
-            }
-        }
-    }
-    Tensor::from_buf(Shape::Mat(num_nodes, m), out)
-}
-
 /// Materialises an edge-space value as an `[m, w]` tensor indexed by edge
 /// id, used only when the backward program needs the value saved. Iterates
 /// the dense reverse CSR so every edge id is visited exactly once.
@@ -804,8 +714,6 @@ pub struct ExecOutput {
 /// * `save` — forward IR ids whose values the caller wants back (the
 ///   backward program's saved set); edge-space ids trigger the edge
 ///   materialisation kernel.
-///
-/// Programs using mat-consts must go through [`execute_with_mats`].
 pub fn execute(
     prog: &Program,
     graph: &dyn STGraphBase,
@@ -814,33 +722,8 @@ pub fn execute(
     edge_consts: &[&Tensor],
     save: &[Id],
 ) -> ExecOutput {
-    execute_with_mats(prog, graph, inputs, node_consts, edge_consts, &[], save)
-}
-
-/// [`execute`] with mat-const slots filled: `mat_consts[i]` must match
-/// `prog.mat_const_dims[i]`. `MatmulConst`/`MatmulConstT` run as dense
-/// tensor matmuls; `AggMatmulDst`/`AggMatmulSrc` run the fused
-/// aggregate-into-GEMM kernel ([`run_agg_matmul`]).
-pub fn execute_with_mats(
-    prog: &Program,
-    graph: &dyn STGraphBase,
-    inputs: &[&Tensor],
-    node_consts: &[&Tensor],
-    edge_consts: &[&Tensor],
-    mat_consts: &[&Tensor],
-    save: &[Id],
-) -> ExecOutput {
     let n = graph.num_nodes();
     assert_eq!(inputs.len(), prog.input_widths.len(), "input slot count");
-    assert_eq!(
-        mat_consts.len(),
-        prog.mat_const_dims.len(),
-        "mat const slot count"
-    );
-    for (i, t) in mat_consts.iter().enumerate() {
-        let (r, c) = prog.mat_const_dims[i];
-        assert_eq!((t.rows(), t.cols()), (r, c), "mat const {i}: dims");
-    }
     assert_eq!(
         node_consts.len(),
         prog.node_const_widths.len(),
@@ -877,25 +760,6 @@ pub fn execute_with_mats(
             Op::AggSumSrc(e) => {
                 let plan = compile_edge_plan(prog, e, &values, edge_consts);
                 run_aggregation(&plan, graph.csr(), AggKind::SumSrc, n)
-            }
-            Op::MatmulConst(a, s) => values[a].as_ref().unwrap().matmul(mat_consts[s]),
-            Op::MatmulConstT(a, s) => values[a]
-                .as_ref()
-                .unwrap()
-                .matmul(&mat_consts[s].transpose()),
-            Op::AggMatmulDst(e, s) => {
-                let plan = compile_edge_plan(prog, e, &values, edge_consts);
-                run_agg_matmul(
-                    &plan,
-                    graph.reverse_csr(),
-                    AggKind::SumDst,
-                    n,
-                    mat_consts[s],
-                )
-            }
-            Op::AggMatmulSrc(e, s) => {
-                let plan = compile_edge_plan(prog, e, &values, edge_consts);
-                run_agg_matmul(&plan, graph.csr(), AggKind::SumSrc, n, mat_consts[s])
             }
             Op::Add(a, b) => node_binary(
                 values[a].as_ref().unwrap(),
@@ -1175,93 +1039,5 @@ mod tests {
         let x = Tensor::zeros((3, 2));
         let norm = Tensor::zeros((4, 1));
         let _ = execute(&prog, &snap, &[&x], &[&norm], &[], &[]);
-    }
-
-    /// `agg_sum_dst` + `matmul_const`, with a trailing matmul on a second
-    /// branch so the program also exercises the unfused `MatmulConst` arm.
-    fn agg_then_matmul_program(f: usize, m: usize) -> Program {
-        let mut b = ProgramBuilder::new();
-        let h = b.input(f);
-        let w = b.mat_const(f, m);
-        let g = b.gather_src(h);
-        let agg = b.agg_sum_dst(g);
-        let aw = b.matmul_const(agg, w);
-        let hw = b.matmul_const(h, w);
-        let out = b.add(aw, hw);
-        b.finish(&[out])
-    }
-
-    #[test]
-    fn fused_agg_matmul_is_bitwise_equal_to_unfused() {
-        let prog = agg_then_matmul_program(3, 5);
-        let (fused, _) = prog.fuse_agg_matmul(&[]);
-        assert!(fused
-            .nodes
-            .iter()
-            .any(|nd| matches!(nd.op, Op::AggMatmulDst(..))));
-        let snap = diamond(); // node 0 has no in-edges: covers the zero row
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let x = Tensor::rand_uniform((4, 3), -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform((3, 5), -1.0, 1.0, &mut rng);
-        let plain = execute_with_mats(&prog, &snap, &[&x], &[], &[], &[&w], &[])
-            .outputs
-            .remove(0);
-        let fast = execute_with_mats(&fused, &snap, &[&x], &[], &[], &[&w], &[])
-            .outputs
-            .remove(0);
-        assert_eq!(plain.to_vec(), fast.to_vec(), "fusion must be bitwise");
-    }
-
-    #[test]
-    fn fused_agg_matmul_src_matches_unfused() {
-        let mut b = ProgramBuilder::new();
-        let h = b.input(2);
-        let w = b.mat_const(2, 3);
-        let g = b.gather_dst(h);
-        let agg = b.agg_sum_src(g);
-        let out = b.matmul_const(agg, w);
-        let prog = b.finish(&[out]);
-        let (fused, _) = prog.fuse_agg_matmul(&[]);
-        assert!(fused
-            .nodes
-            .iter()
-            .any(|nd| matches!(nd.op, Op::AggMatmulSrc(..))));
-        let snap = diamond(); // node 3 has no out-edges: covers the zero row
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let x = Tensor::rand_uniform((4, 2), -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform((2, 3), -1.0, 1.0, &mut rng);
-        let plain = execute_with_mats(&prog, &snap, &[&x], &[], &[], &[&w], &[])
-            .outputs
-            .remove(0);
-        let fast = execute_with_mats(&fused, &snap, &[&x], &[], &[], &[&w], &[])
-            .outputs
-            .remove(0);
-        assert_eq!(plain.to_vec(), fast.to_vec());
-    }
-
-    #[test]
-    fn matmul_const_t_is_matmul_by_transpose() {
-        let mut b = ProgramBuilder::new();
-        let h = b.input(4);
-        let w = b.mat_const(3, 4);
-        let out = b.matmul_const_t(h, w);
-        let prog = b.finish(&[out]);
-        let snap = diamond();
-        let mut rng = ChaCha8Rng::seed_from_u64(19);
-        let x = Tensor::rand_uniform((4, 4), -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform((3, 4), -1.0, 1.0, &mut rng);
-        let got = execute_with_mats(&prog, &snap, &[&x], &[], &[], &[&w], &[])
-            .outputs
-            .remove(0);
-        assert_eq!(got.to_vec(), x.matmul(&w.transpose()).to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "mat const slot count")]
-    fn missing_mat_const_panics() {
-        let prog = agg_then_matmul_program(2, 2);
-        let snap = diamond();
-        let x = Tensor::zeros((4, 2));
-        let _ = execute(&prog, &snap, &[&x], &[], &[], &[]);
     }
 }

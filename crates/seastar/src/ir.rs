@@ -75,23 +75,6 @@ pub enum Op {
     ReduceFeat(Id),
     /// Repeat a width-1 value across `w` features.
     BroadcastFeat(Id, usize),
-    /// Node value: dense matmul by the constant matrix in the given
-    /// mat-const slot (`[n, k] @ [k, m] -> [n, m]`). The matrix is a
-    /// *program* constant (a layer weight), not a per-node tensor.
-    MatmulConst(Id, usize),
-    /// Node value: dense matmul by the *transpose* of the mat-const slot
-    /// (`[n, m] @ [k, m]ᵀ -> [n, k]`) — emitted by autodiff as the operand
-    /// gradient of [`Op::MatmulConst`].
-    MatmulConstT(Id, usize),
-    /// Fused aggregate-into-GEMM over in-edges: semantically
-    /// `MatmulConst(AggSumDst(e), slot)`, executed as one pass over the
-    /// adjacency that accumulates each edge value into a per-vertex scratch
-    /// row and runs the GEMM row kernel straight into the output — the
-    /// `[n, k]` aggregate tensor is never materialised. Produced only by
-    /// [`Program::fuse_agg_matmul`].
-    AggMatmulDst(Id, usize),
-    /// Fused aggregate-into-GEMM over out-edges (the `AggSumSrc` form).
-    AggMatmulSrc(Id, usize),
 }
 
 impl Op {
@@ -110,11 +93,7 @@ impl Op {
             | Op::Sigmoid(a)
             | Op::Tanh(a)
             | Op::ReduceFeat(a)
-            | Op::BroadcastFeat(a, _)
-            | Op::MatmulConst(a, _)
-            | Op::MatmulConstT(a, _)
-            | Op::AggMatmulDst(a, _)
-            | Op::AggMatmulSrc(a, _) => vec![a],
+            | Op::BroadcastFeat(a, _) => vec![a],
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
@@ -148,9 +127,6 @@ pub struct Program {
     pub node_const_widths: Vec<usize>,
     /// Feature width of each edge-constant slot.
     pub edge_const_widths: Vec<usize>,
-    /// `(rows, cols)` of each mat-const slot — the dense weight matrices
-    /// referenced by [`Op::MatmulConst`] and the fused aggregation ops.
-    pub mat_const_dims: Vec<(usize, usize)>,
 }
 
 impl Program {
@@ -174,13 +150,6 @@ impl Program {
     /// unused but keep their position so callers' argument lists still
     /// line up).
     pub fn eliminate_dead_code(&self) -> Program {
-        self.dce_with_remap().0
-    }
-
-    /// [`Program::eliminate_dead_code`] returning also the old-id → new-id
-    /// table (`usize::MAX` for removed nodes), so passes that hold external
-    /// id references (the backward plan's saved set) can fix them up.
-    fn dce_with_remap(&self) -> (Program, Vec<Id>) {
         let mut live = vec![false; self.nodes.len()];
         let mut stack: Vec<Id> = self.outputs.clone();
         while let Some(id) = stack.pop() {
@@ -207,54 +176,13 @@ impl Program {
                 width: node.width,
             });
         }
-        let prog = Program {
+        Program {
             nodes,
             outputs: self.outputs.iter().map(|&o| remap[o]).collect(),
             input_widths: self.input_widths.clone(),
             node_const_widths: self.node_const_widths.clone(),
             edge_const_widths: self.edge_const_widths.clone(),
-            mat_const_dims: self.mat_const_dims.clone(),
-        };
-        (prog, remap)
-    }
-
-    /// Aggregation-into-GEMM fusion: rewrites `MatmulConst(a, s)` into the
-    /// fused `AggMatmul{Dst,Src}(e, s)` whenever `a` is an `AggSum{Dst,Src}(e)`
-    /// whose *only* consumer is that matmul and whose id is not `protected`
-    /// (the backward plan's saved set — a protected aggregate must still
-    /// materialise). The elided aggregate node is then dead-code-eliminated,
-    /// so the `[n, k]` tensor between the adjacency pass and the GEMM is
-    /// never allocated. Run after [`differentiate`](crate::differentiate) —
-    /// the backward program recomputes matmul operands instead of loading
-    /// them, so fusion never changes gradients.
-    ///
-    /// Returns the fused program and the old-id → new-id remap (apply it to
-    /// any retained save-id references).
-    pub fn fuse_agg_matmul(&self, protected: &[Id]) -> (Program, Vec<Id>) {
-        let mut uses = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for o in node.op.operands() {
-                uses[o] += 1;
-            }
         }
-        for &o in &self.outputs {
-            uses[o] += 1;
-        }
-        let mut out = self.clone();
-        for id in 0..out.nodes.len() {
-            let Op::MatmulConst(a, s) = out.nodes[id].op else {
-                continue;
-            };
-            if uses[a] != 1 || protected.contains(&a) {
-                continue;
-            }
-            match self.nodes[a].op {
-                Op::AggSumDst(e) => out.nodes[id].op = Op::AggMatmulDst(e, s),
-                Op::AggSumSrc(e) => out.nodes[id].op = Op::AggMatmulSrc(e, s),
-                _ => {}
-            }
-        }
-        out.dce_with_remap()
     }
 
     /// Common-subexpression elimination: structurally identical nodes are
@@ -286,10 +214,6 @@ impl Program {
                 Op::BroadcastFeat(a, w) => (17, vec![a, w], 0),
                 Op::Sigmoid(a) => (18, vec![a], 0),
                 Op::Tanh(a) => (19, vec![a], 0),
-                Op::MatmulConst(a, s) => (20, vec![a, s], 0),
-                Op::MatmulConstT(a, s) => (21, vec![a, s], 0),
-                Op::AggMatmulDst(a, s) => (22, vec![a, s], 0),
-                Op::AggMatmulSrc(a, s) => (23, vec![a, s], 0),
             }
         }
         let mut canon: HashMap<(u8, Vec<usize>, u32), Id> = HashMap::new();
@@ -312,21 +236,11 @@ impl Program {
     }
 
     /// Ids of aggregation nodes (the kernel launch points), in order.
-    /// Includes the fused aggregation-matmul nodes.
     pub fn aggregations(&self) -> Vec<Id> {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| {
-                matches!(
-                    n.op,
-                    Op::AggSumDst(_)
-                        | Op::AggSumSrc(_)
-                        | Op::AggMaxDst(_)
-                        | Op::AggMatmulDst(_, _)
-                        | Op::AggMatmulSrc(_, _)
-                )
-            })
+            .filter(|(_, n)| matches!(n.op, Op::AggSumDst(_) | Op::AggSumSrc(_) | Op::AggMaxDst(_)))
             .map(|(i, _)| i)
             .collect()
     }
@@ -363,10 +277,6 @@ impl std::fmt::Display for Program {
                 Op::Tanh(a) => writeln!(f, "Tanh(%{a})")?,
                 Op::ReduceFeat(a) => writeln!(f, "ReduceFeat(%{a})")?,
                 Op::BroadcastFeat(a, w) => writeln!(f, "BroadcastFeat(%{a}, {w})")?,
-                Op::MatmulConst(a, s) => writeln!(f, "MatmulConst(%{a}, mat {s})")?,
-                Op::MatmulConstT(a, s) => writeln!(f, "MatmulConstT(%{a}, mat {s})")?,
-                Op::AggMatmulDst(a, s) => writeln!(f, "AggMatmulDst(%{a}, mat {s})")?,
-                Op::AggMatmulSrc(a, s) => writeln!(f, "AggMatmulSrc(%{a}, mat {s})")?,
             }
         }
         let outs: Vec<String> = self.outputs.iter().map(|o| format!("%{o}")).collect();
@@ -374,7 +284,7 @@ impl std::fmt::Display for Program {
     }
 }
 
-pub(crate) fn op_operands_mut(op: &mut Op) -> Vec<&mut Id> {
+fn op_operands_mut(op: &mut Op) -> Vec<&mut Id> {
     match op {
         Op::NodeInput(_) | Op::NodeConst(_) | Op::EdgeConst(_) => vec![],
         Op::GatherSrc(a)
@@ -388,11 +298,7 @@ pub(crate) fn op_operands_mut(op: &mut Op) -> Vec<&mut Id> {
         | Op::Sigmoid(a)
         | Op::Tanh(a)
         | Op::ReduceFeat(a)
-        | Op::BroadcastFeat(a, _)
-        | Op::MatmulConst(a, _)
-        | Op::MatmulConstT(a, _)
-        | Op::AggMatmulDst(a, _)
-        | Op::AggMatmulSrc(a, _) => vec![a],
+        | Op::BroadcastFeat(a, _) => vec![a],
         Op::Add(a, b)
         | Op::Sub(a, b)
         | Op::Mul(a, b)
@@ -431,13 +337,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Emits a pre-formed node whose operand ids are already builder-local.
-    /// Used by autodiff's operand-recomputation path, which re-plays
-    /// forward subtrees into the backward program op by op.
-    pub(crate) fn emit(&mut self, op: Op, space: Space, width: usize) -> Val {
-        self.push(op, space, width)
-    }
-
     fn node(&self, v: Val) -> &IrNode {
         &self.prog.nodes[v.id]
     }
@@ -461,37 +360,6 @@ impl ProgramBuilder {
         let slot = self.prog.edge_const_widths.len();
         self.prog.edge_const_widths.push(width);
         self.push(Op::EdgeConst(slot), Space::Edge, width)
-    }
-
-    /// Declares a `[rows, cols]` constant matrix slot (a layer weight).
-    /// Unlike input/const declarations this returns the slot index, not a
-    /// [`Val`]: the matrix is not a per-node value, it only appears as the
-    /// second argument of [`ProgramBuilder::matmul_const`].
-    pub fn mat_const(&mut self, rows: usize, cols: usize) -> usize {
-        self.prog.mat_const_dims.push((rows, cols));
-        self.prog.mat_const_dims.len() - 1
-    }
-
-    /// Node value: dense matmul by mat-const `slot` (`[n, k] @ [k, m]`).
-    pub fn matmul_const(&mut self, a: Val, slot: usize) -> Val {
-        let (rows, cols) = self.prog.mat_const_dims[slot];
-        let n = self.node(a);
-        assert_eq!(n.space, Space::Node, "matmul_const takes a node value");
-        assert_eq!(n.width, rows, "matmul_const: operand width vs matrix rows");
-        self.push(Op::MatmulConst(a.id, slot), Space::Node, cols)
-    }
-
-    /// Node value: dense matmul by the transpose of mat-const `slot`
-    /// (`[n, m] @ [k, m]ᵀ` — the adjoint of [`ProgramBuilder::matmul_const`]).
-    pub fn matmul_const_t(&mut self, a: Val, slot: usize) -> Val {
-        let (rows, cols) = self.prog.mat_const_dims[slot];
-        let n = self.node(a);
-        assert_eq!(n.space, Space::Node, "matmul_const_t takes a node value");
-        assert_eq!(
-            n.width, cols,
-            "matmul_const_t: operand width vs matrix cols"
-        );
-        self.push(Op::MatmulConstT(a.id, slot), Space::Node, rows)
     }
 
     /// Edge value: source endpoint's copy of a node value.
@@ -673,36 +541,6 @@ pub fn gcn_aggregation(width: usize) -> Program {
     b.finish(&[out])
 }
 
-/// Traces the GCN layer *including* its dense transform, with the weight as
-/// a mat-const so the aggregate-then-matmul pattern is visible to
-/// [`Program::fuse_agg_matmul`]:
-///
-/// `out = (Σ_{u∈in(v)} norm_v norm_u ⊙ h_u) W  +  (norm_v² ⊙ h_v) W`
-///
-/// This is `D̂^{-1/2} Â D̂^{-1/2} H W` with the destination norm pushed into
-/// edge space (`norm_v` applied per edge rather than after the aggregate),
-/// which is what leaves the aggregation directly under the matmul. It is
-/// linearly identical to `gcn_aggregation(k)` followed by `@ W` — float
-/// reassociation aside — but note the bias (if any) must be added *after*
-/// this program, whereas layers that run their dense transform before the
-/// aggregation apply it before.
-pub fn gcn_linear_aggregation(in_features: usize, out_features: usize) -> Program {
-    let mut b = ProgramBuilder::new();
-    let h = b.input(in_features);
-    let norm = b.node_const(1);
-    let w = b.mat_const(in_features, out_features);
-    let scaled = b.mul(h, norm); // norm_u ⊙ h_u
-    let gathered = b.gather_src(scaled);
-    let norm_dst = b.gather_dst(norm);
-    let e = b.mul(gathered, norm_dst); // norm_v norm_u ⊙ h_u per edge
-    let agg = b.agg_sum_dst(e);
-    let agg_w = b.matmul_const(agg, w); // the fusable pattern
-    let self_term = b.mul(scaled, norm); // norm_v² ⊙ h_v
-    let self_w = b.matmul_const(self_term, w);
-    let out = b.add(agg_w, self_w);
-    b.finish(&[out])
-}
-
 /// Traces the GAT attention aggregation for a single head:
 /// given transformed features `h = XW` and per-node attention halves
 /// `el = (h·a_l)`, `er = (h·a_r)`, computes
@@ -868,99 +706,6 @@ mod tests {
         let twice = once.eliminate_common_subexpressions();
         assert_eq!(once.len(), twice.len());
         assert_eq!(once.input_widths, p.input_widths);
-    }
-
-    #[test]
-    fn gcn_linear_program_shape() {
-        let p = gcn_linear_aggregation(5, 3);
-        assert_eq!(p.input_widths, vec![5]);
-        assert_eq!(p.mat_const_dims, vec![(5, 3)]);
-        assert_eq!(p.node(p.outputs[0]).width, 3);
-        // Unfused: one AggSumDst, two MatmulConsts.
-        assert_eq!(p.aggregations().len(), 1);
-        let matmuls = p
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::MatmulConst(_, _)))
-            .count();
-        assert_eq!(matmuls, 2);
-    }
-
-    #[test]
-    fn fusion_rewrites_agg_then_matmul() {
-        let p = gcn_linear_aggregation(5, 3);
-        let before = p.len();
-        let (fused, remap) = p.fuse_agg_matmul(&[]);
-        // The aggregate node is elided: one fewer node.
-        assert_eq!(fused.len(), before - 1);
-        assert!(fused
-            .nodes
-            .iter()
-            .any(|n| matches!(n.op, Op::AggMatmulDst(_, _))));
-        assert!(!fused.nodes.iter().any(|n| matches!(n.op, Op::AggSumDst(_))));
-        // The self-term matmul has a non-aggregate operand: left alone.
-        let plain = fused
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::MatmulConst(_, _)))
-            .count();
-        assert_eq!(plain, 1);
-        // Remap covers every surviving node and the output.
-        assert_eq!(remap.len(), before);
-        assert!(fused.outputs.iter().all(|&o| o < fused.len()));
-        assert_eq!(fused.mat_const_dims, vec![(5, 3)]);
-    }
-
-    #[test]
-    fn fusion_respects_protected_and_shared_aggregates() {
-        // Protected aggregate: must stay materialised.
-        let p = gcn_linear_aggregation(4, 2);
-        let agg_id = p
-            .nodes
-            .iter()
-            .position(|n| matches!(n.op, Op::AggSumDst(_)))
-            .unwrap();
-        let (kept, _) = p.fuse_agg_matmul(&[agg_id]);
-        assert!(kept.nodes.iter().any(|n| matches!(n.op, Op::AggSumDst(_))));
-        assert!(!kept
-            .nodes
-            .iter()
-            .any(|n| matches!(n.op, Op::AggMatmulDst(_, _))));
-
-        // Shared aggregate (two consumers): must not fuse either.
-        let mut b = ProgramBuilder::new();
-        let h = b.input(4);
-        let w = b.mat_const(4, 2);
-        let g = b.gather_src(h);
-        let agg = b.agg_sum_dst(g);
-        let mm = b.matmul_const(agg, w);
-        let other = b.scale(agg, 2.0);
-        let r = b.reduce_feat(other);
-        let rb = b.broadcast_feat(r, 2);
-        let out = b.add(mm, rb);
-        let p = b.finish(&[out]);
-        let (kept, _) = p.fuse_agg_matmul(&[]);
-        assert!(kept.nodes.iter().any(|n| matches!(n.op, Op::AggSumDst(_))));
-    }
-
-    #[test]
-    fn cse_distinguishes_mat_slots() {
-        let mut b = ProgramBuilder::new();
-        let h = b.input(4);
-        let w0 = b.mat_const(4, 4);
-        let w1 = b.mat_const(4, 4);
-        let m0 = b.matmul_const(h, w0);
-        let m1 = b.matmul_const(h, w1); // different slot: must NOT merge
-        let m2 = b.matmul_const(h, w0); // same slot: must merge with m0
-        let s = b.add(m0, m1);
-        let out = b.add(s, m2);
-        let p = b.finish(&[out]).eliminate_common_subexpressions();
-        let matmuls = p
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::MatmulConst(_, _)))
-            .count();
-        assert_eq!(matmuls, 2);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 use stgraph::tgnn::RecurrentCell;
+use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{info, load_dynamic, GraphKind};
 use stgraph_dyngraph::DtdgSource;
 use stgraph_serve::engine::{
@@ -54,14 +54,10 @@ Options:
                           this fail with DeadlineExceeded instead of being
                           answered stale (default off / STGRAPH_SERVE_DEADLINE_MS)
   --seed <n>              RNG seed, must match training (default 42)
-  --verify                check served values against a direct f32 replay:
-                          bitwise by default; with --quantize, an accuracy
-                          gate (max|q-f| / max|f| < 0.05) instead. With
-                          --online the replay reruns the online loop from
-                          the same initial state (do not combine with
-                          STGRAPH_FAULTS at the online.* sites)
-  --quantize              run inference through the i8 per-row-absmax
-                          quantized matmul path (faster, approximate)
+  --verify                check every served value bitwise against a direct
+                          replay. With --online the replay reruns the
+                          online loop from the same initial state (do not
+                          combine with STGRAPH_FAULTS at the online.* sites)
   --online                train while serving: one incremental gradient
                           step per ingested batch on a replay sample, with
                           weight generations published atomically between
@@ -96,48 +92,6 @@ supervisors restart it with --online-resume.";
 /// *degraded* (serving finished on the last published weights), and a
 /// supervisor should restart with `--online-resume`.
 const EXIT_ONLINE_HALTED: i32 = 42;
-
-/// Accuracy gate for `--verify --quantize`: the largest served-vs-replay
-/// error, normalized by the largest replay magnitude, must stay below
-/// this. Matches the metric (and empirical headroom) documented in
-/// `stgraph_tensor::quant` — i8 symmetric quantization of `[n,64]`-ish
-/// operands lands around 1e-2 even after the hidden chain compounds it.
-const QUANT_VERIFY_GATE: f32 = 0.05;
-
-fn parse_args() -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(key) = args.next() {
-        if key == "--help" || key == "-h" {
-            println!("{HELP}");
-            std::process::exit(0);
-        }
-        let Some(name) = key.strip_prefix("--") else {
-            eprintln!("unexpected argument '{key}' (try --help)");
-            std::process::exit(2);
-        };
-        if name == "verify" || name == "quantize" || name == "online" || name == "online-resume" {
-            out.insert(name.replace('-', "_"), "1".to_string());
-            continue;
-        }
-        let Some(value) = args.next() else {
-            eprintln!("missing value for --{name}");
-            std::process::exit(2);
-        };
-        out.insert(name.replace('-', "_"), value);
-    }
-    out
-}
-
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    match args.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{key}: '{v}'");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
 
 fn make_cell(
     model: &str,
@@ -182,7 +136,7 @@ fn load_model(
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit(HELP);
     let Some(load_path) = args.get("load").cloned() else {
         eprintln!("--load <path> is required (try --help)");
         std::process::exit(2);
@@ -211,7 +165,6 @@ fn main() {
     let total_queries = get(&args, "queries", 1000usize);
     let seed = get(&args, "seed", 42u64);
     let verify = args.contains_key("verify");
-    let quantize = args.contains_key("quantize");
     let online = args.contains_key("online");
     let online_resume = args.contains_key("online_resume");
     let replay_cap = get(&args, "replay_cap", 4096usize).max(1);
@@ -276,10 +229,6 @@ fn main() {
 
     let live = LiveGraph::from_source(&src);
     let mut engine = InferenceEngine::new(cell, feats.clone(), live, "seastar");
-    engine.set_quantize(quantize);
-    if quantize {
-        println!("quantize: serving through the i8 per-row-absmax matmul path");
-    }
 
     // The online loop's full initial state (weights + Adam + counters),
     // captured before serving starts so --verify can clone the trainer.
@@ -373,12 +322,10 @@ fn main() {
         );
     }
 
-    let mut report = engine.report(elapsed);
+    let report = engine.report(elapsed);
     let online_trainer = engine.take_online();
     let online_halted = online_trainer.as_ref().map(|t| t.halted()).unwrap_or(false);
 
-    // Run the direct replay before printing the report so the quantized
-    // accuracy delta shows up in the stats block.
     let verdict = if verify && online_halted {
         println!("verify: skipped — online trainer halted by an injected fault");
         None
@@ -419,53 +366,23 @@ fn main() {
         } else {
             direct_chain(&src, &direct_feats, direct_cell.as_ref())
         };
-        if quantize {
-            // The replay is full-precision f32; served values carry i8
-            // quantization noise (accumulated through the hidden chain),
-            // so gate the error instead of requiring bit equality. Same
-            // metric as stgraph_tensor::quant: max|q-f| / max|f|.
-            let mut max_abs = 0f32;
-            let mut max_ref = 0f32;
-            for resp in &responses {
-                let want = &expected[resp.generation as usize];
-                for (j, v) in resp.values.iter().enumerate() {
-                    let f = want.at(resp.node as usize, j);
-                    max_abs = max_abs.max((v - f).abs());
-                    max_ref = max_ref.max(f.abs());
+        let mut mismatches = 0usize;
+        for resp in &responses {
+            let want = &expected[resp.generation as usize];
+            for (j, v) in resp.values.iter().enumerate() {
+                if v.to_bits() != want.at(resp.node as usize, j).to_bits() {
+                    mismatches += 1;
                 }
             }
-            let rel = max_abs / max_ref.max(f32::MIN_POSITIVE);
-            report.quant_max_rel_err = Some(rel);
-            if rel < QUANT_VERIFY_GATE {
-                Some(format!(
-                    "verify: OK — {} responses within quantized gate (max rel err {rel:.4} < {QUANT_VERIFY_GATE})",
-                    responses.len()
-                ))
-            } else {
-                eprintln!(
-                    "verify: FAILED — quantized max rel err {rel:.4} exceeds gate {QUANT_VERIFY_GATE}"
-                );
-                std::process::exit(1);
-            }
+        }
+        if mismatches == 0 {
+            Some(format!(
+                "verify: OK — {} responses bit-identical to direct replay",
+                responses.len()
+            ))
         } else {
-            let mut mismatches = 0usize;
-            for resp in &responses {
-                let want = &expected[resp.generation as usize];
-                for (j, v) in resp.values.iter().enumerate() {
-                    if v.to_bits() != want.at(resp.node as usize, j).to_bits() {
-                        mismatches += 1;
-                    }
-                }
-            }
-            if mismatches == 0 {
-                Some(format!(
-                    "verify: OK — {} responses bit-identical to direct replay",
-                    responses.len()
-                ))
-            } else {
-                eprintln!("verify: FAILED — {mismatches} value mismatches");
-                std::process::exit(1);
-            }
+            eprintln!("verify: FAILED — {mismatches} value mismatches");
+            std::process::exit(1);
         }
     } else {
         None

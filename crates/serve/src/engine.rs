@@ -483,10 +483,6 @@ pub struct InferenceEngine {
     features: Tensor,
     backend: String,
     live: LiveGraph,
-    /// When set, every batched forward runs under
-    /// [`stgraph_tensor::quant::QuantGuard`], routing dense matmuls
-    /// through the i8 per-row-absmax kernel.
-    quantize: bool,
     latencies: LatencyRecorder,
     queries: u64,
     batches: u64,
@@ -530,7 +526,6 @@ impl InferenceEngine {
             features,
             backend: backend.to_string(),
             live,
-            quantize: false,
             latencies: LatencyRecorder::new(),
             queries: 0,
             batches: 0,
@@ -711,20 +706,6 @@ impl InferenceEngine {
         }
     }
 
-    /// Routes the batched forwards through the i8 quantized matmul path.
-    /// Inference only: the hidden chain carries quantization noise across
-    /// generations, so served values approximate (not equal) the f32
-    /// replay — `serve --verify --quantize` gates the accumulated error
-    /// with the metric documented in [`stgraph_tensor::quant`].
-    pub fn set_quantize(&mut self, on: bool) {
-        self.quantize = on;
-    }
-
-    /// Whether the quantized inference path is active.
-    pub fn quantized(&self) -> bool {
-        self.quantize
-    }
-
     /// Runs model `key`'s recurrent step for the current generation unless
     /// its embeddings are already memoised, resolving non-resident keys
     /// through the provider hook first. Returns `(generation, embeddings)`.
@@ -763,11 +744,6 @@ impl InferenceEngine {
             }
         }
         let _sp = stgraph_telemetry::span_cat("serve.forward", "serve");
-        // Guard scope covers exactly this forward; the thread-local flag
-        // is restored on drop so verify replays (and tests) stay f32.
-        let _q = self
-            .quantize
-            .then(stgraph_tensor::quant::QuantGuard::enable);
         let (g, snap) = self.live.snapshot();
         let exec = TemporalExecutor::new(create_backend(&self.backend), GraphSource::Static(snap));
         let tape = Tape::new();
@@ -951,8 +927,6 @@ impl InferenceEngine {
             expired: self.expired,
             panics: self.panics,
             faults_injected: stgraph_faultline::injected_count(),
-            quantized: self.quantize,
-            quant_max_rel_err: None,
             online: self.online_stats(),
         }
     }
@@ -1060,64 +1034,6 @@ mod tests {
         assert!(report.p99 >= report.p50);
         assert_eq!(report.shed, 0);
         assert_eq!(report.expired, 0);
-    }
-
-    /// The quantized engine serves values that track the f32 direct replay
-    /// within the documented accuracy gate — including the error that the
-    /// hidden chain accumulates across generations — and the thread-local
-    /// quant flag never leaks out of the forward.
-    #[test]
-    fn quantized_serving_tracks_f32_replay_within_gate() {
-        let (src, x, _ps, cell) = setup();
-        let expected = direct_chain(&src, &x, &cell);
-        let live = LiveGraph::from_source(&src);
-        let mut engine = InferenceEngine::new(Box::new(cell), x, live, "seastar");
-        engine.set_quantize(true);
-        assert!(engine.quantized());
-        let queue = RequestQueue::new(64);
-        let config = ServeConfig {
-            flush_interval: Duration::from_micros(200),
-            ..ServeConfig::default()
-        };
-        let diffs = src.diffs();
-        let responses = std::thread::scope(|scope| {
-            let producer = scope.spawn(|| {
-                let mut responses = Vec::new();
-                for g in 0..3u64 {
-                    let tickets: Vec<Ticket> = (0..6).map(|n| queue.submit(n).unwrap()).collect();
-                    responses.extend(tickets.into_iter().map(|t| t.wait().unwrap()));
-                    if g < 2 {
-                        queue.advance(diffs[g as usize].clone());
-                    }
-                }
-                queue.close();
-                responses
-            });
-            engine.run(&queue, &config);
-            producer.join().unwrap()
-        });
-        assert!(
-            !stgraph_tensor::quant::quantized_inference(),
-            "QuantGuard must not leak past the forward"
-        );
-        let mut max_abs = 0f32;
-        let mut max_ref = 0f32;
-        let mut any_diff = false;
-        for resp in &responses {
-            let want = &expected[resp.generation as usize];
-            for (j, v) in resp.values.iter().enumerate() {
-                let f = want.at(resp.node as usize, j);
-                max_abs = max_abs.max((v - f).abs());
-                max_ref = max_ref.max(f.abs());
-                any_diff |= v.to_bits() != f.to_bits();
-            }
-        }
-        assert!(any_diff, "quantized values should differ from f32 bitwise");
-        let rel = max_abs / max_ref.max(f32::MIN_POSITIVE);
-        assert!(rel < 0.05, "quantized rel err {rel} exceeds gate");
-        let report = engine.report(Duration::from_millis(1));
-        assert!(report.quantized);
-        assert!(format!("{report}").contains("quantize: i8 inference"));
     }
 
     #[test]

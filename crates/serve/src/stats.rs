@@ -116,13 +116,6 @@ pub struct ServeReport {
     /// Faults injected process-wide (the `faults.injected` counter) —
     /// nonzero only when `STGRAPH_FAULTS` or a programmatic plan is armed.
     pub faults_injected: u64,
-    /// Whether forwards ran through the i8 quantized matmul path.
-    pub quantized: bool,
-    /// Accuracy delta of the quantized run vs an f32 direct replay:
-    /// `max|q − f| / max|f|` over every served value (the metric from
-    /// [`stgraph_tensor::quant`]). Filled in by `serve --verify
-    /// --quantize`; `None` when no replay was checked.
-    pub quant_max_rel_err: Option<f32>,
     /// Train-while-serving stats — `Some` only when an online trainer was
     /// attached ([`crate::online::OnlineTrainer`]).
     pub online: Option<crate::online::OnlineStats>,
@@ -198,15 +191,6 @@ impl fmt::Display for ServeReport {
             self.ingest.rollbacks,
             self.faults_injected,
         )?;
-        if self.quantized {
-            match self.quant_max_rel_err {
-                Some(err) => writeln!(
-                    f,
-                    "quantize: i8 inference, max rel err {err:.4} vs f32 replay"
-                )?,
-                None => writeln!(f, "quantize: i8 inference (accuracy unchecked)")?,
-            }
-        }
         if let Some(o) = &self.online {
             writeln!(
                 f,
@@ -319,8 +303,6 @@ mod tests {
             expired: 2,
             panics: 1,
             faults_injected: 0,
-            quantized: false,
-            quant_max_rel_err: None,
             online: None,
         };
         assert!((report.throughput_qps() - 50.0).abs() < 1e-9);
@@ -330,16 +312,5 @@ mod tests {
         assert!(text.contains("p99 2.00ms"));
         assert!(text.contains("50 q/s"));
         assert!(text.contains("resilience: 3 shed, 2 expired, 1 panics recovered"));
-        assert!(
-            !text.contains("quantize:"),
-            "f32 runs print no quantize line"
-        );
-        let mut q = report.clone();
-        q.quantized = true;
-        q.quant_max_rel_err = Some(0.0123);
-        let text = format!("{q}");
-        assert!(text.contains("quantize: i8 inference, max rel err 0.0123 vs f32 replay"));
-        q.quant_max_rel_err = None;
-        assert!(format!("{q}").contains("quantize: i8 inference (accuracy unchecked)"));
     }
 }

@@ -525,7 +525,7 @@ impl<'t> Var<'t> {
     }
 
     /// Numerically-stable binary-cross-entropy-with-logits loss (mean
-    /// reduction) against constant 0/1 targets — the criterion the paper
+    /// reduction) against constant 0/1 targets — the loss the paper
     /// uses for link prediction.
     pub fn bce_with_logits_loss(&self, target: &Tensor) -> Var<'t> {
         let x = self.value.clone();

@@ -19,7 +19,6 @@ pub mod mem;
 pub mod nn;
 pub mod optim;
 pub mod pool;
-pub mod quant;
 pub mod shape;
 pub mod simd;
 pub mod tensor;

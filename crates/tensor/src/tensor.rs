@@ -442,9 +442,6 @@ impl Tensor {
     /// the k-reduction differently, so they agree to a relative epsilon,
     /// not bitwise.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        if crate::quant::quantized_inference() {
-            return crate::quant::quantized_matmul(self, other);
-        }
         let (n, k) = self.shape.as_mat();
         let (k2, m) = other.shape.as_mat();
         assert_eq!(k, k2, "matmul {} x {}", self.shape, other.shape);
@@ -1011,9 +1008,9 @@ unsafe fn matmul_row_avx2(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
 
 /// Single-row GEMM `row = arow · B` (B row-major with `m` columns),
 /// dispatching to the same microkernel [`Tensor::matmul`] uses for each of
-/// its rows — SIMD unless `STGRAPH_NO_SIMD` is set. Exposed so fused
-/// kernels elsewhere in the workspace (seastar's aggregate-into-GEMM) can
-/// produce bitwise-identical results to an unfused matmul.
+/// its rows — SIMD unless `STGRAPH_NO_SIMD` is set. Exposed so the
+/// `kernels` bench can time the dispatched microkernel without the row
+/// parallelism around it.
 pub fn gemm_row(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
     if simd::enabled() {
         matmul_row_simd(row, arow, b, m)

@@ -98,7 +98,7 @@ fn corrupted_ctdg_checkpoint_rolls_back_to_good_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The acceptance criterion: kill a training run between epochs, resume
+/// The acceptance test: kill a training run between epochs, resume
 /// from the checkpoint directory, and the per-epoch losses, val AUCs,
 /// and final test AUC are bit-identical to a run that never stopped.
 #[test]
