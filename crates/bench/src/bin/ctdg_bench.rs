@@ -19,7 +19,14 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Instant;
 use stgraph_ctdg::{sample, CtdgStore, SamplerConfig, Strategy};
-use stgraph_datasets::{fraud_stream, resolve_seed, FraudConfig};
+use stgraph_datasets::{cli, fraud_stream, resolve_seed, FraudConfig};
+
+const HELP: &str = "ctdg_bench — T-CSR ingest and temporal-sampler throughput
+
+Options:
+  --quick        CI smoke scale (60k events instead of 1.2M)
+  --json <path>  write the report there (default BENCH_ctdg.json)
+  --help         this text";
 
 #[derive(Serialize)]
 struct IngestRow {
@@ -54,14 +61,12 @@ struct Report {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args = cli::parse_or_exit(HELP);
+    let quick = args.contains_key("quick");
     let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
+        .get("json")
         .cloned()
-        .unwrap_or_else(|| "BENCH_ctdg.json".to_string());
+        .unwrap_or_else(|| "BENCH_ctdg.json".into());
     let seed = resolve_seed(None);
     // Full mode exceeds the ISSUE's 1M-event floor; quick mode is a CI
     // smoke that exercises the same code paths in under a second.

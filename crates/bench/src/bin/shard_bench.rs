@@ -1,26 +1,25 @@
-//! `shard_bench` — sharded vs single-store DTDG maintenance at scale.
+//! `shard_bench` — the DTDG store's sharded forward vs the dense one, at
+//! scale.
 //!
 //! Drives the same closed loop a DTDG training epoch runs — apply an
 //! update batch, refresh the queryable view, aggregate neighbour features
-//! — against two storage arms over an identical synthetic stream:
+//! — over one synthetic stream. Every arm is the same reverse-first
+//! [`DtdgStore`]; what differs is the shard count and the forward:
 //!
-//! * **single**: one global [`Gpma`]; every batch re-derives the forward
-//!   CSR (`csr_view`), re-counts nothing (in-degrees ride along), then
-//!   transposes to the reverse CSR inside `Snapshot` and aggregates with
-//!   [`dense_forward_sum`].
-//! * **sharded K**: a [`ShardedGraph`] with K edge-cut shards storing
-//!   in-neighbour rows directly in PMA order (reverse-first layout), so a
-//!   view refresh is a per-shard slot scan — no transpose, no degree
-//!   sort, no relabel — and the forward pass reads shard rows plus a
-//!   gathered halo of ghost features.
+//! * **single**: K = 1, `snapshot()` then [`dense_forward_sum`] — what
+//!   `train --storage gpma` pays per timestamp.
+//! * **sharded K**: K edge-cut shards applying their sub-batches in
+//!   parallel, `snapshot()` plus the per-shard ghost tables, then
+//!   `forward_sum` (halo gather + row-disjoint shard aggregation).
 //!
 //! Reported per arm: build time, **update throughput** (edges/s through
 //! apply + view refresh — i.e. updates made *queryable*, not just
 //! buffered) and **epoch time** (apply + refresh + forward aggregation
 //! per timestamp, the per-timestamp cost of Algorithm 1's outer loop).
-//! Everything is single-process; with one core the sharded wins are
-//! algorithmic (layout + locality), and extra cores only widen them
-//! because shards apply and refresh independently.
+//! Both arms build the same two-CSR snapshot, so `sharded-k1` tracks
+//! `single`; the committed `BENCH_shard.json` predates the store merge and
+//! compared a reverse-only view against a forward-layout GPMA's two-CSR
+//! build (DESIGN.md §"The DTDG store").
 //!
 //! ```text
 //! cargo run --release -p stgraph-bench --bin shard_bench -- \
@@ -33,9 +32,7 @@ use serde::Serialize;
 use std::time::Instant;
 use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{community_stream, resolve_seed, SynthConfig, UpdateBatch, UpdateStream};
-use stgraph_dyngraph::{dense_forward_sum, ShardedGraph};
-use stgraph_graph::base::Snapshot;
-use stgraph_pma::Gpma;
+use stgraph_dyngraph::{dense_forward_sum, DtdgStore};
 use stgraph_tensor::Tensor;
 
 const HELP: &str = "shard_bench — sharded vs single-store update/epoch benchmark
@@ -112,63 +109,21 @@ fn make_batches(
     out
 }
 
-fn run_single(cfg: &SynthConfig, batches: &[UpdateBatch], feats: &Tensor) -> ArmReport {
-    let n = cfg.num_nodes;
+/// One arm over `shards` shards: `None` is the single arm (K = 1, dense
+/// forward), `Some(k)` a sharded arm (`forward_sum`).
+fn run_arm(
+    cfg: &SynthConfig,
+    shards: Option<usize>,
+    batches: &[UpdateBatch],
+    feats: &Tensor,
+) -> ArmReport {
+    let k = shards.unwrap_or(1);
+    let arm = shards.map_or("single".to_string(), |k| format!("sharded-k{k}"));
     let t0 = Instant::now();
-    let mut g = Gpma::new(n);
-    let mut chunk = Vec::with_capacity(1 << 22);
-    let mut stream = community_stream(cfg);
-    loop {
-        chunk.clear();
-        chunk.extend((&mut stream).take(1 << 22));
-        if chunk.is_empty() {
-            break;
-        }
-        g.insert_edges(&chunk);
-    }
-    let build_s = t0.elapsed().as_secs_f64();
-    eprintln!("single: built {} edges in {build_s:.1}s", g.num_edges());
-
-    let mut applied_edges = 0usize;
-    let mut update_s = 0.0f64;
-    let mut forward_s = 0.0f64;
-    let mut sink = 0.0f32;
-    for (adds, dels) in batches {
-        let t = Instant::now();
-        g.insert_edges(adds);
-        g.delete_edges(dels);
-        // Make the batch queryable: forward CSR + reverse transpose.
-        let (csr, in_deg) = g.csr_view();
-        let snap = Snapshot::from_csr_with_in_degrees(csr, in_deg);
-        update_s += t.elapsed().as_secs_f64();
-        applied_edges += adds.len() + dels.len();
-        let t = Instant::now();
-        let out = dense_forward_sum(&snap, feats);
-        forward_s += t.elapsed().as_secs_f64();
-        sink += out.data()[0];
-    }
-    std::hint::black_box(sink);
-    let steps = batches.len().max(1) as f64;
-    ArmReport {
-        arm: "single".into(),
-        shards: 1,
-        build_s,
-        update_edges_per_s: applied_edges as f64 / update_s.max(1e-9),
-        epoch_s: (update_s + forward_s) / steps,
-        forward_s: forward_s / steps,
-        edges_final: g.num_edges(),
-        halo_edges: 0,
-        edge_cut_ratio: 0.0,
-        bytes: g.bytes(),
-    }
-}
-
-fn run_sharded(cfg: &SynthConfig, k: usize, batches: &[UpdateBatch], feats: &Tensor) -> ArmReport {
-    let t0 = Instant::now();
-    let mut g = ShardedGraph::from_edge_stream(cfg.num_nodes, k, || community_stream(cfg));
+    let mut g = DtdgStore::from_edge_stream(cfg.num_nodes, k, || community_stream(cfg));
     let build_s = t0.elapsed().as_secs_f64();
     eprintln!(
-        "sharded k={k}: built {} edges in {build_s:.1}s (cut {:.3})",
+        "{arm}: built {} edges in {build_s:.1}s (cut {:.3})",
         g.num_edges(),
         g.edge_cut_ratio()
     );
@@ -179,19 +134,27 @@ fn run_sharded(cfg: &SynthConfig, k: usize, batches: &[UpdateBatch], feats: &Ten
     let mut sink = 0.0f32;
     for (adds, dels) in batches {
         let t = Instant::now();
-        g.apply_batch(adds, dels);
-        let _ = g.halo_edges(); // forces the per-shard view refresh
+        g.apply(adds, dels);
+        // Make the batch queryable: the snapshot, and a sharded arm's
+        // ghost tables.
+        let snap = g.snapshot();
+        if shards.is_some() {
+            let _ = g.halo_edges();
+        }
         update_s += t.elapsed().as_secs_f64();
         applied_edges += adds.len() + dels.len();
         let t = Instant::now();
-        let out = g.forward_sum(feats);
+        let out = match shards {
+            None => dense_forward_sum(&snap, feats),
+            Some(_) => g.forward_sum(feats),
+        };
         forward_s += t.elapsed().as_secs_f64();
         sink += out.data()[0];
     }
     std::hint::black_box(sink);
     let steps = batches.len().max(1) as f64;
     ArmReport {
-        arm: format!("sharded-k{k}"),
+        arm,
         shards: k,
         build_s,
         update_edges_per_s: applied_edges as f64 / update_s.max(1e-9),
@@ -242,14 +205,14 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xfea7);
     let feats = Tensor::rand_uniform((nodes, features), -1.0, 1.0, &mut rng);
 
-    let single = run_single(&cfg, &batches, &feats);
+    let single = run_arm(&cfg, None, &batches, &feats);
     println!(
         "single:      update {:>10.0} edges/s   epoch {:.3}s   forward {:.3}s",
         single.update_edges_per_s, single.epoch_s, single.forward_s
     );
     let mut arms = vec![single];
     for &k in &shard_list {
-        let r = run_sharded(&cfg, k, &batches, &feats);
+        let r = run_arm(&cfg, Some(k), &batches, &feats);
         println!(
             "sharded k={k}: update {:>10.0} edges/s   epoch {:.3}s   forward {:.3}s   \
              halo {}   cut {:.3}",

@@ -25,7 +25,7 @@ use stgraph::train::{
 use stgraph_ctdg::{CtdgConfig, CtdgWorkload, Strategy};
 use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{info, load_dynamic, load_static, resolve_seed, GraphKind};
-use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph, ShardedGraph};
+use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph};
 use stgraph_graph::base::{STGraphBase, Snapshot};
 use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::optim::Adam;
@@ -42,8 +42,7 @@ Options:
   --task <auto|node|link> task (default: node for static, link for dynamic)
   --model <tgcn|gconvgru|gconvlstm|dcrnn>   temporal cell (default tgcn)
   --storage <naive|gpma|sharded>            DTDG storage (default gpma)
-  --shards <k>            shard count for --storage sharded (default: the
-                          STGRAPH_SHARDS environment variable, else 1)
+  --shards <k>            shard count for --storage sharded (default 1)
   --backend <seastar|reference>             kernel backend (default seastar)
   --features <n>          feature size / lags (default 8)
   --hidden <n>            hidden width (default 32)
@@ -352,9 +351,9 @@ fn main() {
                 "naive" => Rc::new(RefCell::new(NaiveGraph::new(&src))),
                 "gpma" => Rc::new(RefCell::new(GpmaGraph::new(&src))),
                 "sharded" => {
-                    let k = get(&args, "shards", stgraph_dyngraph::shards_from_env());
+                    let k = get(&args, "shards", 1usize);
                     println!("sharded storage: {k} shards");
-                    Rc::new(RefCell::new(ShardedGraph::from_source(&src, k)))
+                    Rc::new(RefCell::new(GpmaGraph::from_source(&src, k)))
                 }
                 other => {
                     eprintln!("unknown storage '{other}'");

@@ -1,142 +1,134 @@
 //! `GPMAGraph` (§V.D): the DTDG is stored as a *base graph plus a list of
-//! temporal updates* inside a GPMA, and snapshots are constructed on demand.
+//! temporal updates*, and snapshots are constructed on demand. This is the
+//! Algorithm-2 timeline and cache over the one [`DtdgStore`]; the store
+//! owns the edges, the batch apply and the snapshot build.
 //!
-//! * `Get-Graph(G, t)` (Algorithm 2) rolls the GPMA forward to timestamp
-//!   `t` by applying edge insertion/deletion batches, relabels the edges,
-//!   and materialises the snapshot (gapped CSR + Algorithm-3 reverse CSR).
+//! * `Get-Graph(G, t)` (Algorithm 2) rolls the store forward to timestamp
+//!   `t` by applying edge insertion/deletion batches and returns the
+//!   store's snapshot.
 //! * `Get-Backward-Graph(G, t)` applies the *reverse* updates, walking the
 //!   graph back down the sequence in LIFO order.
-//! * The Algorithm-2 cache holds the GPMA state at the most advanced
+//! * The Algorithm-2 cache holds the store's state at the most advanced
 //!   timestamp seen, so the next sequence's forward pass restores it
 //!   instead of replaying updates from the rewound position.
 
 use crate::source::{DtdgGraph, DtdgSource, UpdateBatch};
+use crate::store::DtdgStore;
 use std::time::Duration;
+use stgraph_faultline::FaultError;
 use stgraph_graph::base::Snapshot;
 use stgraph_pma::Gpma;
 use stgraph_telemetry::{span_timed, TimeAccumulator};
 
-/// A DTDG stored as a base GPMA plus per-timestamp update batches.
+/// A DTDG stored as a base graph plus per-timestamp update batches.
 pub struct GpmaGraph {
-    gpma: Gpma,
+    store: DtdgStore,
     /// `updates[t-1]` transforms snapshot `t-1` into snapshot `t`.
     updates: Vec<UpdateBatch>,
     curr_time: usize,
-    /// Algorithm-2 cache: GPMA state at the given timestamp.
-    cache: Option<(usize, Gpma)>,
-    num_timestamps: usize,
+    /// Algorithm-2 cache: store state at the given timestamp.
+    cache: Option<(usize, Vec<Gpma>)>,
     update_time: TimeAccumulator,
 }
+
+/// [`GpmaGraph`] built with [`GpmaGraph::from_source`] at K > 1: the store
+/// split into K edge-cut shards (`train --storage sharded`).
+pub type ShardedGraph = GpmaGraph;
 
 impl GpmaGraph {
     /// Builds the base graph (snapshot 0) and the update log from a source.
     pub fn new(source: &DtdgSource) -> GpmaGraph {
-        let gpma = Gpma::from_edges(source.num_nodes, &source.snapshots[0]);
+        GpmaGraph::from_source(source, 1)
+    }
+
+    /// [`GpmaGraph::new`] over `k` shards, partitioned over snapshot 0.
+    pub fn from_source(source: &DtdgSource, k: usize) -> GpmaGraph {
+        let seed = &source.snapshots[0];
         GpmaGraph {
-            gpma,
+            store: DtdgStore::from_edge_stream(source.num_nodes, k, || seed.iter().copied()),
             updates: source.diffs(),
             curr_time: 0,
             cache: None,
-            num_timestamps: source.num_timestamps(),
             update_time: TimeAccumulator::new(),
         }
     }
 
-    /// The timestamp the GPMA currently represents.
+    /// The timestamp the store currently represents.
     pub fn current_time(&self) -> usize {
         self.curr_time
     }
 
-    /// Bytes held by the GPMA (snapshots themselves are transient).
+    /// Bytes held by the store and the cache (snapshots are transient).
     pub fn bytes(&self) -> usize {
-        self.gpma.bytes() + self.cache.as_ref().map_or(0, |(_, g)| g.bytes())
+        let cached = self.cache.iter().flat_map(|(_, state)| state);
+        self.store.bytes() + cached.map(Gpma::bytes).sum::<usize>()
     }
 
-    /// Applies the update batch that advances `t-1 -> t`.
-    fn step_forward(&mut self, t: usize) {
-        let u = &self.updates[t - 1];
-        stgraph_telemetry::counter("gpma.edges_inserted").add(u.additions.len() as u64);
-        stgraph_telemetry::counter("gpma.edges_deleted").add(u.deletions.len() as u64);
-        self.gpma.insert_edges(&u.additions);
-        self.gpma.delete_edges(&u.deletions);
+    /// The edge store under the timeline (sharded forwards, halo counters).
+    pub fn store(&mut self) -> &mut DtdgStore {
+        &mut self.store
     }
 
-    /// Applies the inverse batch, rewinding `t -> t-1`.
-    fn step_backward(&mut self, t: usize) {
-        let u = &self.updates[t - 1];
-        stgraph_telemetry::counter("gpma.edges_inserted").add(u.deletions.len() as u64);
-        stgraph_telemetry::counter("gpma.edges_deleted").add(u.additions.len() as u64);
-        self.gpma.delete_edges(&u.additions);
-        self.gpma.insert_edges(&u.deletions);
+    /// Applies `batch` to the store directly, past the timeline, behind
+    /// the `shard.exchange` commit barrier: ghost tables may only refresh
+    /// once every shard holds its routed sub-batch, so a fault there models
+    /// a failed exchange and aborts the whole batch (see
+    /// [`DtdgStore::try_apply`]).
+    pub fn try_apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), FaultError> {
+        self.store.try_apply(batch, "shard.exchange")
     }
 
-    /// Relabels edges and materialises the snapshot for the current state.
-    ///
-    /// Carries the `snapshot.build` fault point: an injected failure here
-    /// models transient memory pressure during materialisation and is
-    /// retried with backoff. The build itself is pure compute with no real
-    /// failure mode, so if injection outlasts the retry budget the build
-    /// proceeds anyway — degraded latency, never a lost snapshot.
-    fn build_snapshot(&mut self) -> Snapshot {
-        let _sp = stgraph_telemetry::span_cat("snapshot.build", "snapshot");
-        let _ = stgraph_faultline::retry(&stgraph_faultline::RetryPolicy::default(), || {
-            stgraph_faultline::fault_point!("snapshot.build")
-        });
-        let start = std::time::Instant::now();
-        self.gpma.relabel_edges();
-        let (csr, in_deg) = self.gpma.csr_view();
-        let snap = Snapshot::from_csr_with_in_degrees(csr, in_deg);
-        stgraph_telemetry::histogram("snapshot.build_ns").record_duration(start.elapsed());
-        snap
+    /// Moves the store to timestamp `t`, one update batch (forward) or
+    /// inverse batch (backward) per step.
+    fn advance(&mut self, t: usize) {
+        while self.curr_time < t {
+            let u = &self.updates[self.curr_time];
+            self.store.apply(&u.additions, &u.deletions);
+            self.curr_time += 1;
+        }
+        while self.curr_time > t {
+            let u = &self.updates[self.curr_time - 1];
+            self.store.apply(&u.deletions, &u.additions);
+            self.curr_time -= 1;
+        }
     }
 }
 
 impl DtdgGraph for GpmaGraph {
     fn num_nodes(&self) -> usize {
-        self.gpma.num_nodes()
+        self.store.num_nodes()
     }
 
     fn num_timestamps(&self) -> usize {
-        self.num_timestamps
+        self.updates.len() + 1
     }
 
     /// Algorithm 2. Restores the cache when it is between the current
     /// position and the target, then applies updates up to `t` (edge
     /// updates run in reverse when `t` precedes the current position —
     /// e.g. at an epoch boundary, when training restarts at timestamp 0
-    /// while the GPMA still sits at the last sequence's start).
+    /// while the store still sits at the last sequence's start).
     fn get_graph(&mut self, t: usize) -> Snapshot {
-        assert!(t < self.num_timestamps, "timestamp {t} out of range");
+        assert!(t < self.num_timestamps(), "timestamp {t} out of range");
         let _sp = span_timed("snapshot.forward", &self.update_time);
         if let Some((ct, state)) = &self.cache {
             if *ct <= t && *ct > self.curr_time {
-                self.gpma = state.clone_state();
+                self.store.restore_state(state);
                 self.curr_time = *ct;
             }
         }
-        while self.curr_time < t {
-            let next = self.curr_time + 1;
-            self.step_forward(next);
-            self.curr_time = next;
-        }
-        while self.curr_time > t {
-            let cur = self.curr_time;
-            self.step_backward(cur);
-            self.curr_time = cur - 1;
-        }
+        self.advance(t);
         // Cache the most advanced state for the next sequence (Alg 2 l.10).
-        let should_cache = match &self.cache {
-            Some((ct, _)) => *ct < t,
-            None => true,
-        };
-        if should_cache {
-            self.cache = Some((t, self.gpma.clone_state()));
+        if self.cache.as_ref().is_none_or(|(ct, _)| *ct < t) {
+            self.cache = Some((t, self.store.clone_state()));
         }
-        self.build_snapshot()
+        self.store.snapshot()
     }
 
     /// Reverse updates from the current position down to `t` (strict LIFO
-    /// relative to the forward pass), then materialise the reverse graph.
+    /// relative to the forward pass). At `t == current_time()` — the first
+    /// backward call of every sequence — nothing moved, so this is the
+    /// snapshot the forward pass built.
     fn get_backward_graph(&mut self, t: usize) -> Snapshot {
         let _sp = span_timed("snapshot.backward", &self.update_time);
         assert!(
@@ -144,12 +136,8 @@ impl DtdgGraph for GpmaGraph {
             "Get-Backward-Graph must move backward (at {}, asked {t})",
             self.curr_time
         );
-        while self.curr_time > t {
-            let cur = self.curr_time;
-            self.step_backward(cur);
-            self.curr_time = cur - 1;
-        }
-        self.build_snapshot()
+        self.advance(t);
+        self.store.snapshot()
     }
 
     fn take_update_time(&mut self) -> Duration {
@@ -264,6 +252,21 @@ mod tests {
         let mut g = GpmaGraph::new(&src);
         let _ = g.get_graph(1);
         let _ = g.get_backward_graph(3);
+    }
+
+    #[test]
+    fn forward_then_backward_at_the_same_timestamp_shares_one_build() {
+        let src = random_source(7, 40, 4);
+        let mut g = GpmaGraph::new(&src);
+        let _ = g.get_graph(1);
+        let f = g.get_graph(2);
+        let b = g.get_backward_graph(2);
+        assert!(std::sync::Arc::ptr_eq(&f.csr, &b.csr));
+        assert!(std::sync::Arc::ptr_eq(&f.reverse_csr, &b.reverse_csr));
+        // Moving invalidates: t=1 is a fresh build, equal to the first.
+        let b1 = g.get_backward_graph(1);
+        assert!(!std::sync::Arc::ptr_eq(&b1.csr, &b.csr));
+        assert!(b1.same_structure(&NaiveGraph::new(&src).get_graph(1)));
     }
 
     #[test]

@@ -216,11 +216,6 @@ impl Partition {
         }
     }
 
-    /// Number of shards.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Owning shard of vertex `v`.
     #[inline]
     pub fn owner(&self, v: u32) -> u32 {

@@ -38,14 +38,6 @@ impl Snapshot {
                 in_deg[d as usize] += 1;
             }
         }
-        Snapshot::from_csr_with_in_degrees(csr, in_deg)
-    }
-
-    /// [`Snapshot::from_csr`] when the caller already holds the in-degree
-    /// array (the GPMA view computes it while scanning its slots); skips
-    /// the extra O(slots) recount over the gapped CSR.
-    pub fn from_csr_with_in_degrees(csr: Csr, in_deg: Vec<u32>) -> Snapshot {
-        debug_assert_eq!(in_deg.len(), csr.num_nodes());
         let rev = {
             let _sp = stgraph_telemetry::span_cat("snapshot.reverse_csr", "snapshot");
             reverse_csr(&csr, &in_deg)

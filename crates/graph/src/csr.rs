@@ -157,12 +157,17 @@ pub fn degree_sorted_ids(degree: &[u32]) -> Vec<u32> {
 /// `atomic_sub` claiming slots exactly as the CUDA kernel does.
 ///
 /// Input: a (possibly gapped) out-neighbour CSR and the in-degree array.
-/// Output: a dense in-neighbour CSR carrying the same edge ids.
+/// Output: a dense in-neighbour CSR carrying the same edge ids, each row
+/// holding its sources in descending `g`-slot order — what the claims
+/// leave when one thread walks the rows in order. On more threads the
+/// claims race, so each row is put back into that order after the scatter
+/// and the result does not depend on scheduling.
 pub fn reverse_csr(g: &Csr, in_degrees: &[u32]) -> Csr {
     let n = g.num_nodes();
     assert_eq!(in_degrees.len(), n);
     let m: usize = in_degrees.iter().map(|&d| d as usize).sum();
     debug_assert_eq!(m, g.num_edges(), "in-degrees inconsistent with CSR");
+    let racing = m >= stgraph_tensor::par_min() && rayon::current_num_threads() > 1;
 
     // r_row_offset = inclusive prefix sum of in_degrees: slot *ends*.
     let mut ends = vec![0usize; n];
@@ -174,27 +179,41 @@ pub fn reverse_csr(g: &Csr, in_degrees: &[u32]) -> Csr {
     let cursor: Vec<AtomicUsize> = ends.iter().map(|&e| AtomicUsize::new(e)).collect();
 
     let mut r_col = vec![0u32; m];
+    // Sequential: the edge id. Racing: the edge's slot in `g`, the sort key
+    // that restores the sequential order; exchanged for the edge id below.
     let mut r_eids = vec![0u32; m];
     {
-        // Writes are disjoint: each (dst) slot index is claimed exactly once
-        // via fetch_sub, so raw pointer writes are race-free.
         struct Shared(*mut u32, *mut u32);
+        // SAFETY: the pointers are only used for the claimed-slot writes
+        // below; both vectors outlive every use and are not otherwise
+        // touched while `body` runs.
         unsafe impl Sync for Shared {}
         let shared = Shared(r_col.as_mut_ptr(), r_eids.as_mut_ptr());
         let body = |i: usize| {
             let shared = &shared;
-            for (dst, eid) in g.iter_row(i) {
+            for slot in g.row_offset[i]..g.row_offset[i + 1] {
+                let dst = g.col_indices[slot];
+                if dst == SPACE {
+                    continue;
+                }
                 // `loc = atomic_sub(r_row_offset[dst], 1)` then write at
                 // loc-1 (the paper's pseudo-code returns the decremented
                 // value; fetch_sub returns the previous one).
                 let loc = cursor[dst as usize].fetch_sub(1, Ordering::Relaxed) - 1;
+                // SAFETY: each `loc` in `0..m` is claimed exactly once via
+                // fetch_sub (the in-degrees sum to `m`), so the writes are
+                // in bounds and disjoint.
                 unsafe {
                     *shared.0.add(loc) = i as u32;
-                    *shared.1.add(loc) = eid;
+                    *shared.1.add(loc) = if racing { slot as u32 } else { g.eids[slot] };
                 }
             }
         };
-        if m >= stgraph_tensor::par_min() {
+        if racing {
+            assert!(
+                g.col_indices.len() <= u32::MAX as usize,
+                "slot keys are u32"
+            );
             (0..n).into_par_iter().for_each(body);
         } else {
             (0..n).for_each(body);
@@ -208,6 +227,18 @@ pub fn reverse_csr(g: &Csr, in_degrees: &[u32]) -> Csr {
         r_row_offset.push(c.load(Ordering::Relaxed));
     }
     r_row_offset.push(m);
+    if racing {
+        // `g` slots ascend with the source vertex, so sorting a row's
+        // sources and its slot keys separately keeps them paired.
+        for v in 0..n {
+            let row = r_row_offset[v]..r_row_offset[v + 1];
+            r_col[row.clone()].sort_unstable_by(|a, b| b.cmp(a));
+            r_eids[row].sort_unstable_by(|a, b| b.cmp(a));
+        }
+        for e in &mut r_eids {
+            *e = g.eids[*e as usize];
+        }
+    }
     Csr::from_parts(r_row_offset, r_col, r_eids)
 }
 
@@ -328,6 +359,35 @@ mod tests {
         let par = reverse_csr(&g, &seq.degrees());
         assert!(same_rows(&par, &seq));
         assert_eq!(par.num_edges(), m);
+    }
+
+    /// The order is the one-thread Algorithm-3 fill — each row's edges in
+    /// descending `g`-slot order — on any thread count: above `par_min()`
+    /// edges and on >= 2 threads this runs the racing scatter.
+    #[test]
+    fn reverse_order_is_schedule_independent() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let (n, m) = (300usize, 3 * stgraph_tensor::par_min().max(4096));
+        // Few vertices, many edges: long rows and repeated (src, dst) pairs.
+        let edges: Vec<(u32, u32)> = (0..m)
+            .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+            .collect();
+        let g = Csr::from_edges(n, &edges);
+        // The oracle fills each row in ascending g-slot order.
+        let seq = reverse_csr_sequential(&g, n);
+        let rev = reverse_csr(&g, &seq.degrees());
+        assert_eq!(rev.row_offset, seq.row_offset);
+        for v in 0..n {
+            let row = seq.row_offset[v]..seq.row_offset[v + 1];
+            let want_col: Vec<u32> = seq.col_indices[row.clone()].iter().rev().copied().collect();
+            let want_eid: Vec<u32> = seq.eids[row.clone()].iter().rev().copied().collect();
+            assert_eq!(
+                rev.col_indices[row.clone()],
+                want_col[..],
+                "row {v} sources"
+            );
+            assert_eq!(rev.eids[row], want_eid[..], "row {v} edge ids");
+        }
     }
 
     #[test]

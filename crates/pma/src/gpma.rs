@@ -1,15 +1,13 @@
 //! GPMA: the PMA specialised to graph adjacency (§V.D).
 //!
-//! Edges `(src, dst)` are stored as `u64` keys `(src << 32) | dst`, so the
-//! PMA's sorted order groups each vertex's out-neighbours contiguously. The
-//! value slot carries the edge id, rewritten by [`Gpma::relabel_edges`]
-//! after every update batch (Algorithm 2, line 8). [`Gpma::csr_view`]
-//! materialises the gapped CSR arrays (`row_offset`, `col_indices` with
-//! `SPACE` holes, `eids`) that the backward kernel consumes directly and
-//! that Algorithm 3 turns into the dense reverse CSR for the forward pass.
+//! An edge is one `u64` key `(a << 32) | b`, so the PMA's sorted order
+//! groups the edges sharing `a` contiguously, ascending in `b`. Which
+//! endpoint goes first is the caller's choice: the DTDG store
+//! (`stgraph_dyngraph::DtdgStore`) keys by destination, so its slot order
+//! is the in-neighbour adjacency and it builds snapshots — edge ids
+//! included (Algorithm 2, line 8) — straight from the slots.
 
-use crate::pma::{Pma, EMPTY};
-use stgraph_graph::csr::{Csr, SPACE};
+use crate::pma::Pma;
 
 /// Packs an edge into its PMA key.
 #[inline]
@@ -31,11 +29,8 @@ pub fn key_edge(key: u64) -> (u32, u32) {
 /// let mut g = Gpma::from_edges(4, &[(0, 1), (1, 2)]);
 /// g.insert_edges(&[(2, 3)]);
 /// g.delete_edges(&[(0, 1)]);
-/// g.relabel_edges();
 /// assert_eq!(g.edges(), vec![(1, 2), (2, 3)]);
-/// let (csr, in_degrees) = g.csr_view();
-/// assert_eq!(csr.num_edges(), 2);
-/// assert_eq!(in_degrees, vec![0, 0, 1, 1]);
+/// assert!(g.has_edge(2, 3) && !g.has_edge(0, 1));
 /// ```
 pub struct Gpma {
     pma: Pma,
@@ -51,11 +46,10 @@ impl Gpma {
         }
     }
 
-    /// Builds a graph from an initial (base) edge list and labels its edges.
+    /// Builds a graph from an initial (base) edge list.
     pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> Gpma {
         let mut g = Gpma::new(num_nodes);
         g.insert_edges(edges);
-        g.relabel_edges();
         g
     }
 
@@ -79,8 +73,7 @@ impl Gpma {
         &self.pma
     }
 
-    /// Batch edge insertion (duplicates of existing edges are no-ops apart
-    /// from the value overwrite; edge ids are stale until relabelled).
+    /// Batch edge insertion (duplicates of existing edges are no-ops).
     pub fn insert_edges(&mut self, edges: &[(u32, u32)]) {
         let items: Vec<(u64, u32)> = edges
             .iter()
@@ -97,8 +90,8 @@ impl Gpma {
 
     /// [`Gpma::insert_edges`] behind the `gpma.update` fault point: an
     /// injected fault fails the call *before* any mutation, so the
-    /// structure is untouched on `Err`. Recovery layers (serve ingest)
-    /// build batch rollback on this guarantee.
+    /// structure is untouched on `Err`. The DTDG store builds its batch
+    /// rollback on this guarantee.
     pub fn try_insert_edges(
         &mut self,
         edges: &[(u32, u32)],
@@ -119,22 +112,6 @@ impl Gpma {
         Ok(())
     }
 
-    /// Reassigns edge ids `0..m` in sorted slot order — the relabelling step
-    /// required after structural updates so forward and backward CSRs agree
-    /// on labels (§V.B item 3, Algorithm 2 line 8). Returns the edge count.
-    pub fn relabel_edges(&mut self) -> usize {
-        let keys: Vec<u64> = self.pma.key_slots().to_vec();
-        let vals = self.pma.value_slots_mut();
-        let mut eid = 0u32;
-        for (i, &k) in keys.iter().enumerate() {
-            if k != EMPTY {
-                vals[i] = eid;
-                eid += 1;
-            }
-        }
-        eid as usize
-    }
-
     /// Lists edges in sorted order (tests / snapshot comparison).
     pub fn edges(&self) -> Vec<(u32, u32)> {
         self.pma.iter().map(|(k, _)| key_edge(k)).collect()
@@ -153,46 +130,6 @@ impl Gpma {
             num_nodes: self.num_nodes,
         }
     }
-
-    /// Materialises the gapped out-CSR over the current PMA slots, plus the
-    /// in-degree array needed by Algorithm 3.
-    ///
-    /// `row_offset[v]` is the first slot whose key has `src >= v`; slots in
-    /// a row range that hold [`SPACE`] are the PMA's insertion gaps and are
-    /// skipped by every kernel.
-    pub fn csr_view(&self) -> (Csr, Vec<u32>) {
-        let n = self.num_nodes;
-        let cap = self.pma.capacity();
-        let keys = self.pma.key_slots();
-        let vals = self.pma.value_slots();
-
-        let mut col_indices = vec![SPACE; cap];
-        let mut eids = vec![0u32; cap];
-        let mut row_offset = vec![cap; n + 1];
-        let mut in_deg = vec![0u32; n];
-        let mut next_row = 0usize; // first vertex whose offset is unassigned
-        for i in 0..cap {
-            let k = keys[i];
-            if k == EMPTY {
-                continue;
-            }
-            let (s, d) = key_edge(k);
-            debug_assert!((s as usize) < n && (d as usize) < n, "edge out of range");
-            while next_row <= s as usize {
-                row_offset[next_row] = i;
-                next_row += 1;
-            }
-            col_indices[i] = d;
-            eids[i] = vals[i];
-            in_deg[d as usize] += 1;
-        }
-        while next_row <= n {
-            row_offset[next_row] = cap;
-            next_row += 1;
-        }
-        row_offset[0] = 0;
-        (Csr::from_parts(row_offset, col_indices, eids), in_deg)
-    }
 }
 
 #[cfg(test)]
@@ -201,8 +138,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::collections::BTreeSet;
-    use stgraph_graph::base::{STGraphBase, Snapshot};
-    use stgraph_graph::csr::{reverse_csr_sequential, same_rows};
 
     #[test]
     fn key_packing_roundtrip() {
@@ -227,44 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn relabel_assigns_sequential_ids() {
-        let mut g = Gpma::from_edges(4, &[(2, 1), (0, 3), (1, 0)]);
-        let m = g.relabel_edges();
-        assert_eq!(m, 3);
-        let (csr, _) = g.csr_view();
-        let mut labels: Vec<u32> = csr.triples().iter().map(|&(_, _, e)| e).collect();
-        labels.sort_unstable();
-        assert_eq!(labels, vec![0, 1, 2]);
-        // Sorted slot order means eid order follows (src, dst) order.
-        let triples = csr.triples();
-        assert_eq!(triples, vec![(0, 3, 0), (1, 0, 1), (2, 1, 2)]);
-    }
-
-    #[test]
-    fn csr_view_matches_edge_list() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let n = 60u32;
-        let mut set = BTreeSet::new();
-        while set.len() < 700 {
-            set.insert((rng.gen_range(0..n), rng.gen_range(0..n)));
-        }
-        let edges: Vec<(u32, u32)> = set.iter().copied().collect();
-        let g = Gpma::from_edges(n as usize, &edges);
-        let (csr, in_deg) = g.csr_view();
-        assert_eq!(csr.num_edges(), edges.len());
-        let got: Vec<(u32, u32)> = csr.triples().iter().map(|&(s, d, _)| (s, d)).collect();
-        assert_eq!(got, edges, "CSR triples must be the sorted edge list");
-        // in-degrees agree with a manual count.
-        let mut manual = vec![0u32; n as usize];
-        for &(_, d) in &edges {
-            manual[d as usize] += 1;
-        }
-        assert_eq!(in_deg, manual);
-    }
-
-    #[test]
-    fn gapped_view_reverses_correctly() {
-        // End-to-end: GPMA -> gapped CSR -> Algorithm-3 reverse == oracle.
+    fn batches_keep_the_sorted_edge_set() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let n = 40u32;
         let mut g = Gpma::new(n as usize);
@@ -277,14 +175,7 @@ mod tests {
             set.extend(batch);
             g.pma().check_invariants();
         }
-        g.relabel_edges();
-        let (csr, in_deg) = g.csr_view();
-        let snap = Snapshot::from_csr(csr);
-        assert_eq!(snap.in_degrees.as_slice(), &in_deg[..]);
-        let (csr2, _) = g.csr_view();
-        let oracle = reverse_csr_sequential(&csr2, n as usize);
-        assert!(same_rows(&snap.reverse_csr, &oracle));
-        assert_eq!(snap.num_edges(), set.len());
+        assert_eq!(g.edges(), set.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -295,20 +186,5 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(cache.num_edges(), 2);
         assert!(!cache.has_edge(2, 3));
-    }
-
-    #[test]
-    fn empty_rows_get_consistent_offsets() {
-        let g = Gpma::from_edges(6, &[(4, 0)]);
-        let (csr, _) = g.csr_view();
-        assert_eq!(csr.num_edges(), 1);
-        for v in 0..6 {
-            let row: Vec<_> = csr.iter_row(v).collect();
-            if v == 4 {
-                assert_eq!(row.len(), 1);
-            } else {
-                assert!(row.is_empty(), "vertex {v} should have no edges");
-            }
-        }
     }
 }

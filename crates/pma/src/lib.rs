@@ -2,8 +2,7 @@
 //!
 //! The GPMA substrate (Sha et al., VLDB'17) STGraph builds DTDG snapshots
 //! from: a density-bounded Packed Memory Array with batch insert/delete,
-//! specialised to graph adjacency with gapped-CSR views and edge
-//! relabelling.
+//! specialised to graph adjacency (edge keys, fault-gated batch updates).
 
 #![warn(missing_docs)]
 

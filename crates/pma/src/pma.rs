@@ -121,11 +121,6 @@ impl Pma {
         &self.vals
     }
 
-    /// Mutable value slots (used by GPMA edge relabelling).
-    pub fn value_slots_mut(&mut self) -> &mut [u32] {
-        &mut self.vals
-    }
-
     /// Bytes currently charged for the backing arrays.
     pub fn bytes(&self) -> usize {
         self.charge.bytes()

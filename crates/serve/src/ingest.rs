@@ -14,9 +14,9 @@
 
 use std::time::{Duration, Instant};
 use stgraph_dyngraph::source::{DtdgSource, UpdateBatch};
+use stgraph_dyngraph::DtdgStore;
 use stgraph_faultline::{FaultError, RetryPolicy};
 use stgraph_graph::base::Snapshot;
-use stgraph_pma::Gpma;
 
 /// Cumulative ingest counters, part of the serve stats report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,8 +29,8 @@ pub struct IngestStats {
     pub edges_deleted: u64,
     /// Wall time spent applying updates and materialising snapshots.
     pub ingest_time: Duration,
-    /// Apply/snapshot attempts that failed with an injected fault and
-    /// entered the backoff-retry loop.
+    /// Apply attempts that failed with an injected fault and entered the
+    /// backoff-retry loop.
     pub retries: u64,
     /// Half-applied batches rolled back before the generation published.
     pub rollbacks: u64,
@@ -62,13 +62,14 @@ impl std::error::Error for IngestError {
     }
 }
 
-/// A continuously-updated graph stored in a GPMA, advanced one
+/// A continuously-updated graph: the DTDG store (one shard) advanced one
 /// [`UpdateBatch`] at a time and read through generation-tagged snapshots.
+/// The store owns the edges, the transactional apply and the memoised
+/// snapshot; this type adds the generation, the counters and the retry
+/// loop.
 pub struct LiveGraph {
-    gpma: Gpma,
+    store: DtdgStore,
     generation: u64,
-    /// Snapshot memo for the *current* generation; invalidated by `apply`.
-    memo: Option<(u64, Snapshot)>,
     stats: IngestStats,
 }
 
@@ -76,9 +77,8 @@ impl LiveGraph {
     /// A live graph starting from an explicit base edge set (generation 0).
     pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> LiveGraph {
         LiveGraph {
-            gpma: Gpma::from_edges(num_nodes, edges),
+            store: DtdgStore::from_edge_stream(num_nodes, 1, || edges.iter().copied()),
             generation: 0,
-            memo: None,
             stats: IngestStats::default(),
         }
     }
@@ -92,12 +92,12 @@ impl LiveGraph {
 
     /// Number of vertices (fixed for the stream's lifetime).
     pub fn num_nodes(&self) -> usize {
-        self.gpma.num_nodes()
+        self.store.num_nodes()
     }
 
     /// Number of live edges at the current generation.
     pub fn num_edges(&self) -> usize {
-        self.gpma.num_edges()
+        self.store.num_edges()
     }
 
     /// The generation the graph currently represents. Generation `g` means
@@ -111,9 +111,9 @@ impl LiveGraph {
         self.stats
     }
 
-    /// Bytes held by the GPMA storage.
+    /// Bytes held by the store's PMA.
     pub fn bytes(&self) -> usize {
-        self.gpma.bytes()
+        self.store.bytes()
     }
 
     /// Applies one update batch and returns the *new* generation. The
@@ -143,44 +143,13 @@ impl LiveGraph {
     /// One apply attempt with generation-guarded rollback: on `Err` the
     /// graph is exactly as it was — partial edge work undone, generation
     /// and memoised snapshot untouched — so no reader can ever observe a
-    /// half-applied batch, even mid-recovery.
+    /// half-applied batch, even mid-recovery. The `ingest.apply` site
+    /// models a crash after the edge work but before the generation
+    /// publishes — the window the guard exists for.
     pub fn try_apply(&mut self, batch: &UpdateBatch) -> Result<u64, IngestError> {
         let start = Instant::now();
-        // Pre-filter to the edges this batch *actually* changes, so the
-        // inverse operations below are exact: re-deleting only edges that
-        // were freshly inserted and re-inserting only edges that really
-        // existed. (UpdateBatch diffs are already minimal in practice;
-        // this guards arbitrary callers.)
-        let adds: Vec<(u32, u32)> = batch
-            .additions
-            .iter()
-            .filter(|&&(s, d)| !self.gpma.has_edge(s, d))
-            .copied()
-            .collect();
-        let dels: Vec<(u32, u32)> = batch
-            .deletions
-            .iter()
-            .filter(|&&(s, d)| self.gpma.has_edge(s, d))
-            .copied()
-            .collect();
-        // Insert half. try_insert_edges fails before mutating, so there is
-        // nothing to undo on this error path.
-        if let Err(e) = self.gpma.try_insert_edges(&adds) {
-            return Err(IngestError::Fault(e));
-        }
-        // Delete half; on failure roll the insert half back.
-        if let Err(e) = self.gpma.try_delete_edges(&dels) {
-            self.gpma.delete_edges(&adds);
-            self.note_rollback();
-            return Err(IngestError::Fault(e));
-        }
-        // The `ingest.apply` site models a crash after the edge work but
-        // before the generation publishes — the window the guard exists
-        // for. Both halves are undone.
-        if let Err(e) = stgraph_faultline::fault_point!("ingest.apply") {
-            self.gpma.delete_edges(&adds);
-            self.gpma.insert_edges(&dels);
-            self.note_rollback();
+        if let Err(e) = self.store.try_apply(batch, "ingest.apply") {
+            self.stats.rollbacks += 1;
             return Err(IngestError::Fault(e));
         }
         self.stats.batches += 1;
@@ -189,43 +158,16 @@ impl LiveGraph {
         self.stats.ingest_time += start.elapsed();
         // Publish: from here on, readers see the fully-applied batch.
         self.generation += 1;
-        self.memo = None;
         Ok(self.generation)
     }
 
-    fn note_rollback(&mut self) {
-        self.stats.rollbacks += 1;
-        stgraph_faultline::note_rollback();
-    }
-
-    /// Materialises (or returns the memoised) snapshot for the current
-    /// generation, tagged with that generation. One relabel + CSR build per
-    /// generation regardless of how many readers ask. Carries the
-    /// `snapshot.build` fault point (retried, then proceeding regardless —
-    /// the build is pure compute; see `GpmaGraph::build_snapshot`).
+    /// The snapshot for the current generation, tagged with that
+    /// generation: one build per generation regardless of how many readers
+    /// ask ([`DtdgStore::snapshot`]).
     pub fn snapshot(&mut self) -> (u64, Snapshot) {
-        if let Some((g, snap)) = &self.memo {
-            if *g == self.generation {
-                return (*g, snap.clone());
-            }
-        }
-        if let Err(n) = stgraph_faultline::retry(&RetryPolicy::default(), || {
-            let r = stgraph_faultline::fault_point!("snapshot.build");
-            if r.is_err() {
-                self.stats.retries += 1;
-            }
-            r
-        }) {
-            // Injection outlasted the retry budget; the real build cannot
-            // fail, so degrade to proceeding (latency, not data loss).
-            let _ = n;
-        }
         let start = Instant::now();
-        self.gpma.relabel_edges();
-        let (csr, _in_deg) = self.gpma.csr_view();
-        let snap = Snapshot::from_csr(csr);
+        let snap = self.store.snapshot();
         self.stats.ingest_time += start.elapsed();
-        self.memo = Some((self.generation, snap.clone()));
         (self.generation, snap)
     }
 }

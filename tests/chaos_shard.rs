@@ -15,10 +15,13 @@
 //!
 //! Every plan is seeded, so a failure here reproduces exactly.
 
+use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use stgraph_dyngraph::source::DtdgSource;
-use stgraph_dyngraph::{dense_forward_sum, DtdgGraph, NaiveGraph, ShardedGraph};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use stgraph_dyngraph::source::{DtdgSource, UpdateBatch};
+use stgraph_dyngraph::{dense_forward_sum, DtdgGraph, DtdgStore, NaiveGraph, ShardedGraph};
 use stgraph_faultline::FaultPlan;
 use stgraph_graph::base::Snapshot;
 use stgraph_graph::csr::Csr;
@@ -72,6 +75,7 @@ fn faulted_batches_are_invisible_and_recovery_is_exact() {
         let diffs = src.diffs();
         for (t, batch) in diffs.iter().enumerate() {
             let before = sharded.get_graph(t);
+            let edges_before = sharded.store().edges();
             // Alternate the failing site across timestamps; the plan
             // seed varies the probabilistic site too.
             let plan = if t % 2 == 0 {
@@ -89,8 +93,9 @@ fn faulted_batches_are_invisible_and_recovery_is_exact() {
             stgraph_faultline::clear_plan();
             assert!(res.is_err(), "plan must fire (seed {seed} t {t})");
             // Invariant 2: the failed batch is bitwise invisible. The
-            // timeline is still at t, so this rebuilds the merged
-            // snapshot of the (rolled-back) current contents.
+            // timeline is still at t and a rolled-back batch keeps the
+            // memoised snapshot, so the edge set is compared as well.
+            assert_eq!(sharded.store().edges(), edges_before);
             let after_fault = sharded.get_graph(t);
             assert!(
                 snapshot_identical(&after_fault, &before),
@@ -104,7 +109,7 @@ fn faulted_batches_are_invisible_and_recovery_is_exact() {
                 "recovery diverged at t={} (seed {seed}, k={k})",
                 t + 1
             );
-            let fast = sharded.forward_sum(&feats);
+            let fast = sharded.store().forward_sum(&feats);
             let dense = dense_forward_sum(&want, &feats);
             assert_eq!(
                 fast.data(),
@@ -132,7 +137,7 @@ fn forward_survives_exchange_faults_bitwise() {
     };
     let want = dense_forward_sum(&naive.get_graph(0), &feats);
     stgraph_faultline::set_plan(FaultPlan::new().seed(9).fail_prob("shard.exchange", 0.8));
-    let got = sharded.forward_sum(&feats);
+    let got = sharded.store().forward_sum(&feats);
     stgraph_faultline::clear_plan();
     assert_eq!(got.data(), want.data(), "exchange faults must not corrupt");
 }
@@ -165,4 +170,61 @@ fn retry_loop_reaches_every_timestamp_under_periodic_faults() {
         snapshot_identical(&got, &want),
         "post-chaos stream must land exactly on the oracle"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The store's one transaction, at every reachable fault position: the
+    /// k-th shard's insert, the k-th shard's delete (`gpma.update` hits
+    /// 1..=2K, in that order) and the caller-named commit site. Each
+    /// faulted attempt leaves edge set, version and memoised snapshot
+    /// untouched; the retried batch lands on the set oracle. Batches are
+    /// arbitrary — they may re-add present edges and delete absent ones.
+    #[test]
+    fn rollback_is_exact_at_every_fault_position(
+        (n, base, adds, dels, k) in (4usize..24).prop_flat_map(|n| {
+            let edge = || (0..n as u32, 0..n as u32);
+            (
+                Just(n),
+                prop::collection::vec(edge(), 0..60),
+                prop::collection::vec(edge(), 0..30),
+                prop::collection::vec(edge(), 0..30),
+                1usize..=4,
+            )
+        })
+    ) {
+        let _g = stgraph_faultline::test_lock();
+        stgraph_faultline::clear_plan();
+        let adds: BTreeSet<(u32, u32)> = adds.into_iter().collect();
+        let batch = UpdateBatch {
+            deletions: dels.into_iter().filter(|e| !adds.contains(e)).collect(),
+            additions: adds.into_iter().collect(),
+        };
+        let mut want: BTreeSet<(u32, u32)> = base.iter().copied().collect();
+        want.extend(batch.additions.iter().copied());
+        for d in &batch.deletions {
+            want.remove(d);
+        }
+
+        let mut store = DtdgStore::from_edge_stream(n, k, || base.iter().copied());
+        let (edges, version, memo) = (store.edges(), store.version(), store.snapshot());
+        let sites = (1..=2 * k as u64)
+            .map(|hit| ("gpma.update", hit))
+            .chain([("ingest.apply", 1)]);
+        for (site, hit) in sites {
+            stgraph_faultline::set_plan(FaultPlan::new().fail_nth(site, hit));
+            let res = store.try_apply(&batch, "ingest.apply");
+            stgraph_faultline::clear_plan();
+            prop_assert!(res.is_err(), "{} hit {} must fire (k={})", site, hit, k);
+            prop_assert_eq!(store.edges(), edges.clone(), "{} hit {}", site, hit);
+            prop_assert_eq!(store.version(), version);
+            prop_assert!(Arc::ptr_eq(&memo.csr, &store.snapshot().csr));
+        }
+        prop_assert!(store.try_apply(&batch, "ingest.apply").is_ok());
+        prop_assert_eq!(store.version(), version + 1);
+        prop_assert_eq!(store.edges(), want.iter().copied().collect::<Vec<_>>());
+        let oracle = Snapshot::from_edges(n, &store.edges());
+        prop_assert!(snapshot_identical(&store.snapshot(), &oracle));
+    }
 }

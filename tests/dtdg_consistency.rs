@@ -55,6 +55,15 @@ fn snapshots_agree_on_generated_dataset() {
 }
 
 fn train_losses(src: &DtdgSource, provider: Rc<RefCell<dyn DtdgGraph>>, epochs: usize) -> Vec<f32> {
+    train_losses_seq(src, provider, epochs, 4)
+}
+
+fn train_losses_seq(
+    src: &DtdgSource,
+    provider: Rc<RefCell<dyn DtdgGraph>>,
+    epochs: usize,
+    seq_len: usize,
+) -> Vec<f32> {
     let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Dynamic(provider));
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let mut ps = ParamSet::new();
@@ -66,7 +75,7 @@ fn train_losses(src: &DtdgSource, provider: Rc<RefCell<dyn DtdgGraph>>, epochs: 
     };
     let batches = link_prediction_batches(src, 128, 9);
     let losses: Vec<f32> = (0..epochs)
-        .map(|_| train_epoch_link_prediction(&cell, &exec, &mut opt, &feats, &batches, 4))
+        .map(|_| train_epoch_link_prediction(&cell, &exec, &mut opt, &feats, &batches, seq_len))
         .collect();
     let (pushes, pops, _, live) = exec.state_stack_stats();
     assert_eq!(pushes, pops, "state stack must balance");
@@ -335,7 +344,7 @@ proptest! {
             );
             if query_mask[t % query_mask.len()] {
                 let dense = stgraph_dyngraph::dense_forward_sum(&want, &feats);
-                let fast = sharded.forward_sum(&feats);
+                let fast = sharded.store().forward_sum(&feats);
                 prop_assert_eq!(
                     fast.data(), dense.data(),
                     "forward aggregation divergence at t={} (k={})", t, k
@@ -351,6 +360,40 @@ proptest! {
                 "backward snapshot divergence at t={} (k={})", t, k
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same store through the `DtdgGraph` path the trainer uses: TGCN
+    /// link-prediction losses over `snapshot()` are bitwise `NaiveGraph`'s
+    /// for every K. Sequences of two timestamps over >= 3 timestamps and
+    /// two epochs walk forward and backward, restore the Algorithm-2 cache
+    /// at the second sequence and rewind across the epoch boundary.
+    #[test]
+    fn sharded_graph_trains_bitwise_like_naive_for_all_k(
+        (n, raw_snaps, k) in (8usize..16).prop_flat_map(|n| {
+            (
+                Just(n),
+                prop::collection::vec(
+                    prop::collection::vec((0..n as u32, 0..n as u32), 1..40),
+                    3..7,
+                ),
+                1usize..=4,
+            )
+        })
+    ) {
+        let src = DtdgSource::from_snapshot_edges(n, raw_snaps);
+        let bits = |losses: Vec<f32>| losses.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let naive = train_losses_seq(&src, Rc::new(RefCell::new(NaiveGraph::new(&src))), 2, 2);
+        let sharded = train_losses_seq(
+            &src,
+            Rc::new(RefCell::new(ShardedGraph::from_source(&src, k))),
+            2,
+            2,
+        );
+        prop_assert_eq!(bits(sharded), bits(naive), "k={}", k);
     }
 }
 
