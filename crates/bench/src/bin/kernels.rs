@@ -1,9 +1,10 @@
 //! Kernel microbenchmarks tracking the perf trajectory of the SIMD layer:
-//! GEMM row microkernels (SIMD vs scalar), the parallel matmul built on
-//! them, and the GCN aggregation launch across column widths.
-//! Every row carries a roofline pair — achieved GFLOP/s and GB/s over the
-//! *computed* compulsory bytes (operands read once, result written once) —
-//! and graph rows carry edges/s. Prints a table and writes
+//! the GEMM microkernel against its scalar reference, the parallel matmul
+//! built on it, the exp / sigmoid / tanh lane family against libm, and the
+//! GCN aggregation launch across column widths. Every row carries GB/s
+//! over the *computed* compulsory bytes (operands read once, result
+//! written once); GEMM and graph rows add GFLOP/s, graph rows edges/s and
+//! elementwise rows elements/s. Prints a table and writes
 //! `BENCH_kernels.json`.
 //!
 //! ```sh
@@ -22,8 +23,10 @@ use stgraph::backend::{AggregationBackend, SeastarBackend};
 use stgraph_bench::time_ms;
 use stgraph_graph::base::{gcn_norm, Snapshot};
 use stgraph_seastar::ir::gcn_aggregation;
-use stgraph_tensor::tensor::{gemm_row, gemm_row_scalar};
-use stgraph_tensor::{simd, Tensor};
+use stgraph_tensor::pool::PoolScope;
+use stgraph_tensor::simd::{self, F32x8};
+use stgraph_tensor::tensor::{gemm, gemm_scalar};
+use stgraph_tensor::Tensor;
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -31,11 +34,14 @@ struct KernelRow {
     config: String,
     simd: bool,
     ms_per_iter: f64,
-    gflops: f64,
+    /// Floating-point operations / time (GEMM and graph kernels only).
+    gflops: Option<f64>,
     /// Computed compulsory bytes / time.
     gb_per_s: f64,
     /// Edges traversed / time (graph kernels only).
     edges_per_s: Option<f64>,
+    /// Elements mapped / time (elementwise kernels only).
+    elements_per_s: Option<f64>,
     speedup_vs_baseline: f64,
 }
 
@@ -54,6 +60,10 @@ fn gather_bytes(edges: usize, w: usize) -> f64 {
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(stgraph_datasets::resolve_seed(None) ^ 0x6b11);
+    // Launches allocate their outputs the way the trainers do, from the
+    // buffer pool; outside a scope every iteration would malloc (and, past
+    // glibc's mmap threshold, page-fault) fresh multi-MB buffers.
+    let _pool = PoolScope::new();
     let simd_on = simd::enabled();
     let mut rows: Vec<KernelRow> = Vec::new();
     println!(
@@ -65,20 +75,29 @@ fn main() {
         }
     );
     println!(
-        "{:<26} {:<26} {:>10} {:>9} {:>8} {:>10} {:>9}",
-        "kernel", "config", "ms/iter", "GFLOP/s", "GB/s", "Medges/s", "speedup"
+        "{:<26} {:<26} {:>10} {:>9} {:>8} {:>10} {:>9} {:>9}",
+        "kernel", "config", "ms/iter", "GFLOP/s", "GB/s", "Medges/s", "Melem/s", "speedup"
     );
-    // (flops, compulsory bytes, edges traversed) of one iteration.
-    type Work = (f64, f64, Option<usize>);
+    // (flops, compulsory bytes, edges traversed, elements mapped) of one
+    // iteration.
+    type Work = (Option<f64>, f64, Option<usize>, Option<usize>);
     let mut push = |kernel: &str, config: String, ms: f64, work: Work, base_ms: f64| {
-        let (flops, bytes, edges) = work;
+        let (flops, bytes, edges, elements) = work;
         let per_s = |x: f64| x / (ms * 1e-3);
-        let (gflops, gb_per_s) = (per_s(flops) / 1e9, per_s(bytes) / 1e9);
+        let gflops = flops.map(|f| per_s(f) / 1e9);
+        let gb_per_s = per_s(bytes) / 1e9;
         let edges_per_s = edges.map(|e| per_s(e as f64));
+        let elements_per_s = elements.map(|e| per_s(e as f64));
         let speedup = base_ms / ms;
-        let medges = edges_per_s.map_or("-".to_string(), |e| format!("{:.1}", e / 1e6));
+        let show =
+            |v: Option<f64>, scale: f64| v.map_or("-".to_string(), |v| format!("{:.2}", v / scale));
+        let (gf, me, mel) = (
+            show(gflops, 1.0),
+            show(edges_per_s, 1e6),
+            show(elements_per_s, 1e6),
+        );
         println!(
-            "{kernel:<26} {config:<26} {ms:>10.4} {gflops:>9.2} {gb_per_s:>8.2} {medges:>10} {speedup:>8.2}x"
+            "{kernel:<26} {config:<26} {ms:>10.4} {gf:>9} {gb_per_s:>8.2} {me:>10} {mel:>9} {speedup:>8.2}x"
         );
         rows.push(KernelRow {
             kernel: kernel.to_string(),
@@ -88,42 +107,90 @@ fn main() {
             gflops,
             gb_per_s,
             edges_per_s,
+            elements_per_s,
             speedup_vs_baseline: speedup,
         });
     };
 
-    // --- GEMM row microkernel: scalar vs SIMD dispatch, serial over rows
-    // (isolates the microkernel from rayon scheduling). ---
-    for (n, k, m) in [(256usize, 256usize, 256usize), (512, 64, 64)] {
+    // --- GEMM: the scalar reference vs the register-blocked microkernel,
+    // both serial over all rows (isolates the kernel from rayon), then the
+    // parallel matmul built on the microkernel. Two square-ish shapes plus
+    // the benchmark's two dense shapes: serve's `[12000, 64] x [64, 32]`
+    // gate transform and dtdg_train's aggregate-first `[4041, 9] x [9, 48]`.
+    for (n, k, m) in [
+        (256usize, 256usize, 256usize),
+        (512, 64, 64),
+        (12_000, 64, 32),
+        (4041, 9, 48),
+    ] {
         let a = Tensor::rand_uniform((n, k), -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform((k, m), -1.0, 1.0, &mut rng);
         let (ad, bd) = (a.data(), b.data());
         let mut out = vec![0f32; n * m];
-        let work = ((2 * n * k * m) as f64, gemm_bytes(n, k, m), None);
-        let cfg = format!("{n}x{k}x{m}");
-        let scalar_ms = time_ms(|| {
-            for (i, row) in out.chunks_mut(m).enumerate() {
-                gemm_row_scalar(row, &ad[i * k..(i + 1) * k], bd, m);
-            }
-        });
-        push("gemm_row scalar", cfg.clone(), scalar_ms, work, scalar_ms);
-        let dispatch_ms = time_ms(|| {
-            for (i, row) in out.chunks_mut(m).enumerate() {
-                gemm_row(row, &ad[i * k..(i + 1) * k], bd, m);
-            }
-        });
-        push(
-            "gemm_row dispatch",
-            cfg.clone(),
-            dispatch_ms,
-            work,
-            scalar_ms,
+        let work = (
+            Some((2 * n * k * m) as f64),
+            gemm_bytes(n, k, m),
+            None,
+            None,
         );
-        // The full parallel matmul (what table3's training path calls).
+        let cfg = format!("{n}x{k}x{m}");
+        let scalar_ms = time_ms(|| gemm_scalar(&mut out, ad, bd, k, m));
+        push("gemm scalar", cfg.clone(), scalar_ms, work, scalar_ms);
+        let block_ms = time_ms(|| gemm(&mut out, ad, bd, k, m));
+        push("gemm block", cfg.clone(), block_ms, work, scalar_ms);
         let par_ms = time_ms(|| {
             std::hint::black_box(a.matmul(&b));
         });
         push("matmul parallel", cfg, par_ms, work, scalar_ms);
+    }
+
+    // --- Transcendentals at serve's gate shape `[12000, 32]`: the
+    // per-element libm map the tensor ops used to run vs the lane family
+    // (same dispatch as `Tensor::{exp, sigmoid, tanh}`, serial). Traffic
+    // is one read and one write per element. ---
+    let x = Tensor::rand_uniform((12_000, 32), -8.0, 8.0, &mut rng);
+    let xd = x.data();
+    let mut out = vec![0f32; xd.len()];
+    let elems = (None, 2.0 * F32 * xd.len() as f64, None, Some(xd.len()));
+    // (name, libm baseline, lane form, scalar form)
+    type Member = (
+        &'static str,
+        fn(f32) -> f32,
+        fn(F32x8) -> F32x8,
+        fn(f32) -> f32,
+    );
+    let libm_sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+    let family: [Member; 3] = [
+        ("exp", f32::exp, F32x8::exp, simd::exp),
+        ("sigmoid", libm_sigmoid, F32x8::sigmoid, simd::sigmoid),
+        ("tanh", f32::tanh, F32x8::tanh, simd::tanh),
+    ];
+    for (name, libm, lane, scalar) in family {
+        let cfg = "12000x32".to_string();
+        let libm_ms = time_ms(|| {
+            for (o, &v) in out.iter_mut().zip(xd) {
+                *o = libm(v);
+            }
+            std::hint::black_box(&out);
+        });
+        push(
+            &format!("{name} libm"),
+            cfg.clone(),
+            libm_ms,
+            elems,
+            libm_ms,
+        );
+        let lanes_ms = time_ms(|| {
+            if simd_on {
+                simd::map_lanes(&mut out, xd, lane, scalar);
+            } else {
+                for (o, &v) in out.iter_mut().zip(xd) {
+                    *o = scalar(v);
+                }
+            }
+            std::hint::black_box(&out);
+        });
+        push(&format!("{name} lanes"), cfg, lanes_ms, elems, libm_ms);
     }
 
     // --- GCN aggregation launch vs column width, on the two graph shapes
@@ -168,9 +235,10 @@ fn main() {
             // two norm scalings per node column; edge rows, the input read
             // for the self-loop, the output write and the norms.
             let work = (
-                (2 * edges.len() * w + 3 * n * w) as f64,
+                Some((2 * edges.len() * w + 3 * n * w) as f64),
                 gather_bytes(edges.len(), w) + F32 * (2 * n * w + n) as f64,
                 Some(edges.len()),
+                None,
             );
             let cfg = format!("{shape} n={n} m={} w={w}", edges.len());
             push("gcn_aggregation", cfg, ms, work, three_at_32);

@@ -161,6 +161,11 @@ pub trait DtdgGraph {
     /// Cumulative time spent performing graph updates / snapshot
     /// construction since the last call (drained) — the "graph update time"
     /// series of Figure 9.
+    ///
+    /// The clock spans each *whole* [`DtdgGraph::get_graph`] /
+    /// [`DtdgGraph::get_backward_graph`] call — cache restore, edge updates
+    /// *and* the snapshot build — so it is their sum, not a third cost:
+    /// adding it to timers around those two calls counts the store twice.
     fn take_update_time(&mut self) -> Duration;
 }
 

@@ -450,17 +450,17 @@ impl EdgePlan<'_> {
                 }
                 Instr::Exp { a, out, w } => {
                     for j in 0..w {
-                        scratch[out + j] = scratch[a + j].exp();
+                        scratch[out + j] = simd::exp(scratch[a + j]);
                     }
                 }
                 Instr::Sigmoid { a, out, w } => {
                     for j in 0..w {
-                        scratch[out + j] = 1.0 / (1.0 + (-scratch[a + j]).exp());
+                        scratch[out + j] = simd::sigmoid(scratch[a + j]);
                     }
                 }
                 Instr::Tanh { a, out, w } => {
                     for j in 0..w {
-                        scratch[out + j] = scratch[a + j].tanh();
+                        scratch[out + j] = simd::tanh(scratch[a + j]);
                     }
                 }
                 Instr::ReduceFeat { a, wa, out } => {

@@ -323,6 +323,13 @@ mod tests {
     use super::*;
     use crate::mem::{self, TrackedBuf};
 
+    /// `force_disable` and the hit/miss/return counters are process-global,
+    /// so the tests that set or read them run one at a time.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn size_classes_round_up() {
         assert_eq!(class_capacity(0), None);
@@ -336,6 +343,7 @@ mod tests {
 
     #[test]
     fn pooling_is_scoped_to_thread() {
+        let _serial = serial();
         assert!(!enabled());
         let scope = PoolScope::new();
         assert!(enabled());
@@ -353,6 +361,7 @@ mod tests {
     // sequential body keeps the deltas attributable.
     #[test]
     fn lifecycle_balances_and_trims() {
+        let _serial = serial();
         mem::with_pool("buf-pool-test", || {
             let before = stats();
             let live0 = mem::stats("buf-pool-test").live;
@@ -400,6 +409,7 @@ mod tests {
     // pooling for every later allocation on the thread.
     #[test]
     fn scope_unwinds_cleanly_on_panic() {
+        let _serial = serial();
         mem::with_pool("buf-pool-unwind", || {
             let live0 = mem::stats("buf-pool-unwind").live;
             let result = std::panic::catch_unwind(|| {
@@ -421,6 +431,7 @@ mod tests {
 
     #[test]
     fn oversized_and_disabled_allocations_bypass() {
+        let _serial = serial();
         mem::with_pool("buf-pool-bypass", || {
             // No scope: plain exact-size allocation, freed on drop.
             let live0 = mem::stats("buf-pool-bypass").live;

@@ -7,8 +7,11 @@
 //! Because each lane performs *exactly* the scalar op — [`F32x8::mul_add`]
 //! is deliberately `a * b + c`, never a fused hardware FMA — a kernel that
 //! applies the same op per element produces bitwise-identical results on
-//! the SIMD and scalar paths. Only kernels that change the *association* of
-//! a reduction (the multi-accumulator matmul) can differ, and those are
+//! the SIMD and scalar paths. The transcendental family ([`exp`], [`tanh`],
+//! [`sigmoid`]) keeps the same contract: each is written once as a
+//! branch-free per-lane function and the lane forms map it over the eight
+//! lanes. Only the matmul may differ between paths, and only in whether its
+//! multiply-adds are fused (see [`avx2_fma`]); that difference is
 //! epsilon-gated in tests rather than bitwise-compared.
 //!
 //! Runtime dispatch: every SIMD-ized kernel consults [`enabled`] once per
@@ -31,18 +34,14 @@ pub fn enabled() -> bool {
     })
 }
 
-/// Whether the AVX2+FMA specializations of the *reduction* kernels (the
-/// matmul row microkernel) may run. The portable lanes already saturate
-/// memory-bound elementwise ops, but a baseline x86-64 build lowers them
-/// to SSE mul+add pairs — for the FLOP-bound GEMM that leaves the wider
-/// registers and the FMA units idle, so the row kernel escapes to a
-/// hand-written AVX2 variant when the CPU has it. Only reassociation-
-/// tolerant (epsilon-gated) kernels may consult this: FMA contraction
-/// changes rounding, which the elementwise bitwise contract forbids.
-/// `false` whenever [`enabled`] is false, so `STGRAPH_NO_SIMD` still
-/// forces the one true scalar path. Detection is cached, keeping every
-/// dispatch decision process-stable (fused and unfused kernels always
-/// agree bit-for-bit).
+/// Whether the CPU has AVX2 and FMA (and [`enabled`] is true). A baseline
+/// x86-64 build lowers the portable lanes to SSE pairs; behind this check
+/// the GEMM microkernel is compiled for AVX2 with *fused* multiply-adds,
+/// and the elementwise lane loops ([`map_lanes`]) for AVX2 *without* FMA.
+/// Only the matmul may fuse: fusion changes rounding, which the
+/// elementwise bitwise contract forbids. `false` whenever [`enabled`] is
+/// false, so `STGRAPH_NO_SIMD` still forces the one true scalar path.
+/// Detection is cached, keeping every dispatch decision process-stable.
 pub fn avx2_fma() -> bool {
     static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *OK.get_or_init(|| {
@@ -162,6 +161,161 @@ impl F32x8 {
         }
         F32x8(r)
     }
+
+    /// Lane-wise [`exp`].
+    #[inline(always)]
+    pub fn exp(self) -> F32x8 {
+        self.map(exp)
+    }
+
+    /// Lane-wise [`tanh`].
+    #[inline(always)]
+    pub fn tanh(self) -> F32x8 {
+        self.map(tanh)
+    }
+
+    /// Lane-wise [`sigmoid`].
+    #[inline(always)]
+    pub fn sigmoid(self) -> F32x8 {
+        self.map(sigmoid)
+    }
+
+    /// Applies a branch-free scalar function to every lane; the compiler
+    /// vectorizes the unrolled body.
+    #[inline(always)]
+    fn map(self, f: impl Fn(f32) -> f32) -> F32x8 {
+        let mut r = self.0;
+        for x in r.iter_mut() {
+            *x = f(*x);
+        }
+        F32x8(r)
+    }
+}
+
+/// `dst[i] = scalar(src[i])`, running `lane` over the [`LANES`]-wide
+/// chunks and `scalar` over the remainder; `lane` must compute `scalar` in
+/// every lane (the bitwise contract). Behind [`avx2_fma`] the loop is
+/// compiled for AVX2 — without FMA, so the bits are the same either way.
+#[inline]
+pub fn map_lanes(
+    dst: &mut [f32],
+    src: &[f32],
+    lane: impl Fn(F32x8) -> F32x8,
+    scalar: impl Fn(f32) -> f32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma() {
+        // SAFETY: AVX2 presence was verified at runtime (cached).
+        return unsafe { map_lanes_avx2(dst, src, lane, scalar) };
+    }
+    map_lanes_body(dst, src, lane, scalar)
+}
+
+/// [`map_lanes_body`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn map_lanes_avx2(
+    dst: &mut [f32],
+    src: &[f32],
+    lane: impl Fn(F32x8) -> F32x8,
+    scalar: impl Fn(f32) -> f32,
+) {
+    map_lanes_body(dst, src, lane, scalar)
+}
+
+#[inline(always)]
+fn map_lanes_body(
+    dst: &mut [f32],
+    src: &[f32],
+    lane: impl Fn(F32x8) -> F32x8,
+    scalar: impl Fn(f32) -> f32,
+) {
+    let main = src.len() / LANES * LANES;
+    let (dm, dt) = dst.split_at_mut(main);
+    let mut sc = src.chunks_exact(LANES);
+    for (dc, sc) in dm.chunks_exact_mut(LANES).zip(sc.by_ref()) {
+        lane(F32x8::load(sc)).store(dc);
+    }
+    for (d, &s) in dt.iter_mut().zip(sc.remainder()) {
+        *d = scalar(s);
+    }
+}
+
+// ---------- transcendental family ----------
+//
+// Each function is one branch-free expression over plain mul, add, div,
+// select and sign/exponent bit moves — no FMA, no libm — so the lane
+// forms above (and the AVX2 compilation of `map_lanes`) are bitwise equal
+// to these scalar functions. Clamps are written as `if x > hi { hi } else
+// { x }` rather than `f32::min`, which would swallow a NaN: NaN in gives
+// NaN out, so a diverged loss stays visible. Max relative error against
+// f64 is below 1e-6 on [-20, 20] (`simd_prop.rs` sweeps it).
+
+/// `x` clamped into `[lo, hi]`, passing NaN through.
+#[inline(always)]
+fn clamp_nan(x: f32, lo: f32, hi: f32) -> f32 {
+    let x = if x > hi { hi } else { x };
+    if x < lo {
+        lo
+    } else {
+        x
+    }
+}
+
+/// `2^n` built straight from the exponent bits; exact for `n` in
+/// `[-126, 127]` (callers stay inside it, or pass a NaN lane, whose
+/// product is NaN whatever this returns).
+#[inline(always)]
+fn pow2i(n: i32) -> f32 {
+    f32::from_bits((n.wrapping_add(127) as u32) << 23)
+}
+
+/// `e^x`, Cephes `expf`: `x = n·ln2 + r` with `n` rounded to nearest by
+/// the 1.5·2²³ shifter and `ln2` split in two so `r` is exact, a
+/// degree-7 polynomial for `e^r` on `|r| ≤ ln2/2`, then `2^n` applied in
+/// two exponent-bit halves so results overflow to `+∞` and underflow
+/// through the subnormals to `0` exactly where the true value does.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    const SHIFTER: f32 = 12_582_912.0;
+    let x = clamp_nan(x, -104.0, 89.0);
+    let t = x * std::f32::consts::LOG2_E + SHIFTER;
+    let n = t - SHIFTER;
+    let r = x - n * 0.693_359_4 - n * -2.121_944_4e-4;
+    let p = ((((1.987_569_1e-4 * r + 1.398_199_9e-3) * r + 8.333_452e-3) * r + 4.166_579_6e-2) * r
+        + 0.166_666_65)
+        * r
+        + 0.5;
+    let e = p * (r * r) + r + 1.0;
+    let k = (t.to_bits() as i32).wrapping_sub(SHIFTER.to_bits() as i32);
+    let half = k >> 1;
+    e * pow2i(half) * pow2i(k - half)
+}
+
+/// `tanh(x)`, Cephes `tanhf` on `|x|` with the sign copied back (so
+/// `tanh(-x) == -tanh(x)` and `tanh(±0) = ±0` bitwise): an odd polynomial
+/// below `|x| = 0.625`, `1 − 2/(e^{2|x|}+1)` above it, which rounds to
+/// exactly `1` from `|x| ≈ 9` on (and stays `1` through `e^{2|x|} = +∞`).
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let a = x.abs();
+    let z = a * a;
+    let p = (((-5.704_988_7e-3 * z + 2.063_909e-2) * z - 5.373_971_6e-2) * z + 0.133_314_42) * z
+        - 0.333_332_8;
+    let small = p * z * a + a;
+    let big = 1.0 - 2.0 / (exp(2.0 * a) + 1.0);
+    let t = if a < 0.625 { small } else { big };
+    t.copysign(x)
+}
+
+/// Logistic sigmoid `1 / (1 + e^{-x})`: exactly `1` for large `x`, `0`
+/// once `e^{-x}` overflows.
+#[inline(always)]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + exp(-x))
 }
 
 #[cfg(test)]

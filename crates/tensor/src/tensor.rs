@@ -227,8 +227,8 @@ impl Tensor {
 
     // ---------- kernel helpers ----------
 
-    /// Generic per-element map for ops without a lane form (transcendentals
-    /// and branchy activations). The slice re-borrows here hoist the Arc
+    /// Generic per-element map for ops without a lane form (libm `ln` /
+    /// `sqrt` and branchy activations). The slice re-borrows here hoist the Arc
     /// deref out of the loop; the zip keeps the body bounds-check free.
     #[inline]
     fn unary(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
@@ -266,15 +266,7 @@ impl Tensor {
         let use_simd = simd::enabled();
         let body = |(d, s): (&mut [f32], &[f32])| {
             if use_simd {
-                let main = s.len() / LANES * LANES;
-                let (dm, dt) = d.split_at_mut(main);
-                let mut sc = s.chunks_exact(LANES);
-                for (dc, sc) in dm.chunks_exact_mut(LANES).zip(sc.by_ref()) {
-                    lane(F32x8::load(sc)).store(dc);
-                }
-                for (d, &s) in dt.iter_mut().zip(sc.remainder()) {
-                    *d = scalar(s);
-                }
+                simd::map_lanes(d, s, &lane, &scalar);
             } else {
                 for (d, &s) in d.iter_mut().zip(s) {
                     *d = scalar(s);
@@ -384,9 +376,9 @@ impl Tensor {
         self.unary_lanes(move |x| x.mul(F32x8::splat(s)), move |x| x * s)
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential ([`simd::exp`]).
     pub fn exp(&self) -> Tensor {
-        self.unary(f32::exp)
+        self.unary_lanes(F32x8::exp, simd::exp)
     }
 
     /// Elementwise natural logarithm.
@@ -404,14 +396,14 @@ impl Tensor {
         self.unary_lanes(|x| x.mul(x), |x| x * x)
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid ([`simd::sigmoid`]).
     pub fn sigmoid(&self) -> Tensor {
-        self.unary(|x| 1.0 / (1.0 + (-x).exp()))
+        self.unary_lanes(F32x8::sigmoid, simd::sigmoid)
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`simd::tanh`]).
     pub fn tanh(&self) -> Tensor {
-        self.unary(f32::tanh)
+        self.unary_lanes(F32x8::tanh, simd::tanh)
     }
 
     /// Rectified linear unit.
@@ -433,14 +425,12 @@ impl Tensor {
 
     /// Matrix product `self @ other` for `[n,k] x [k,m]`.
     ///
-    /// Row-parallel (the vertex-parallel decomposition of a GPU GEMM over n),
-    /// with each row computed by a k-blocked, 8-wide register-tiled
-    /// microkernel — [`matmul_row_simd`] when SIMD is enabled,
-    /// [`matmul_row`] under `STGRAPH_NO_SIMD`. Results are deterministic:
-    /// the per-element summation order depends only on the shapes (and the
-    /// dispatch path), never on the thread count. The two paths associate
-    /// the k-reduction differently, so they agree to a relative epsilon,
-    /// not bitwise.
+    /// Parallel over blocks of [`GEMM_ROWS`] rows (the vertex-parallel
+    /// decomposition of a GPU GEMM over n), each computed by [`gemm`].
+    /// Every output element is one ascending-k multiply-add chain, so its
+    /// bits depend only on its row of `self`, its column of `other` and
+    /// whether the chain is fused — never on the shapes, the block it
+    /// landed in or the thread count.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (n, k) = self.shape.as_mat();
         let (k2, m) = other.shape.as_mat();
@@ -448,20 +438,16 @@ impl Tensor {
         let a = self.data();
         let b = other.data();
         let mut out = TrackedBuf::raw(n * m);
-        let work = n * m * k;
-        let row_kernel = if simd::enabled() {
-            matmul_row_simd
-        } else {
-            matmul_row
-        };
-        let body = |(i, row): (usize, &mut [f32])| row_kernel(row, &a[i * k..(i + 1) * k], b, m);
-        if work >= par_min() {
+        if n * m * k >= par_min() {
             out.as_mut_slice()
-                .par_chunks_mut(m)
+                .par_chunks_mut(GEMM_ROWS * m)
                 .enumerate()
-                .for_each(body);
+                .for_each(|(blk, c)| {
+                    let i0 = blk * GEMM_ROWS;
+                    gemm(c, &a[i0 * k..(i0 + c.len() / m) * k], b, k, m)
+                });
         } else {
-            out.as_mut_slice().chunks_mut(m).enumerate().for_each(body);
+            gemm(out.as_mut_slice(), a, b, k, m);
         }
         Tensor {
             buf: Arc::new(out),
@@ -787,248 +773,158 @@ const ELEMWISE_BLOCK: usize = 4096;
 /// while the tile is swept.
 const TRANSPOSE_BLOCK: usize = 32;
 
-/// k-block depth of the matmul microkernel. A block touches an
-/// 8-column × 256-row panel of B (8 KiB) plus a 1 KiB stripe of the A row —
-/// both stay resident in a 32 KiB L1d across the panel sweep.
-const MATMUL_KB: usize = 256;
+/// Rows of A per register block of the GEMM microkernel, and the row
+/// granularity of [`Tensor::matmul`]'s parallel split.
+const GEMM_ROWS: usize = 4;
 
-/// Width of the matmul register tile: 8 independent accumulators give the
-/// out-of-order core parallel FMA chains instead of one serial
-/// load-add-store dependency through the output row.
-const MATMUL_JW: usize = 8;
-
-/// Computes one output row `row = arow · B` (B row-major, `m` columns).
+/// `c = a · b` on the calling thread, for row-major `a: [n, k]`,
+/// `b: [k, m]` and `c: [n, m]` (`n = c.len() / m`).
 ///
-/// The j-loop is tiled [`MATMUL_JW`] wide with the partial sums held in a
-/// stack array (registers after unrolling), so the inner k-loop does no
-/// output-row loads or stores; the k-loop is blocked [`MATMUL_KB`] deep so
-/// the B panel it streams stays L1-resident. Columns past the last full tile
-/// fall back to the untiled update. Summation order per element is fixed by
-/// the shapes, keeping results bit-deterministic under any thread count.
-fn matmul_row(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
-    debug_assert_eq!(row.len(), m);
-    row.fill(0.0);
-    let k = arow.len();
-    let mut k0 = 0;
-    while k0 < k {
-        let kend = (k0 + MATMUL_KB).min(k);
-        let mut j0 = 0;
-        while j0 + MATMUL_JW <= m {
-            let mut acc = [0.0f32; MATMUL_JW];
-            acc.copy_from_slice(&row[j0..j0 + MATMUL_JW]);
-            for (kk, &av) in arow[k0..kend].iter().enumerate() {
-                let brow = &b[(k0 + kk) * m + j0..(k0 + kk) * m + j0 + MATMUL_JW];
-                for (x, &bv) in acc.iter_mut().zip(brow) {
-                    *x += av * bv;
-                }
-            }
-            row[j0..j0 + MATMUL_JW].copy_from_slice(&acc);
-            j0 += MATMUL_JW;
-        }
-        if j0 < m {
-            for (kk, &av) in arow[k0..kend].iter().enumerate() {
-                let brow = &b[(k0 + kk) * m..(k0 + kk + 1) * m];
-                for (x, &bv) in row[j0..].iter_mut().zip(&brow[j0..]) {
-                    *x += av * bv;
-                }
-            }
-        }
-        k0 = kend;
-    }
-}
-
-/// SIMD variant of [`matmul_row`]: one [`F32x8`] of output columns per
-/// j-tile, with the k-reduction split across four independent lane
-/// accumulators so the loop is bounded by multiply/add *throughput* rather
-/// than the latency of one serial accumulate chain. The accumulators are
-/// combined in a fixed order at the end of each k-block, so results are
-/// still bit-deterministic under any thread count — but the reassociation
-/// means they differ from [`matmul_row`] by rounding (epsilon-gated in
-/// tests, never bitwise-compared).
-fn matmul_row_simd(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
+/// One register-blocked microkernel: [`GEMM_ROWS`] rows × 16 columns of
+/// `c` (then 8, then one column at a time) stay in registers while k
+/// runs, so each B row is loaded once per row block and each output once.
+/// Every element is one ascending-k chain `acc = acc + a[i,l]·b[l,j]` from
+/// `acc = 0`: fused (one rounding per step) behind [`simd::avx2_fma`],
+/// two roundings otherwise — the unfused chain is bitwise
+/// [`gemm_scalar`]'s, which `STGRAPH_NO_SIMD` runs instead.
+pub fn gemm(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_fma() {
-        // SAFETY: AVX2+FMA presence was verified at runtime (cached), so
-        // the target_feature codegen of the callee is valid on this CPU.
-        unsafe { matmul_row_avx2(row, arow, b, m) };
+        // SAFETY: AVX2+FMA presence was verified at runtime (cached).
+        return unsafe { gemm_fma(c, a, b, k, m) };
+    }
+    if simd::enabled() {
+        gemm_block::<false>(c, a, b, k, m)
+    } else {
+        gemm_scalar(c, a, b, k, m)
+    }
+}
+
+/// The scalar reference for [`gemm`] and its `STGRAPH_NO_SIMD` path: the
+/// same unfused ascending-k chain per element, accumulated in axpy order
+/// (`c[i,·] += a[i,l] · b[l,·]` for l = 0, 1, …) so B is read row by row.
+pub fn gemm_scalar(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize) {
+    if m == 0 {
         return;
     }
-    matmul_row_portable(row, arow, b, m)
-}
-
-/// The portable-lane body of [`matmul_row_simd`]: compiles on every
-/// target, autovectorizing to whatever the baseline ISA offers.
-fn matmul_row_portable(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
-    debug_assert_eq!(row.len(), m);
-    row.fill(0.0);
-    let k = arow.len();
-    let mut k0 = 0;
-    while k0 < k {
-        let kend = (k0 + MATMUL_KB).min(k);
-        let k4 = (kend - k0) / 4 * 4;
-        let mut j0 = 0;
-        while j0 + LANES <= m {
-            let mut acc0 = F32x8::load(&row[j0..]);
-            let mut acc1 = F32x8::splat(0.0);
-            let mut acc2 = F32x8::splat(0.0);
-            let mut acc3 = F32x8::splat(0.0);
-            let mut kk = k0;
-            while kk < k0 + k4 {
-                acc0 = F32x8::splat(arow[kk]).mul_add(F32x8::load(&b[kk * m + j0..]), acc0);
-                acc1 =
-                    F32x8::splat(arow[kk + 1]).mul_add(F32x8::load(&b[(kk + 1) * m + j0..]), acc1);
-                acc2 =
-                    F32x8::splat(arow[kk + 2]).mul_add(F32x8::load(&b[(kk + 2) * m + j0..]), acc2);
-                acc3 =
-                    F32x8::splat(arow[kk + 3]).mul_add(F32x8::load(&b[(kk + 3) * m + j0..]), acc3);
-                kk += 4;
-            }
-            for kr in k0 + k4..kend {
-                acc0 = F32x8::splat(arow[kr]).mul_add(F32x8::load(&b[kr * m + j0..]), acc0);
-            }
-            acc0.add(acc1).add(acc2.add(acc3)).store(&mut row[j0..]);
-            j0 += LANES;
-        }
-        if j0 < m {
-            // Columns past the last full lane tile: same untiled update as
-            // the scalar microkernel's remainder.
-            for (kk, &av) in arow[k0..kend].iter().enumerate() {
-                let brow = &b[(k0 + kk) * m..(k0 + kk + 1) * m];
-                for (x, &bv) in row[j0..].iter_mut().zip(&brow[j0..]) {
-                    *x += av * bv;
-                }
+    for (i, crow) in c.chunks_exact_mut(m).enumerate() {
+        crow.fill(0.0);
+        for (l, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+            for (x, &bv) in crow.iter_mut().zip(&b[l * m..(l + 1) * m]) {
+                *x += av * bv;
             }
         }
-        k0 = kend;
     }
 }
 
-/// AVX2+FMA specialization of the row microkernel: identical j-tile /
-/// k-block structure to [`matmul_row_portable`], but each 8-column tile is
-/// one `ymm` register and each multiply-add is a hardware `vfmaddps`. A
-/// baseline x86-64 build cannot emit these (the portable lanes lower to
-/// SSE pairs without contraction), so this is where the GEMM's headroom
-/// on modern x86 actually lives. FMA changes rounding versus the portable
-/// path — permitted because matmul reductions are epsilon-gated, never
-/// bitwise-compared; dispatch is cached so every kernel in a process
-/// (fused and unfused alike) picks the same variant.
+/// [`gemm_block`] with fused chains, compiled for AVX2+FMA.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn matmul_row_avx2(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
-    use core::arch::x86_64::*;
-    debug_assert_eq!(row.len(), m);
-    row.fill(0.0);
-    let k = arow.len();
-    let bp = b.as_ptr();
-    if m > 2 * MATMUL_JW * LANES {
-        // Wide outputs: the narrow j-tile below would re-stream the whole
-        // B panel once per 8-column strip (m/8 strided traversals). Flip
-        // to the axpy form `row += arow[kk] · B[kk, ·]` instead — B is
-        // streamed exactly once, contiguously, and the output row (4 B
-        // per column) stays L1-resident as the accumulator. Dependent
-        // updates to one column are m/8 vector ops apart, so the FMA
-        // chain never stalls at these widths.
-        for (kk, &av) in arow.iter().enumerate() {
-            let avv = _mm256_set1_ps(av);
-            let brow = bp.add(kk * m);
-            let mut j = 0;
-            while j + LANES <= m {
-                let acc = _mm256_fmadd_ps(
-                    avv,
-                    _mm256_loadu_ps(brow.add(j)),
-                    _mm256_loadu_ps(row.as_ptr().add(j)),
-                );
-                _mm256_storeu_ps(row.as_mut_ptr().add(j), acc);
-                j += LANES;
-            }
-            for jj in j..m {
-                row[jj] += av * b[kk * m + jj];
-            }
-        }
+unsafe fn gemm_fma(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize) {
+    gemm_block::<true>(c, a, b, k, m)
+}
+
+/// The microkernel over all rows: blocks of [`GEMM_ROWS`], then single
+/// rows — which compute the same chains, so a row's bits do not depend on
+/// which block it fell in.
+#[inline(always)]
+fn gemm_block<const FUSED: bool>(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize) {
+    if m == 0 {
         return;
     }
-    let mut k0 = 0;
-    while k0 < k {
-        let kend = (k0 + MATMUL_KB).min(k);
-        let k4 = (kend - k0) / 4 * 4;
-        let mut j0 = 0;
-        while j0 + LANES <= m {
-            let mut acc0 = _mm256_loadu_ps(row.as_ptr().add(j0));
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            let mut kk = k0;
-            while kk < k0 + k4 {
-                acc0 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(arow[kk]),
-                    _mm256_loadu_ps(bp.add(kk * m + j0)),
-                    acc0,
-                );
-                acc1 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(arow[kk + 1]),
-                    _mm256_loadu_ps(bp.add((kk + 1) * m + j0)),
-                    acc1,
-                );
-                acc2 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(arow[kk + 2]),
-                    _mm256_loadu_ps(bp.add((kk + 2) * m + j0)),
-                    acc2,
-                );
-                acc3 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(arow[kk + 3]),
-                    _mm256_loadu_ps(bp.add((kk + 3) * m + j0)),
-                    acc3,
-                );
-                kk += 4;
-            }
-            for (kr, &av) in arow.iter().enumerate().take(kend).skip(k0 + k4) {
-                acc0 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(av),
-                    _mm256_loadu_ps(bp.add(kr * m + j0)),
-                    acc0,
-                );
-            }
-            _mm256_storeu_ps(
-                row.as_mut_ptr().add(j0),
-                _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3)),
-            );
-            j0 += LANES;
-        }
-        if j0 < m {
-            for (kk, &av) in arow[k0..kend].iter().enumerate() {
-                let brow = &b[(k0 + kk) * m..(k0 + kk + 1) * m];
-                for (x, &bv) in row[j0..].iter_mut().zip(&brow[j0..]) {
-                    *x += av * bv;
-                }
-            }
-        }
-        k0 = kend;
+    let n = c.len() / m;
+    let mut i = 0;
+    while i + GEMM_ROWS <= n {
+        let (ci, ai) = (i * m..(i + GEMM_ROWS) * m, i * k..(i + GEMM_ROWS) * k);
+        gemm_strip::<GEMM_ROWS, FUSED>(&mut c[ci], &a[ai], b, k, m);
+        i += GEMM_ROWS;
+    }
+    for i in i..n {
+        gemm_strip::<1, FUSED>(&mut c[i * m..(i + 1) * m], &a[i * k..(i + 1) * k], b, k, m);
     }
 }
 
-/// Single-row GEMM `row = arow · B` (B row-major with `m` columns),
-/// dispatching to the same microkernel [`Tensor::matmul`] uses for each of
-/// its rows — SIMD unless `STGRAPH_NO_SIMD` is set. Exposed so the
-/// `kernels` bench can time the dispatched microkernel without the row
-/// parallelism around it.
-pub fn gemm_row(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
-    if simd::enabled() {
-        matmul_row_simd(row, arow, b, m)
+/// `R` rows of `c`: 16-column tiles, one 8-column tile, then single
+/// columns.
+#[inline(always)]
+fn gemm_strip<const R: usize, const FUSED: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+) {
+    let mut j = 0;
+    while j + 2 * LANES <= m {
+        gemm_tile::<R, 2, FUSED>(c, a, b, k, m, j);
+        j += 2 * LANES;
+    }
+    if j + LANES <= m {
+        gemm_tile::<R, 1, FUSED>(c, a, b, k, m, j);
+        j += LANES;
+    }
+    for j in j..m {
+        for r in 0..R {
+            let mut acc = 0.0f32;
+            for (l, &av) in a[r * k..(r + 1) * k].iter().enumerate() {
+                acc = madd::<FUSED>(acc, av, b[l * m + j]);
+            }
+            c[r * m + j] = acc;
+        }
+    }
+}
+
+/// `R` rows × `W` lane-widths of `c` from column `j`, held in registers
+/// across the whole k loop.
+#[inline(always)]
+fn gemm_tile<const R: usize, const W: usize, const FUSED: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    j: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[F32x8::splat(0.0); W]; R];
+    for l in 0..k {
+        let brow = &b[l * m + j..l * m + j + W * LANES];
+        let bv: [F32x8; W] = std::array::from_fn(|w| F32x8::load(&brow[w * LANES..]));
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let av = F32x8::splat(arow[l]);
+            for (x, &bw) in accr.iter_mut().zip(&bv) {
+                *x = lanes_madd::<FUSED>(*x, av, bw);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        for (w, x) in accr.iter().enumerate() {
+            x.store(&mut c[r * m + j + w * LANES..]);
+        }
+    }
+}
+
+/// One step of a chain: `acc + a·b`, fused or with two roundings.
+#[inline(always)]
+fn madd<const FUSED: bool>(acc: f32, a: f32, b: f32) -> f32 {
+    if FUSED {
+        a.mul_add(b, acc)
     } else {
-        matmul_row(row, arow, b, m)
+        acc + a * b
     }
 }
 
-/// The scalar row microkernel behind [`gemm_row`], exposed for direct
-/// SIMD-vs-scalar comparison in tests and benches.
-pub fn gemm_row_scalar(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
-    matmul_row(row, arow, b, m)
-}
-
-/// The SIMD row microkernel behind [`gemm_row`], exposed for direct
-/// SIMD-vs-scalar comparison in tests and benches.
-pub fn gemm_row_simd(row: &mut [f32], arow: &[f32], b: &[f32], m: usize) {
-    matmul_row_simd(row, arow, b, m)
+/// [`madd`] in every lane.
+#[inline(always)]
+fn lanes_madd<const FUSED: bool>(acc: F32x8, a: F32x8, b: F32x8) -> F32x8 {
+    let mut r = acc.0;
+    for ((x, &a), &b) in r.iter_mut().zip(&a.0).zip(&b.0) {
+        *x = madd::<FUSED>(*x, a, b);
+    }
+    F32x8(r)
 }
 
 /// Reinterprets a mutable f32 slice as atomics for lock-free scatter adds.
