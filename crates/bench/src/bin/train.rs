@@ -38,7 +38,7 @@ Options:
                           TGN-style continuous-time link prediction on the
                           synthetic fraud-burst event stream; see the
                           continuous-time options below
-  --dataset <name|code>   dataset (default HC); see `--bin table2`
+  --dataset <name|code>   dataset (default HC); see `paper --exhibit table2`
   --task <auto|node|link> task (default: node for static, link for dynamic)
   --model <tgcn|gconvgru|gconvlstm|dcrnn>   temporal cell (default tgcn)
   --storage <naive|gpma|sharded>            DTDG storage (default gpma)

@@ -1,27 +1,25 @@
 //! # stgraph-bench
 //!
 //! The harness regenerating every table and figure of the paper's
-//! evaluation (§VII). The library provides the measurement machinery; one
-//! binary per exhibit (`table2`, `fig5` … `fig9`, `table3`) drives it and
-//! prints the same rows/series the paper reports; `ablations` and
-//! `kernels` time the substrate-level design choices.
-//!
-//! Absolute numbers are CPU numbers (see DESIGN.md's device substitution);
-//! the comparisons — who wins, by what factor, where the crossovers sit —
-//! are the reproduction targets recorded in EXPERIMENTS.md.
+//! evaluation (§VII): [`paper`] holds the exhibits as data and the `paper`
+//! binary runs, prints, checks and records them; `ablations` and `kernels`
+//! time the substrate-level design choices. Absolute numbers are CPU
+//! numbers (DESIGN.md's device substitution); the comparisons — who wins,
+//! by what factor, which way each sweep moves — are the reproduction
+//! targets, asserted by each exhibit's predicate.
 
 #![warn(missing_docs)]
 
-pub mod dynamic_bench;
-pub mod report;
-pub mod static_bench;
+pub mod paper;
+mod report;
+mod workloads;
 
-pub use dynamic_bench::{run_dynamic, DynamicConfig, DynamicVariant};
-pub use report::{print_table, summarize, write_json, Row};
-pub use static_bench::{run_static, Framework, StaticConfig};
+pub(crate) use report::{print_aligned, print_table, summarize, write_json, Field, Row};
+pub(crate) use workloads::{run_dynamic, run_static};
 
 use serde::Serialize;
 use std::time::Instant;
+use stgraph_tensor::{mem, pool};
 
 /// Median-of-three wall time per call of `f`, in milliseconds, after a
 /// warm-up call; each repetition runs ~60 ms of iterations.
@@ -44,9 +42,35 @@ pub fn time_ms<F: FnMut()>(mut f: F) -> f64 {
     reps[1]
 }
 
+/// One line of a figure: STGraph on a static-temporal graph, STGraph over
+/// one of its two DTDG stores, or the PyG-T baseline (either workload).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Series {
+    /// STGraph (fused Seastar backend) on a static-temporal graph.
+    StGraph,
+    /// STGraph with all DTDG snapshots precomputed (§V.C).
+    Naive,
+    /// STGraph with on-demand GPMA snapshots (§V.D).
+    Gpma,
+    /// The PyG-T-equivalent edge-parallel baseline.
+    PygT,
+}
+
+impl Series {
+    /// Row label and memory-pool name.
+    pub(crate) const fn name(self) -> &'static str {
+        match self {
+            Series::StGraph => "stgraph",
+            Series::Naive => "stgraph-naive",
+            Series::Gpma => "stgraph-gpma",
+            Series::PygT => "pygt",
+        }
+    }
+}
+
 /// Result of one benchmark run.
 #[derive(Debug, Clone, Serialize)]
-pub struct RunResult {
+pub(crate) struct RunResult {
     /// Mean wall-clock time per measured epoch, milliseconds.
     pub epoch_ms: f64,
     /// Peak tracked memory during the measured epochs, bytes.
@@ -64,46 +88,9 @@ pub struct RunResult {
     pub pool_hit_rate: f64,
 }
 
-/// Before/after snapshot of the allocator and buffer-pool counters, so runs
-/// report per-epoch deltas rather than process-lifetime totals.
+/// How much work each training run does.
 #[derive(Debug, Clone, Copy)]
-pub struct CounterSnapshot {
-    allocations: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl CounterSnapshot {
-    /// Captures the counters for the named memory pool.
-    pub fn capture(pool: &str) -> CounterSnapshot {
-        let p = stgraph_tensor::pool::stats();
-        CounterSnapshot {
-            allocations: stgraph_tensor::mem::stats(pool).allocations,
-            hits: p.hits,
-            misses: p.misses,
-        }
-    }
-
-    /// `(allocations per epoch, pool hit rate)` accumulated since `self`.
-    pub fn delta(&self, pool: &str, epochs: usize) -> (u64, f64) {
-        let after = CounterSnapshot::capture(pool);
-        let allocs = (after.allocations - self.allocations) / epochs.max(1) as u64;
-        let (hits, misses) = (after.hits - self.hits, after.misses - self.misses);
-        let rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        (allocs, rate)
-    }
-}
-
-/// Benchmark scale knobs, overridable via environment variables so the
-/// recorded full runs and quick smoke runs share one code path:
-/// `STGRAPH_BENCH_EPOCHS`, `STGRAPH_BENCH_WARMUP`, `STGRAPH_BENCH_SCALE`
-/// (dynamic dataset divisor), `STGRAPH_BENCH_TIMESTAMPS`.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchScale {
+pub(crate) struct BenchScale {
     /// Measured epochs per configuration.
     pub epochs: usize,
     /// Warm-up epochs excluded from timing (the paper ignores its first 3
@@ -116,20 +103,55 @@ pub struct BenchScale {
 }
 
 impl BenchScale {
-    /// Reads the scale from the environment, with defaults sized for a
-    /// multi-minute full run.
-    pub fn from_env() -> BenchScale {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        BenchScale {
-            epochs: get("STGRAPH_BENCH_EPOCHS", 5),
-            warmup: get("STGRAPH_BENCH_WARMUP", 2),
-            scale: get("STGRAPH_BENCH_SCALE", 64),
-            timestamps: get("STGRAPH_BENCH_TIMESTAMPS", 20),
-        }
+    /// The scale `results/*.json` and EXPERIMENTS.md were recorded at.
+    pub const RECORDED: BenchScale = BenchScale {
+        epochs: 5,
+        warmup: 2,
+        scale: 64,
+        timestamps: 20,
+    };
+
+    /// `paper --quick`: every exhibit in a few minutes on two cores.
+    pub const QUICK: BenchScale = BenchScale {
+        epochs: 1,
+        warmup: 1,
+        scale: 128,
+        timestamps: 8,
+    };
+}
+
+/// The one measurement every series shares: `scale.warmup` untimed
+/// epochs, then [`mem::reset_peak`] and `scale.epochs` timed ones, charged
+/// to memory pool `pool`. `take_update_s` drains the seconds spent
+/// updating graph snapshots since its last call (`|| 0.0` for runs without
+/// the split) and becomes [`RunResult::gnn_fraction`].
+pub(crate) fn measure(
+    pool: &str,
+    scale: BenchScale,
+    mut epoch: impl FnMut() -> f32,
+    mut take_update_s: impl FnMut() -> f64,
+) -> RunResult {
+    let mut loss = 0.0;
+    for _ in 0..scale.warmup {
+        loss = epoch();
+    }
+    take_update_s();
+    mem::reset_peak(pool);
+    let (allocs, pooled) = (mem::stats(pool).allocations, pool::stats());
+    let start = Instant::now();
+    for _ in 0..scale.epochs {
+        loss = epoch();
+    }
+    let total = start.elapsed().as_secs_f64();
+    let update = take_update_s();
+    let (mem, pool) = (mem::stats(pool), pool::stats());
+    let (hits, misses) = (pool.hits - pooled.hits, pool.misses - pooled.misses);
+    RunResult {
+        epoch_ms: total * 1e3 / scale.epochs as f64,
+        peak_bytes: mem.peak,
+        final_loss: loss,
+        gnn_fraction: (total - update).max(0.0) / total.max(f64::MIN_POSITIVE),
+        allocs: (mem.allocations - allocs) / scale.epochs.max(1) as u64,
+        pool_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
     }
 }

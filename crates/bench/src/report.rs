@@ -1,10 +1,15 @@
 //! Result reporting: aligned console tables (the figures' series, printed
-//! as rows) and JSON dumps under `results/` for EXPERIMENTS.md.
+//! as rows) and JSON dumps under the workspace's `results/`.
 
-use crate::RunResult;
+use crate::{RunResult, Series};
 use serde::Serialize;
-use std::io::Write;
 use std::path::Path;
+
+/// A measurement of a row: epoch time, peak bytes, …
+pub type Field = fn(&RunResult) -> f64;
+
+/// The series every ratio is taken over.
+const BASELINE: &str = Series::PygT.name();
 
 /// One labelled measurement row.
 #[derive(Debug, Clone, Serialize)]
@@ -20,12 +25,35 @@ pub struct Row {
     pub result: RunResult,
 }
 
-/// Prints a figure's rows as an aligned table with ratio columns
-/// (baseline = the series named `baseline`).
-pub fn print_table(title: &str, x_label: &str, rows: &[Row], baseline: &str) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<6} {:<14} {:>10} {:>12} {:>12} {:>9} {:>9} {:>6} {:>10} {:>10}",
+/// The `series` row at `(dataset, x)`, if any.
+pub(crate) fn find<'a>(rows: &'a [Row], dataset: &str, x: f64, series: &str) -> Option<&'a Row> {
+    rows.iter()
+        .find(|r| r.series == series && r.dataset == dataset && r.x == x)
+}
+
+/// Prints `rows` of cells under `header`, each column as wide as its
+/// widest cell: the first left-aligned, the rest right-aligned.
+pub fn print_aligned(header: &[&str], rows: &[Vec<String>]) {
+    let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    let mut widths = vec![0; header.len()];
+    for row in std::iter::once(&header).chain(rows) {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = cell.chars().count().max(*w);
+        }
+    }
+    for row in std::iter::once(&header).chain(rows) {
+        let mut cells = row.iter().zip(&widths);
+        let line = cells.next().map(|(c, &w)| format!("{c:<w$}"));
+        let rest = cells.map(|(c, &w)| format!("  {c:>w$}"));
+        println!("{}", line.into_iter().chain(rest).collect::<String>());
+    }
+}
+
+/// Prints a figure's rows with ratio columns over the PyG-T baseline;
+/// `upd%` is the graph-update share of the epoch (Fig. 9). Losses print in
+/// shortest round-trip form, so equal text is equal bits.
+pub fn print_table(x_label: &str, rows: &[Row]) {
+    let header = [
         "data",
         "series",
         x_label,
@@ -34,68 +62,65 @@ pub fn print_table(title: &str, x_label: &str, rows: &[Row], baseline: &str) {
         "loss",
         "allocs",
         "hit%",
+        "upd%",
         "speedup",
-        "mem_ratio"
-    );
-    for row in rows {
-        let base = rows.iter().find(|r| {
-            r.series == baseline && r.dataset == row.dataset && (r.x - row.x).abs() < 1e-9
-        });
-        let (speedup, mem_ratio) = match base {
-            Some(b) if row.series != baseline => (
-                format!("{:.2}x", b.result.epoch_ms / row.result.epoch_ms),
-                format!(
-                    "{:.2}x",
-                    b.result.peak_bytes as f64 / row.result.peak_bytes as f64
-                ),
-            ),
-            _ => ("-".to_string(), "-".to_string()),
+        "mem_ratio",
+    ];
+    let cells = |row: &Row| {
+        let r = &row.result;
+        let over_baseline = |f: Field| match find(rows, &row.dataset, row.x, BASELINE) {
+            Some(b) if row.series != BASELINE => format!("{:.2}x", f(&b.result) / f(r)),
+            _ => "-".to_string(),
         };
-        println!(
-            "{:<6} {:<14} {:>10} {:>12.2} {:>12.2} {:>9.4} {:>9} {:>6.1} {:>10} {:>10}",
-            row.dataset,
-            row.series,
-            row.x,
-            row.result.epoch_ms,
-            row.result.peak_bytes as f64 / (1024.0 * 1024.0),
-            row.result.final_loss,
-            row.result.allocs,
-            row.result.pool_hit_rate * 100.0,
-            speedup,
-            mem_ratio,
-        );
-    }
+        vec![
+            row.dataset.clone(),
+            row.series.clone(),
+            row.x.to_string(),
+            format!("{:.2}", r.epoch_ms),
+            format!("{:.2}", r.peak_bytes as f64 / (1024.0 * 1024.0)),
+            r.final_loss.to_string(),
+            r.allocs.to_string(),
+            format!("{:.1}", r.pool_hit_rate * 100.0),
+            format!("{:.1}", (1.0 - r.gnn_fraction) * 100.0),
+            over_baseline(|r| r.epoch_ms),
+            over_baseline(|r| r.peak_bytes as f64),
+        ]
+    };
+    print_aligned(&header, &rows.iter().map(cells).collect::<Vec<_>>());
 }
 
-/// Summarises max/avg speed-up and memory improvement of `series` over the
-/// baseline across all matching rows (Table III's aggregation).
-pub fn summarize(rows: &[Row], series: &str, baseline: &str) -> (f64, f64, f64, f64) {
-    let mut speedups = Vec::new();
-    let mut mems = Vec::new();
-    for row in rows.iter().filter(|r| r.series == series) {
-        if let Some(b) = rows.iter().find(|r| {
-            r.series == baseline && r.dataset == row.dataset && (r.x - row.x).abs() < 1e-9
-        }) {
-            speedups.push(b.result.epoch_ms / row.result.epoch_ms);
-            mems.push(b.result.peak_bytes as f64 / row.result.peak_bytes as f64);
-        }
-    }
-    let max = |v: &[f64]| v.iter().copied().fold(f64::NAN, f64::max);
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    (max(&speedups), avg(&speedups), max(&mems), avg(&mems))
+/// Max and mean of PyG-T's `field` over `series`'s at every point
+/// where both ran (Table III's aggregation: speed-up for epoch time,
+/// improvement for peak bytes).
+pub fn summarize(rows: &[Row], series: &str, field: Field) -> (f64, f64) {
+    let over =
+        |r: &Row| Some(field(&find(rows, &r.dataset, r.x, BASELINE)?.result) / field(&r.result));
+    let ratios: Vec<f64> = rows
+        .iter()
+        .filter(|r| r.series == series)
+        .filter_map(over)
+        .collect();
+    let max = ratios.iter().copied().fold(f64::NAN, f64::max);
+    (max, ratios.iter().sum::<f64>() / ratios.len().max(1) as f64)
 }
 
-/// Writes rows as JSON into `results/<name>.json` (for EXPERIMENTS.md).
-pub fn write_json(name: &str, rows: &[Row]) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
+/// Writes `value` as pretty JSON to `results/<name>.json` at the workspace
+/// root, wherever the binary is run from, and prints the path — or prints
+/// why it could not and returns `false`.
+pub fn write_json<T: Serialize + ?Sized>(name: &str, value: &T) -> bool {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join("results");
     let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(f, "{}", serde_json::to_string_pretty(rows).unwrap());
-        println!("(wrote {})", path.display());
+    let json = serde_json::to_string_pretty(value).expect("rows serialize") + "\n";
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json));
+    match &written {
+        Ok(()) => println!("(wrote {})", path.display()),
+        Err(e) => println!("FAIL: cannot write {}: {e}", path.display()),
     }
+    written.is_ok()
 }
 
 #[cfg(test)]
@@ -126,7 +151,8 @@ mod tests {
             row("HC", "pygt", 16.0, 100.0, 3000),
             row("HC", "stgraph", 16.0, 80.0, 1500),
         ];
-        let (smax, savg, mmax, mavg) = summarize(&rows, "stgraph", "pygt");
+        let (smax, savg) = summarize(&rows, "stgraph", |r| r.epoch_ms);
+        let (mmax, mavg) = summarize(&rows, "stgraph", |r| r.peak_bytes as f64);
         assert!((smax - 2.0).abs() < 1e-9);
         assert!((savg - 1.625).abs() < 1e-9);
         assert!((mmax - 2.0).abs() < 1e-9);
@@ -139,7 +165,7 @@ mod tests {
             row("HC", "pygt", 8.0, 100.0, 1000),
             row("HC", "stgraph", 99.0, 50.0, 500),
         ];
-        let (smax, savg, _, _) = summarize(&rows, "stgraph", "pygt");
+        let (smax, savg) = summarize(&rows, "stgraph", |r| r.epoch_ms);
         assert!(smax.is_nan());
         assert!(savg == 0.0 || savg.is_nan());
     }

@@ -20,10 +20,11 @@
 //!   allocation, in the pool it was charged to, until [`trim`] releases it.
 //!   Recycling therefore never moves bytes between named memory pools.
 //! - **Conservative accounting.** Cached bytes still count as *live* in the
-//!   memory tracker — the process really does hold them. Memory-measurement
-//!   binaries (`fig6`, `fig8`) call [`force_disable`] so their reported live
-//!   and peak bytes reflect true working-set sizes, and `STGRAPH_NO_POOL=1`
-//!   does the same from the environment for any binary.
+//!   memory tracker — the process really does hold them. Memory
+//!   measurements (the Fig. 6 / Fig. 8 exhibits of the `paper` binary) run
+//!   under [`force_disable`] so their reported live and peak bytes reflect
+//!   true working-set sizes, and `STGRAPH_NO_POOL=1` does the same from the
+//!   environment for any binary.
 //!
 //! When the outermost scope on a thread exits, the pool is trimmed: every
 //! cached buffer is freed and its bytes are finally deducted from the memory
@@ -110,9 +111,9 @@ pub fn enabled() -> bool {
 }
 
 /// Disables (`true`) or re-enables (`false`) pooling process-wide regardless
-/// of scope state. Memory-measurement binaries call this at startup so
-/// reported bytes are true working-set sizes; A/B benchmarks flip it between
-/// runs. Disabling trims the pool so no cached bytes linger.
+/// of scope state. Memory measurements pass `true` before their runs so
+/// reported bytes are true working-set sizes, and `false` afterwards.
+/// Disabling trims the pool so no cached bytes linger.
 pub fn force_disable(disable: bool) {
     FORCE_DISABLED.store(disable, Ordering::Relaxed);
     if disable {

@@ -3,15 +3,16 @@
 //! Every operation is a "kernel": a pure function producing a fresh tensor,
 //! executed data-parallel with rayon when the element count justifies it.
 //! This is the stand-in for the CUDA device in the paper — the work
-//! decomposition (vertex-/row-parallel loops, atomic scatter) mirrors what
-//! the generated kernels do on a GPU.
+//! decomposition (vertex-/row-parallel loops) mirrors what the generated
+//! kernels do on a GPU. Reductions are owner-computes with a fixed add
+//! order (no atomics), so every kernel's bits are independent of the
+//! thread count.
 
 use crate::mem::TrackedBuf;
 use crate::shape::Shape;
 use crate::simd::{self, F32x8, LANES};
 use rand::Rng;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Default sequential/parallel cutover: below this per-kernel work estimate
@@ -615,10 +616,19 @@ impl Tensor {
     // ---------- reductions ----------
 
     /// Sum of all elements as a scalar tensor.
+    ///
+    /// Above the cutover, `par_min()`-sized chunk sums land in ordered
+    /// slots and are added in sequence, so the result is the same bits on
+    /// every thread count (the one-thread chain of chunk sums).
     pub fn sum(&self) -> Tensor {
         let d = self.data();
         let s: f32 = if d.len() >= par_min() {
-            d.par_chunks(par_min()).map(|c| c.iter().sum::<f32>()).sum()
+            let mut parts = vec![0.0f32; d.len().div_ceil(par_min())];
+            parts
+                .par_iter_mut()
+                .zip(d.par_chunks(par_min()))
+                .for_each(|(p, c)| *p = c.iter().sum());
+            parts.iter().sum()
         } else {
             d.iter().sum()
         };
@@ -732,28 +742,39 @@ impl Tensor {
     }
 
     /// Scatter-add of per-edge rows into `n_rows` destination rows:
-    /// `out[idx[e]] += self[e]`, using atomic f32 adds exactly like a GPU
-    /// scatter kernel.
+    /// `out[idx[e]] += self[e]`.
+    ///
+    /// Each task owns a contiguous range of destination rows and scans
+    /// every edge in ascending `e`, so every output row adds its edges in
+    /// one fixed order: the result is the same bits on every thread count.
+    /// Panics on an index `>= n_rows`.
     pub fn scatter_add_rows(&self, idx: &[u32], n_rows: usize) -> Tensor {
         let (ne, m) = self.shape.as_mat();
         assert_eq!(ne, idx.len(), "scatter_add_rows: rows vs indices");
         let a = self.data();
         let mut out = TrackedBuf::zeros(n_rows * m);
-        {
-            let dst = out.as_mut_slice();
-            let atomic = as_atomic_f32(dst);
-            let body = |e: usize| {
-                let d = idx[e] as usize;
-                debug_assert!(d < n_rows);
-                let row = &a[e * m..(e + 1) * m];
-                for (j, &v) in row.iter().enumerate() {
-                    atomic_add_f32(&atomic[d * m + j], v);
+        let body = |lo: usize, dst: &mut [f32]| {
+            let hi = lo + dst.len() / m;
+            for (e, &d) in idx.iter().enumerate() {
+                let d = d as usize;
+                assert!(d < n_rows, "scatter_add_rows: index {d} >= {n_rows} rows");
+                if (lo..hi).contains(&d) {
+                    let row = &mut dst[(d - lo) * m..(d - lo + 1) * m];
+                    for (o, &v) in row.iter_mut().zip(&a[e * m..(e + 1) * m]) {
+                        *o += v;
+                    }
                 }
-            };
-            if ne * m >= par_min() {
-                (0..ne).into_par_iter().for_each(body);
+            }
+        };
+        if m > 0 {
+            let dst = out.as_mut_slice();
+            let rows_per = n_rows.div_ceil(rayon::current_num_threads());
+            if ne * m >= par_min() && rows_per < n_rows {
+                dst.par_chunks_mut(rows_per * m)
+                    .enumerate()
+                    .for_each(|(c, chunk)| body(c * rows_per, chunk));
             } else {
-                (0..ne).for_each(body);
+                body(0, dst);
             }
         }
         Tensor {
@@ -927,27 +948,6 @@ fn lanes_madd<const FUSED: bool>(acc: F32x8, a: F32x8, b: F32x8) -> F32x8 {
     F32x8(r)
 }
 
-/// Reinterprets a mutable f32 slice as atomics for lock-free scatter adds.
-///
-/// Safety: `AtomicU32` has the same size/alignment as `f32`, the slice is
-/// exclusively borrowed for the lifetime of the returned view, and all
-/// accesses go through atomic operations.
-pub fn as_atomic_f32(s: &mut [f32]) -> &[AtomicU32] {
-    unsafe { std::slice::from_raw_parts(s.as_ptr() as *const AtomicU32, s.len()) }
-}
-
-/// CAS-loop float add, the CPU analogue of CUDA's `atomicAdd(float*)`.
-pub fn atomic_add_f32(slot: &AtomicU32, v: f32) {
-    let mut cur = slot.load(Ordering::Relaxed);
-    loop {
-        let new = (f32::from_bits(cur) + v).to_bits();
-        match slot.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(c) => cur = c,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1094,9 +1094,33 @@ mod tests {
                 seq[idx[e] as usize * m + j] += x.at(e, j);
             }
         }
-        for (p, s) in par.data().iter().zip(&seq) {
-            assert!((p - s).abs() < 1e-3);
-        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(par.data()),
+            bits(&seq),
+            "scatter_add_rows vs ascending-e loop"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter_add_rows: index")]
+    fn scatter_add_out_of_range_index_panics() {
+        let ne = 2 * par_min();
+        let mut idx = vec![0u32; ne];
+        idx[ne - 1] = 9;
+        Tensor::ones((ne, 1)).scatter_add_rows(&idx, 9);
+    }
+
+    #[test]
+    fn sum_parallel_matches_chunked_sequential() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let x = Tensor::rand_uniform(10 * par_min() + 37, -1.0, 1.0, &mut rng);
+        let seq: f32 = x
+            .data()
+            .chunks(par_min())
+            .map(|c| c.iter().sum::<f32>())
+            .sum();
+        assert_eq!(x.sum().item().to_bits(), seq.to_bits());
     }
 
     #[test]
