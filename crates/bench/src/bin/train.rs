@@ -41,8 +41,7 @@ Options:
   --dataset <name|code>   dataset (default HC); see `paper --exhibit table2`
   --task <auto|node|link> task (default: node for static, link for dynamic)
   --model <tgcn|gconvgru|gconvlstm|dcrnn>   temporal cell (default tgcn)
-  --storage <naive|gpma|sharded>            DTDG storage (default gpma)
-  --shards <k>            shard count for --storage sharded (default 1)
+  --storage <naive|gpma>  DTDG storage (default gpma)
   --backend <seastar|reference>             kernel backend (default seastar)
   --features <n>          feature size / lags (default 8)
   --hidden <n>            hidden width (default 32)
@@ -350,11 +349,6 @@ fn main() {
             let provider: Rc<RefCell<dyn DtdgGraph>> = match storage {
                 "naive" => Rc::new(RefCell::new(NaiveGraph::new(&src))),
                 "gpma" => Rc::new(RefCell::new(GpmaGraph::new(&src))),
-                "sharded" => {
-                    let k = get(&args, "shards", 1usize);
-                    println!("sharded storage: {k} shards");
-                    Rc::new(RefCell::new(GpmaGraph::from_source(&src, k)))
-                }
                 other => {
                     eprintln!("unknown storage '{other}'");
                     std::process::exit(2);

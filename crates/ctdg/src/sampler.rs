@@ -230,8 +230,7 @@ pub fn sample(index: &TCsr, queries: &[(u32, u64)], cfg: &SamplerConfig) -> Neig
 
     {
         // Zip the six output planes into per-query work items so rayon
-        // hands each thread disjoint slices (the chunked-slot idiom the
-        // sharded store uses).
+        // hands each thread disjoint slices, with no shared writes.
         let mut slots: Vec<Slot<'_>> = Vec::with_capacity(q);
         let mut nbr_rest: &mut [u32] = &mut nbrs;
         let mut t_rest: &mut [u64] = &mut times;

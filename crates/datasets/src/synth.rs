@@ -1,22 +1,19 @@
 //! Streaming synthetic graphs at 10M+ nodes.
 //!
 //! The Table II generators materialise their edge lists — fine at SNAP
-//! scale, hopeless for the shard benchmarks, which need graphs an order
-//! of magnitude past anything in the paper. This module generates
-//! **community-structured power-law** edge streams lazily: an
-//! [`EdgeStream`] is a seeded iterator with O(1) state, so a 10M-node /
-//! 30M-edge graph costs nothing until consumed and can be replayed by
-//! constructing it again (same config ⇒ bitwise-identical stream — which
-//! is exactly what [`stgraph_dyngraph::ShardedGraph::from_edge_stream`]'s
-//! multi-pass build requires).
+//! scale, hopeless for graphs an order of magnitude past anything in the
+//! paper. This module generates **community-structured power-law** edge
+//! streams lazily: an [`EdgeStream`] is a seeded iterator with O(1)
+//! state, so a 10M-node / 30M-edge graph costs nothing until consumed and
+//! can be replayed by constructing it again (same config ⇒
+//! bitwise-identical stream).
 //!
 //! Shape: vertices split into equal-size communities; each edge stays
 //! inside its community with probability `intra_prob`, endpoints drawn
 //! power-law over community-local ranks (every community has its own
 //! hubs). Edges arrive in community-correlated *bursts* — runs of
 //! `burst` edges biased toward one community — matching the temporal
-//! locality of real interaction streams (conversations cluster) and
-//! giving streaming partitioners something to exploit.
+//! locality of real interaction streams (conversations cluster).
 //!
 //! [`UpdateStream`] extends the same distribution to churn: batches of
 //! insertions from the generator plus deletions sampled from a bounded

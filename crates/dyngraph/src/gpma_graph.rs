@@ -15,7 +15,6 @@
 use crate::source::{DtdgGraph, DtdgSource, UpdateBatch};
 use crate::store::DtdgStore;
 use std::time::Duration;
-use stgraph_faultline::FaultError;
 use stgraph_graph::base::Snapshot;
 use stgraph_pma::Gpma;
 use stgraph_telemetry::{span_timed, TimeAccumulator};
@@ -27,25 +26,15 @@ pub struct GpmaGraph {
     updates: Vec<UpdateBatch>,
     curr_time: usize,
     /// Algorithm-2 cache: store state at the given timestamp.
-    cache: Option<(usize, Vec<Gpma>)>,
+    cache: Option<(usize, Gpma)>,
     update_time: TimeAccumulator,
 }
-
-/// [`GpmaGraph`] built with [`GpmaGraph::from_source`] at K > 1: the store
-/// split into K edge-cut shards (`train --storage sharded`).
-pub type ShardedGraph = GpmaGraph;
 
 impl GpmaGraph {
     /// Builds the base graph (snapshot 0) and the update log from a source.
     pub fn new(source: &DtdgSource) -> GpmaGraph {
-        GpmaGraph::from_source(source, 1)
-    }
-
-    /// [`GpmaGraph::new`] over `k` shards, partitioned over snapshot 0.
-    pub fn from_source(source: &DtdgSource, k: usize) -> GpmaGraph {
-        let seed = &source.snapshots[0];
         GpmaGraph {
-            store: DtdgStore::from_edge_stream(source.num_nodes, k, || seed.iter().copied()),
+            store: DtdgStore::from_edges(source.num_nodes, &source.snapshots[0]),
             updates: source.diffs(),
             curr_time: 0,
             cache: None,
@@ -60,22 +49,7 @@ impl GpmaGraph {
 
     /// Bytes held by the store and the cache (snapshots are transient).
     pub fn bytes(&self) -> usize {
-        let cached = self.cache.iter().flat_map(|(_, state)| state);
-        self.store.bytes() + cached.map(Gpma::bytes).sum::<usize>()
-    }
-
-    /// The edge store under the timeline (sharded forwards, halo counters).
-    pub fn store(&mut self) -> &mut DtdgStore {
-        &mut self.store
-    }
-
-    /// Applies `batch` to the store directly, past the timeline, behind
-    /// the `shard.exchange` commit barrier: ghost tables may only refresh
-    /// once every shard holds its routed sub-batch, so a fault there models
-    /// a failed exchange and aborts the whole batch (see
-    /// [`DtdgStore::try_apply`]).
-    pub fn try_apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), FaultError> {
-        self.store.try_apply(batch, "shard.exchange")
+        self.store.bytes() + self.cache.as_ref().map_or(0, |(_, state)| state.bytes())
     }
 
     /// Moves the store to timestamp `t`, one update batch (forward) or

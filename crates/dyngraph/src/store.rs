@@ -1,194 +1,89 @@
 //! `DtdgStore`: the one DTDG edge store (§V.D's GPMA, stored
 //! **reverse-first**). Every consumer — the Algorithm-2 timeline
-//! ([`crate::GpmaGraph`], K = 1 or K edge-cut shards) and the serve tier's
-//! live ingest — drives this type; it owns the only batch apply, the only
-//! transactional apply with rollback and the only snapshot build.
+//! ([`crate::GpmaGraph`]) and the serve tier's live ingest — drives this
+//! type; it owns the only batch apply, the only transactional apply with
+//! rollback and the only snapshot build.
 //!
-//! **Layout.** Vertices are split over K shards by a [`Partition`]
-//! (K = 1: everything on shard 0, no ghosts). Edge `(u, v)` lives in the
-//! shard owning `v` under the PMA key `(local(v) << 32) | u`, so a shard's
-//! sorted slot order *is* its in-neighbour adjacency and update batches
-//! route by destination owner.
+//! **Layout.** One [`Gpma`] holds edge `(u, v)` under the key
+//! `(v << 32) | u`, so its sorted slot order *is* the in-neighbour
+//! adjacency: destinations ascending, each destination's sources
+//! ascending.
 //!
-//! **Snapshots.** [`DtdgStore::snapshot`] scans the shard slots into the
-//! global reverse CSR (in-degrees counted on the way), transposes once for
-//! the forward CSR and numbers edge ids in that transpose. Rows are laid
-//! out exactly as [`Snapshot::from_edges`] lays them out over the sorted
-//! edge list, so the result is bitwise [`crate::NaiveGraph`]'s. It is
-//! memoised until the next successful mutation bumps the store version; a
-//! rolled-back [`DtdgStore::try_apply`] bumps nothing and keeps the memo.
-//!
-//! **Sharded forward.** [`DtdgStore::forward_sum`] reads the memoised
-//! snapshot's reverse CSR — the shard view and the snapshot are one
-//! allocation — in two phases mirroring a distributed GNN step: a halo
-//! exchange gathers each shard's ghost (remote-source) feature rows into
-//! scratch, then shards accumulate into the disjoint output rows they own.
-//! Rows accumulate in ascending source order, the order
-//! [`dense_forward_sum`] uses, so the result is bitwise the dense one for
-//! any K.
+//! **Snapshots.** [`DtdgStore::snapshot`] scans the slots into the reverse
+//! CSR (in-degrees counted on the way), transposes once for the forward
+//! CSR and numbers edge ids in that transpose. Rows are laid out exactly
+//! as [`Snapshot::from_edges`] lays them out over the sorted edge list, so
+//! the result is bitwise [`crate::NaiveGraph`]'s. It is memoised until the
+//! next successful mutation bumps the store version; a rolled-back
+//! [`DtdgStore::try_apply`] bumps nothing and keeps the memo.
 
-use crate::partition::Partition;
 use crate::source::UpdateBatch;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use stgraph_faultline::FaultError;
 use stgraph_graph::base::Snapshot;
 use stgraph_graph::csr::Csr;
 use stgraph_pma::{Gpma, EMPTY};
-use stgraph_tensor::Tensor;
 
-/// One shard's routed sub-batch: `(additions, deletions)` in local-dst,
-/// global-src coordinates.
-type ShardBatch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
-
-struct Shard {
-    /// Keys are `(local_dst << 32) | global_src`.
-    gpma: Gpma,
-    /// Owned global vertex ids, ascending (local id = position).
-    locals: Vec<u32>,
+/// `(src, dst)` edges as `(dst, src)` key halves.
+fn reversed(edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    edges.iter().map(|&(u, v)| (v, u)).collect()
 }
 
-impl Shard {
-    /// `(src, dst)` in global ids, in slot order: by owned destination,
-    /// each destination's sources ascending.
-    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let keys = self.gpma.pma().key_slots();
-        keys.iter()
-            .filter(|&&k| k != EMPTY)
-            .map(|&k| (k as u32 as usize, self.locals[(k >> 32) as usize] as usize))
-    }
-}
-
-/// Row `v`'s sources in the forward's accumulation order — ascending, the
-/// reverse CSR's slots back to front.
-fn sources(rev: &Csr, v: u32) -> impl Iterator<Item = u32> + '_ {
-    let row = rev.row_offset[v as usize]..rev.row_offset[v as usize + 1];
-    rev.col_indices[row].iter().rev().copied()
-}
-
-/// One shard's ghost table for [`DtdgStore::forward_sum`].
-struct Halo {
-    /// Sorted, deduplicated global ids of remote in-edge sources.
-    ghosts: Vec<u32>,
-    /// Per halo edge, in the order the forward walks them, its index into
-    /// `ghosts` (and so into the exchanged scratch rows).
-    slots: Vec<u32>,
-}
-
-/// Live per-shard readings behind the `shard.*` gauges.
-#[derive(Default)]
-struct ShardGauges {
-    nodes: usize,
-    edges: AtomicUsize,
-    halo_edges: AtomicUsize,
-}
-
-/// The reverse-first K-shard PMA edge store (see module docs).
+/// The reverse-first PMA edge store (see module docs).
 pub struct DtdgStore {
-    partition: Partition,
-    shards: Vec<Shard>,
-    /// Global vertex id -> local index within its owner shard.
-    local_id: Vec<u32>,
+    /// Keys are `(dst << 32) | src`.
+    gpma: Gpma,
     /// Bumped by every successful mutation (the bulk load is the first).
     version: u64,
     /// Snapshot of the current version; dropped when the version bumps.
     memo: Option<Snapshot>,
-    /// Ghost tables of the current version (built by the first forward).
-    halos: Option<Vec<Halo>>,
-    gauges: Arc<Vec<ShardGauges>>,
 }
 
 impl DtdgStore {
-    /// Partitions and loads a replayable edge stream without materialising
-    /// it: one LDG pass partitions, two label-propagation passes refine,
-    /// one pass measures the final cut, and a last pass routes and loads
-    /// in bounded chunks (`make_stream` is called five times; each pass
-    /// holds only O(n) state).
-    pub fn from_edge_stream<I>(num_nodes: usize, k: usize, make_stream: impl Fn() -> I) -> DtdgStore
-    where
-        I: Iterator<Item = (u32, u32)>,
-    {
-        let mut partition = Partition::ldg(num_nodes, k, make_stream());
-        partition.refine(make_stream());
-        partition.refine(make_stream());
-        partition.measure_cut(make_stream());
-
-        let locals = partition.locals();
-        let mut local_id = vec![0u32; num_nodes];
-        for (i, &v) in locals.iter().flat_map(|l| l.iter().enumerate()) {
-            local_id[v as usize] = i as u32;
-        }
-        let gauges = Arc::new(
-            locals
-                .iter()
-                .map(|l| ShardGauges {
-                    nodes: l.len(),
-                    ..Default::default()
-                })
-                .collect::<Vec<_>>(),
-        );
-        install_gauges(&gauges, partition.edge_cut_ratio());
+    /// Loads the seed edge list in one batch insert.
+    pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> DtdgStore {
         let mut store = DtdgStore {
-            shards: locals
-                .into_iter()
-                .map(|locals| Shard {
-                    gpma: Gpma::new(locals.len()),
-                    locals,
-                })
-                .collect(),
-            partition,
-            local_id,
+            gpma: Gpma::new(num_nodes),
             version: 0,
             memo: None,
-            halos: None,
-            gauges,
         };
-        // Bounded chunks, so the stream is never materialised in one piece.
-        let mut chunk = Vec::new();
-        let mut stream = make_stream();
-        loop {
-            chunk.clear();
-            chunk.extend((&mut stream).take(1 << 22));
-            if chunk.is_empty() {
-                break;
-            }
-            store.mutate(&chunk, &[]);
-        }
+        store.gpma.insert_edges(&reversed(edges));
         store.commit();
         store
     }
 
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
-        self.local_id.len()
+        self.gpma.num_nodes()
     }
 
-    /// Total edges across shards.
+    /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.shards.iter().map(|s| s.gpma.num_edges()).sum()
+        self.gpma.num_edges()
+    }
+
+    /// `(src, dst)` in slot order: destinations ascending, each
+    /// destination's sources ascending.
+    fn slot_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let keys = self.gpma.pma().key_slots();
+        keys.iter()
+            .filter(|&&k| k != EMPTY)
+            .map(|&k| (k as u32 as usize, (k >> 32) as usize))
     }
 
     /// The edge set, sorted by `(src, dst)` (tests / oracle comparison).
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut out: Vec<(u32, u32)> = self
-            .shards
-            .iter()
-            .flat_map(Shard::edges)
+            .slot_edges()
             .map(|(u, v)| (u as u32, v as u32))
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// The partitioner's edge-cut ratio over the seed stream.
-    pub fn edge_cut_ratio(&self) -> f64 {
-        self.partition.edge_cut_ratio()
-    }
-
-    /// Bytes held by the shard PMAs.
+    /// Bytes held by the PMA.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.gpma.bytes()).sum()
+        self.gpma.bytes()
     }
 
     /// Bumped by every successful mutation, and by nothing else: equal
@@ -197,103 +92,55 @@ impl DtdgStore {
         self.version
     }
 
-    /// A deep copy of the shard PMAs (the Algorithm-2 cache payload).
-    pub fn clone_state(&self) -> Vec<Gpma> {
-        self.shards.iter().map(|s| s.gpma.clone_state()).collect()
+    /// A deep copy of the PMA (the Algorithm-2 cache payload).
+    pub fn clone_state(&self) -> Gpma {
+        self.gpma.clone_state()
     }
 
     /// Replaces the edge set with a state taken by [`Self::clone_state`].
-    pub fn restore_state(&mut self, state: &[Gpma]) {
-        assert_eq!(state.len(), self.shards.len(), "state of another store");
-        for (shard, saved) in self.shards.iter_mut().zip(state) {
-            shard.gpma = saved.clone_state();
-        }
+    pub fn restore_state(&mut self, state: &Gpma) {
+        self.gpma = state.clone_state();
         self.commit();
     }
 
-    /// Publishes a mutation: new version, memo and ghost tables dropped.
+    /// Publishes a mutation: new version, memo dropped.
     fn commit(&mut self) {
         self.version += 1;
         self.memo = None;
-        self.halos = None;
-        for (g, shard) in self.gauges.iter().zip(&self.shards) {
-            g.edges.store(shard.gpma.num_edges(), Ordering::Relaxed);
-        }
-    }
-
-    /// Routes `(additions, deletions)` into per-shard local batches.
-    fn route(&self, additions: &[(u32, u32)], deletions: &[(u32, u32)]) -> Vec<ShardBatch> {
-        let mut out: Vec<ShardBatch> = vec![(Vec::new(), Vec::new()); self.shards.len()];
-        for &(u, v) in additions {
-            let s = self.partition.owner(v) as usize;
-            out[s].0.push((self.local_id[v as usize], u));
-        }
-        for &(u, v) in deletions {
-            let s = self.partition.owner(v) as usize;
-            out[s].1.push((self.local_id[v as usize], u));
-        }
-        out
-    }
-
-    /// Inserts `additions`, then deletes `deletions`, shard-parallel.
-    fn mutate(&mut self, additions: &[(u32, u32)], deletions: &[(u32, u32)]) {
-        let routed = self.route(additions, deletions);
-        let work = self.shards.par_iter_mut().zip(routed.par_iter());
-        work.for_each(|(shard, (adds, dels))| {
-            shard.gpma.insert_edges(adds);
-            shard.gpma.delete_edges(dels);
-        });
     }
 
     /// Inserts `additions`, then deletes `deletions`. Infallible: the path
     /// of the training timeline.
     pub fn apply(&mut self, additions: &[(u32, u32)], deletions: &[(u32, u32)]) {
         count_update(additions.len(), deletions.len());
-        self.mutate(additions, deletions);
+        self.gpma.insert_edges(&reversed(additions));
+        self.gpma.delete_edges(&reversed(deletions));
         self.commit();
     }
 
     /// Fault-gated [`Self::apply`]: every edge of `batch` lands or none
-    /// does. Each shard's sub-batch is first filtered to its effective
-    /// changes (additions not yet present, deletions actually present) so
-    /// the inverse operation is exact. A fault at a shard's `gpma.update`
-    /// site or at `commit_site` — the caller's name for the window between
-    /// the edge work and its publish — undoes the shards already applied
-    /// and leaves edge set, version and memoised snapshot untouched.
-    pub fn try_apply(
-        &mut self,
-        batch: &UpdateBatch,
-        commit_site: &'static str,
-    ) -> Result<(), FaultError> {
-        let mut routed = self.route(&batch.additions, &batch.deletions);
-        for (shard, (adds, dels)) in self.shards.iter().zip(routed.iter_mut()) {
-            adds.retain(|&(ld, src)| !shard.gpma.has_edge(ld, src));
-            dels.retain(|&(ld, src)| shard.gpma.has_edge(ld, src));
-        }
-        let mut applied = 0usize;
-        let mut result = Ok(());
-        for (shard, (adds, dels)) in self.shards.iter_mut().zip(&routed) {
-            result = shard.gpma.try_insert_edges(adds).and_then(|()| {
-                // A delete fault after this shard's insert landed: undo
-                // the insert here, the shards before it below.
-                shard
-                    .gpma
-                    .try_delete_edges(dels)
-                    .inspect_err(|_| shard.gpma.delete_edges(adds))
-            });
-            if result.is_err() {
-                break;
-            }
-            applied += 1;
-        }
-        if result.is_ok() {
-            result = stgraph_faultline::fault_point!(commit_site);
-        }
+    /// does. The batch is first filtered to its effective changes
+    /// (additions not yet present, deletions actually present) so the
+    /// inverse operation is exact. A fault at the insert's or the delete's
+    /// `gpma.update` site, or at `ingest.apply` — the window between the
+    /// edge work and its publish — undoes what landed and leaves edge set,
+    /// version and memoised snapshot untouched.
+    pub fn try_apply(&mut self, batch: &UpdateBatch) -> Result<(), FaultError> {
+        let gpma = &mut self.gpma;
+        let mut adds = reversed(&batch.additions);
+        let mut dels = reversed(&batch.deletions);
+        adds.retain(|&(v, u)| !gpma.has_edge(v, u));
+        dels.retain(|&(v, u)| gpma.has_edge(v, u));
+        let result = gpma.try_insert_edges(&adds).and_then(|()| {
+            // The insert landed: any later fault undoes it here.
+            gpma.try_delete_edges(&dels)
+                .and_then(|()| {
+                    stgraph_faultline::fault_point!("ingest.apply")
+                        .inspect_err(|_| gpma.insert_edges(&dels))
+                })
+                .inspect_err(|_| gpma.delete_edges(&adds))
+        });
         if result.is_err() {
-            for (shard, (adds, dels)) in self.shards.iter_mut().zip(&routed).take(applied) {
-                shard.gpma.delete_edges(adds);
-                shard.gpma.insert_edges(dels);
-            }
             stgraph_faultline::note_rollback();
             return result;
         }
@@ -325,19 +172,17 @@ impl DtdgStore {
         snap
     }
 
-    /// Shard slots -> [`Snapshot`], laid out as `Snapshot::from_edges`
-    /// lays out the sorted edge list: dense forward rows in ascending
-    /// destination order with edge id = forward slot, reverse rows in
-    /// descending source order (the order Algorithm 3's sequential fill
-    /// leaves, which the aggregation kernels' bitwise results depend on).
+    /// Slots -> [`Snapshot`], laid out as `Snapshot::from_edges` lays out
+    /// the sorted edge list: dense forward rows in ascending destination
+    /// order with edge id = forward slot, reverse rows in descending source
+    /// order (the order Algorithm 3's sequential fill leaves, which the
+    /// aggregation kernels' bitwise results depend on).
     fn build_snapshot(&self) -> Snapshot {
         let n = self.num_nodes();
         let (mut in_deg, mut out_deg) = (vec![0u32; n], vec![0u32; n]);
-        for shard in &self.shards {
-            for (u, v) in shard.edges() {
-                in_deg[v] += 1;
-                out_deg[u] += 1;
-            }
+        for (u, v) in self.slot_edges() {
+            in_deg[v] += 1;
+            out_deg[u] += 1;
         }
         let offsets = |deg: &[u32]| {
             let mut off = Vec::with_capacity(n + 1);
@@ -350,15 +195,13 @@ impl DtdgStore {
         let (r_off, f_off) = (offsets(&in_deg), offsets(&out_deg));
         let m = r_off[n];
 
-        // A shard's slots hold each row's sources ascending; fill the row
-        // back to front.
+        // The slots hold each row's sources ascending; fill the row back
+        // to front.
         let mut r_col = vec![0u32; m];
         let mut row_end = r_off[1..].to_vec();
-        for shard in &self.shards {
-            for (u, v) in shard.edges() {
-                row_end[v] -= 1;
-                r_col[row_end[v]] = u as u32;
-            }
+        for (u, v) in self.slot_edges() {
+            row_end[v] -= 1;
+            r_col[row_end[v]] = u as u32;
         }
 
         // Transpose: destinations ascend with `v`, so every forward row
@@ -382,101 +225,6 @@ impl DtdgStore {
             out_degrees: Arc::new(out_deg),
         }
     }
-
-    /// Builds the ghost tables of the current version if they are stale.
-    fn ensure_halos(&mut self) -> Snapshot {
-        let snap = self.snapshot();
-        if self.halos.is_none() {
-            let owner = self.partition.owners();
-            let halos: Vec<Halo> = (0..self.shards.len())
-                .map(|s| {
-                    // Remote sources in the order the forward meets them.
-                    let locals = self.shards[s].locals.iter();
-                    let remote: Vec<u32> = locals
-                        .flat_map(|&v| sources(&snap.reverse_csr, v))
-                        .filter(|&u| owner[u as usize] != s as u32)
-                        .collect();
-                    let mut ghosts = remote.clone();
-                    ghosts.sort_unstable();
-                    ghosts.dedup();
-                    let slots = remote
-                        .iter()
-                        .map(|u| ghosts.binary_search(u).expect("ghost listed") as u32)
-                        .collect();
-                    Halo { ghosts, slots }
-                })
-                .collect();
-            for (g, h) in self.gauges.iter().zip(&halos) {
-                g.halo_edges.store(h.slots.len(), Ordering::Relaxed);
-            }
-            self.halos = Some(halos);
-        }
-        snap
-    }
-
-    /// In-edges whose source lives on another shard.
-    pub fn halo_edges(&mut self) -> usize {
-        self.ensure_halos();
-        self.halos.iter().flatten().map(|h| h.slots.len()).sum()
-    }
-
-    /// Sum-aggregated forward pass (`out[v] = Σ feats[u]` over in-edges
-    /// `(u, v)`), shard-parallel with one halo-exchange phase. Bitwise
-    /// identical to [`dense_forward_sum`] over [`Self::snapshot`].
-    pub fn forward_sum(&mut self, feats: &Tensor) -> Tensor {
-        let n = self.num_nodes();
-        let w = feats.cols();
-        assert_eq!(feats.rows(), n, "feature rows must match vertex count");
-        let snap = self.ensure_halos();
-        let halos = self.halos.as_ref().expect("built by ensure_halos");
-
-        // Phase 1: halo exchange. Pure in-process gathers cannot actually
-        // fail, so injected faults are retried and then waved through —
-        // degraded latency, never a lost forward (snapshot.build contract).
-        let _sp = stgraph_telemetry::span_cat("shard.forward", "shard");
-        let _ = stgraph_faultline::retry(&stgraph_faultline::RetryPolicy::default(), || {
-            stgraph_faultline::fault_point!("shard.exchange")
-        });
-        let scratch: Vec<Tensor> = halos.iter().map(|h| feats.gather_rows(&h.ghosts)).collect();
-
-        // Phase 2: shard-local aggregation into disjoint output rows.
-        let mut out = vec![0f32; n * w];
-        {
-            struct SharedOut(*mut f32);
-            // SAFETY: the pointer is only used for the row-disjoint writes
-            // below; `out` outlives every use and is not touched otherwise
-            // while the shards run.
-            unsafe impl Sync for SharedOut {}
-            let shared = SharedOut(out.as_mut_ptr());
-            let (shards, owner) = (&self.shards, self.partition.owners());
-            let fdata = feats.data();
-            let body = |s: usize| {
-                let shared = &shared;
-                let gdata = scratch[s].data();
-                let mut ghost = halos[s].slots.iter();
-                for &v in &shards[s].locals {
-                    // SAFETY: every vertex has exactly one owner shard, so
-                    // row `v` (in bounds: v < n) is written by this closure
-                    // call only.
-                    let orow =
-                        unsafe { std::slice::from_raw_parts_mut(shared.0.add(v as usize * w), w) };
-                    for u in sources(&snap.reverse_csr, v) {
-                        let frow = if owner[u as usize] == s as u32 {
-                            &fdata[u as usize * w..][..w]
-                        } else {
-                            let gi = *ghost.next().expect("one slot per halo edge") as usize;
-                            &gdata[gi * w..][..w]
-                        };
-                        for (o, &f) in orow.iter_mut().zip(frow) {
-                            *o += f;
-                        }
-                    }
-                }
-            };
-            (0..shards.len()).into_par_iter().for_each(body);
-        }
-        Tensor::from_vec((n, w), out)
-    }
 }
 
 fn count_update(inserted: usize, deleted: usize) {
@@ -484,54 +232,13 @@ fn count_update(inserted: usize, deleted: usize) {
     stgraph_telemetry::counter("gpma.edges_deleted").add(deleted as u64);
 }
 
-fn install_gauges(gauges: &Arc<Vec<ShardGauges>>, edge_cut_ratio: f64) {
-    let g = Arc::clone(gauges);
-    stgraph_telemetry::register_labeled_gauge_provider("shard.stats", move || {
-        let mut out = Vec::new();
-        for (i, s) in g.iter().enumerate() {
-            for (name, value) in [
-                ("shard.nodes", s.nodes),
-                ("shard.edges", s.edges.load(Ordering::Relaxed)),
-                ("shard.halo_edges", s.halo_edges.load(Ordering::Relaxed)),
-            ] {
-                out.push((name.to_string(), format!("shard=\"{i}\""), value as f64));
-            }
-        }
-        out
-    });
-    stgraph_telemetry::register_gauge("shard.edge_cut_ratio", move || edge_cut_ratio);
-}
-
-/// Dense oracle / baseline: `out[v] = Σ feats[u]` over the snapshot's
-/// (gap-free) reverse CSR, accumulating each row in **ascending source order**
-/// (reverse slot order — the sequential Algorithm-3 transpose fills each
-/// row's slots with descending sources). [`DtdgStore::forward_sum`] must
-/// match this bitwise for every K.
-pub fn dense_forward_sum(snap: &Snapshot, feats: &Tensor) -> Tensor {
-    let rcsr = &snap.reverse_csr;
-    let n = rcsr.num_nodes();
-    let w = feats.cols();
-    assert_eq!(feats.rows(), n, "feature rows must match vertex count");
-    let f = feats.data();
-    let mut out = vec![0f32; n * w];
-    for v in 0..n {
-        let orow = &mut out[v * w..(v + 1) * w];
-        for src in sources(rcsr, v as u32) {
-            let frow = &f[src as usize * w..][..w];
-            for (o, &x) in orow.iter_mut().zip(frow) {
-                *o += x;
-            }
-        }
-    }
-    Tensor::from_vec((n, w), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::NaiveGraph;
     use crate::source::{DtdgGraph, DtdgSource};
-    use crate::ShardedGraph;
+    use crate::GpmaGraph;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::collections::BTreeSet;
@@ -572,27 +279,25 @@ mod tests {
         DtdgSource::from_snapshot_edges(n as usize, snaps)
     }
 
-    fn store_of(src: &DtdgSource, k: usize) -> DtdgStore {
-        DtdgStore::from_edge_stream(src.num_nodes, k, || src.snapshots[0].iter().copied())
+    fn store_of(src: &DtdgSource) -> DtdgStore {
+        DtdgStore::from_edges(src.num_nodes, &src.snapshots[0])
     }
 
     #[test]
-    fn snapshots_bitwise_match_naive_for_all_k() {
+    fn snapshots_bitwise_match_naive() {
         let src = random_source(21, 80, 5);
         let mut naive = NaiveGraph::new(&src);
-        for k in [1, 2, 3, 4] {
-            let mut sharded = ShardedGraph::from_source(&src, k);
-            for t in 0..src.num_timestamps() {
-                let a = sharded.get_graph(t);
-                let b = naive.get_graph(t);
-                assert!(snapshot_identical(&a, &b), "k={k} t={t} diverged");
-            }
-            // LIFO rewind must retrace bitwise too.
-            for t in (0..src.num_timestamps()).rev() {
-                let a = sharded.get_backward_graph(t);
-                let b = naive.get_graph(t);
-                assert!(snapshot_identical(&a, &b), "k={k} backward t={t}");
-            }
+        let mut gpma = GpmaGraph::new(&src);
+        for t in 0..src.num_timestamps() {
+            let a = gpma.get_graph(t);
+            let b = naive.get_graph(t);
+            assert!(snapshot_identical(&a, &b), "t={t} diverged");
+        }
+        // LIFO rewind must retrace bitwise too.
+        for t in (0..src.num_timestamps()).rev() {
+            let a = gpma.get_backward_graph(t);
+            let b = naive.get_graph(t);
+            assert!(snapshot_identical(&a, &b), "backward t={t}");
         }
     }
 
@@ -600,62 +305,23 @@ mod tests {
     fn empty_rows_and_isolated_vertices_snapshot_like_naive() {
         let src = DtdgSource::from_snapshot_edges(6, vec![vec![(4, 0)], vec![]]);
         let mut naive = NaiveGraph::new(&src);
-        for k in [1, 3] {
-            let mut g = ShardedGraph::from_source(&src, k);
-            for t in 0..2 {
-                assert!(snapshot_identical(&g.get_graph(t), &naive.get_graph(t)));
-            }
+        let mut g = GpmaGraph::new(&src);
+        for t in 0..2 {
+            assert!(snapshot_identical(&g.get_graph(t), &naive.get_graph(t)));
         }
     }
 
     #[test]
-    fn forward_sum_bitwise_matches_dense_oracle() {
-        let src = random_source(33, 64, 3);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let feats = Tensor::rand_uniform((64, 7), -1.0, 1.0, &mut rng);
-        let mut naive = NaiveGraph::new(&src);
-        for k in [1, 2, 3, 4] {
-            let mut sharded = ShardedGraph::from_source(&src, k);
-            for t in 0..src.num_timestamps() {
-                let want = dense_forward_sum(&naive.get_graph(t), &feats);
-                let _ = sharded.get_graph(t);
-                let got = sharded.store().forward_sum(&feats);
-                assert_eq!(
-                    got.data(),
-                    want.data(),
-                    "k={k} t={t} forward not bitwise equal"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn halo_accounting_matches_partition_cut() {
-        let src = random_source(44, 100, 1);
-        let mut store = store_of(&src, 4);
-        let halo = store.halo_edges();
-        // Every cross-shard edge is a halo edge in exactly one shard; the
-        // store's own (refined) partition counters are the reference.
-        let ratio = store.edge_cut_ratio();
-        assert_eq!(
-            halo,
-            (ratio * src.snapshots[0].len() as f64).round() as usize
-        );
-        assert_eq!(store.num_edges(), src.snapshots[0].len());
-        assert_eq!(store_of(&src, 1).halo_edges(), 0, "K=1 has no ghosts");
-    }
-
-    #[test]
-    fn try_apply_rolls_back_on_exchange_fault() {
+    fn try_apply_rolls_back_on_commit_fault() {
         let _g = stgraph_faultline::test_lock();
         stgraph_faultline::clear_plan();
         let src = random_source(55, 60, 2);
         let batch = src.diffs().remove(0);
-        let mut store = store_of(&src, 3);
+        let mut store = store_of(&src);
         let before = store.snapshot();
 
-        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("shard.exchange", 1));
-        assert!(store.try_apply(&batch, "shard.exchange").is_err());
+        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("ingest.apply", 1));
+        assert!(store.try_apply(&batch).is_err());
         stgraph_faultline::clear_plan();
         store.memo = None;
         assert!(
@@ -664,71 +330,120 @@ mod tests {
         );
 
         // Retry cleanly: must land the full batch.
-        store.try_apply(&batch, "shard.exchange").unwrap();
+        store.try_apply(&batch).unwrap();
         let want = NaiveGraph::new(&src).get_graph(1);
         assert!(snapshot_identical(&store.snapshot(), &want));
     }
 
     #[test]
-    fn try_apply_rolls_back_on_mid_batch_gpma_fault() {
+    fn try_apply_rolls_back_on_delete_fault_after_insert() {
         let _g = stgraph_faultline::test_lock();
         stgraph_faultline::clear_plan();
         let src = random_source(66, 60, 2);
         let batch = src.diffs().remove(0);
-        let mut store = store_of(&src, 4);
+        let mut store = store_of(&src);
         let before = store.snapshot();
 
-        // Fail the third gpma.update hit: some shards have applied, one
-        // dies mid-routed-batch.
-        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("gpma.update", 3));
-        assert!(store.try_apply(&batch, "shard.exchange").is_err());
+        // The second gpma.update hit is the delete: the insert has landed
+        // and must be undone.
+        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("gpma.update", 2));
+        assert!(store.try_apply(&batch).is_err());
         stgraph_faultline::clear_plan();
         store.memo = None;
         assert!(snapshot_identical(&before, &store.snapshot()));
-        for s in &store.shards {
-            s.gpma.pma().check_invariants();
+        store.gpma.pma().check_invariants();
+    }
+
+    /// One step of [`memo_follows_the_version`]: `kind` 0 applies, 1
+    /// tries to apply with `fault` choosing no fault, the insert's or the
+    /// delete's `gpma.update` hit or `ingest.apply`, 2 only reads.
+    type Op = (u8, u8, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+    fn ops(n: u32) -> impl Strategy<Value = Vec<Op>> {
+        let edges = move || prop::collection::vec((0..n, 0..n), 0..12);
+        prop::collection::vec((0u8..3, 0u8..4, edges(), edges()), 1..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The memo contract the incremental snapshot build must keep,
+        /// over random interleavings of `apply`, `try_apply` (faulted at
+        /// a random position, or clean) and `snapshot`: after every step
+        /// the snapshot is bitwise `Snapshot::from_edges` over the edge
+        /// set, the version bumps iff edge work landed, and the memoised
+        /// `Arc`s are shared iff the version did not move.
+        #[test]
+        fn memo_follows_the_version(
+            (n, base, steps) in (4usize..20).prop_flat_map(|n| {
+                let v = n as u32;
+                (Just(n), prop::collection::vec((0..v, 0..v), 0..40), ops(v))
+            })
+        ) {
+            let _g = stgraph_faultline::test_lock();
+            stgraph_faultline::clear_plan();
+            let mut store = DtdgStore::from_edges(n, &base);
+            let mut model: BTreeSet<(u32, u32)> = base.iter().copied().collect();
+            let mut prev = (store.version(), store.snapshot());
+            for (kind, fault, adds, dels) in steps {
+                let adds: BTreeSet<(u32, u32)> = adds.into_iter().collect();
+                let batch = UpdateBatch {
+                    deletions: dels.into_iter().filter(|e| !adds.contains(e)).collect(),
+                    additions: adds.into_iter().collect(),
+                };
+                let landed = match kind {
+                    0 => {
+                        store.apply(&batch.additions, &batch.deletions);
+                        true
+                    }
+                    1 => {
+                        let plan = match fault {
+                            0 => None,
+                            1 => Some(FaultPlan::new().fail_nth("gpma.update", 1)),
+                            2 => Some(FaultPlan::new().fail_nth("gpma.update", 2)),
+                            _ => Some(FaultPlan::new().fail_nth("ingest.apply", 1)),
+                        };
+                        let faulted = plan.is_some();
+                        if let Some(plan) = plan {
+                            stgraph_faultline::set_plan(plan);
+                        }
+                        let res = store.try_apply(&batch);
+                        stgraph_faultline::clear_plan();
+                        prop_assert_eq!(res.is_err(), faulted, "fault {}", fault);
+                        res.is_ok()
+                    }
+                    _ => false,
+                };
+                if landed {
+                    model.extend(batch.additions.iter().copied());
+                    for d in &batch.deletions {
+                        model.remove(d);
+                    }
+                }
+                let edges = store.edges();
+                prop_assert_eq!(&edges, &model.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(store.version(), prev.0 + landed as u64);
+                let snap = store.snapshot();
+                prop_assert!(snapshot_identical(&snap, &Snapshot::from_edges(n, &edges)));
+                prop_assert_eq!(Arc::ptr_eq(&snap.csr, &prev.1.csr), !landed);
+                prop_assert_eq!(Arc::ptr_eq(&snap.reverse_csr, &prev.1.reverse_csr), !landed);
+                prev = (store.version(), snap);
+            }
         }
     }
 
     #[test]
-    fn streaming_build_matches_source_build() {
-        let src = random_source(77, 90, 1);
-        let edges = src.snapshots[0].clone();
-        let mut a = ShardedGraph::from_source(&src, 4);
-        let mut b = DtdgStore::from_edge_stream(90, 4, || edges.iter().copied());
-        assert!(snapshot_identical(&a.get_graph(0), &b.snapshot()));
-    }
-
-    #[test]
-    fn memo_follows_the_version() {
-        let _g = stgraph_faultline::test_lock();
-        stgraph_faultline::clear_plan();
+    fn a_mutation_drops_the_memo_at_once() {
+        // Both successful paths drop the memo at the mutation, not at the
+        // next build, so the store never holds two snapshots.
         let src = random_source(88, 40, 3);
         let diffs = src.diffs();
-        let mut store = store_of(&src, 2);
-        let (v0, a) = (store.version(), store.snapshot());
-        assert!(Arc::ptr_eq(&a.csr, &store.snapshot().csr), "memoised");
-
-        // A rolled-back attempt keeps version and memo.
-        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("ingest.apply", 1));
-        assert!(store.try_apply(&diffs[0], "ingest.apply").is_err());
-        stgraph_faultline::clear_plan();
-        assert_eq!(store.version(), v0);
-        assert!(Arc::ptr_eq(&a.reverse_csr, &store.snapshot().reverse_csr));
-
-        // Both successful paths bump the version and drop the memo — at
-        // the mutation, not at the next build, so the store never holds
-        // two snapshots.
-        let held = Arc::downgrade(&a.csr);
-        drop(a);
-        store.try_apply(&diffs[0], "ingest.apply").unwrap();
-        assert_eq!(store.version(), v0 + 1);
+        let mut store = store_of(&src);
+        let held = Arc::downgrade(&store.snapshot().csr);
+        store.try_apply(&diffs[0]).unwrap();
         assert!(held.upgrade().is_none(), "memo outlived the mutation");
-        let b = store.snapshot();
-        let held = Arc::downgrade(&b.csr);
-        drop(b);
+        let held = Arc::downgrade(&store.snapshot().csr);
         store.apply(&diffs[1].additions, &diffs[1].deletions);
-        assert_eq!(store.version(), v0 + 2);
         assert!(held.upgrade().is_none());
         let want = NaiveGraph::new(&src).get_graph(2);
         assert!(snapshot_identical(&store.snapshot(), &want));

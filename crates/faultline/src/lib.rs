@@ -43,10 +43,10 @@
 //!
 //! ## Site roster
 //!
-//! The workspace currently carries thirteen sites: `checkpoint.write`,
+//! The workspace currently carries twelve sites: `checkpoint.write`,
 //! `checkpoint.rename`, `gpma.update`, `ingest.apply`, `snapshot.build`,
 //! `pool.alloc`, `engine.dequeue`, `net.accept`, `net.read`,
-//! `shard.exchange`, `tcsr.append`, and the train-while-serving pair
+//! `tcsr.append`, and the train-while-serving pair
 //! `online.step` (fires after the optimizer applies, forcing an exact
 //! bitwise rollback of the half-applied gradient step) and
 //! `online.publish` (fires before the atomic weight-generation swap, so

@@ -62,7 +62,7 @@ impl std::error::Error for IngestError {
     }
 }
 
-/// A continuously-updated graph: the DTDG store (one shard) advanced one
+/// A continuously-updated graph: the DTDG store advanced one
 /// [`UpdateBatch`] at a time and read through generation-tagged snapshots.
 /// The store owns the edges, the transactional apply and the memoised
 /// snapshot; this type adds the generation, the counters and the retry
@@ -77,7 +77,7 @@ impl LiveGraph {
     /// A live graph starting from an explicit base edge set (generation 0).
     pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> LiveGraph {
         LiveGraph {
-            store: DtdgStore::from_edge_stream(num_nodes, 1, || edges.iter().copied()),
+            store: DtdgStore::from_edges(num_nodes, edges),
             generation: 0,
             stats: IngestStats::default(),
         }
@@ -148,7 +148,7 @@ impl LiveGraph {
     /// publishes — the window the guard exists for.
     pub fn try_apply(&mut self, batch: &UpdateBatch) -> Result<u64, IngestError> {
         let start = Instant::now();
-        if let Err(e) = self.store.try_apply(batch, "ingest.apply") {
+        if let Err(e) = self.store.try_apply(batch) {
             self.stats.rollbacks += 1;
             return Err(IngestError::Fault(e));
         }

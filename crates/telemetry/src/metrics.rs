@@ -161,8 +161,8 @@ pub fn register_gauge_provider(
 /// Registers (or replaces) a *labeled* gauge provider: at export time `f`
 /// returns `(name, rendered-label-body, value)` readings, rendered by the
 /// Prometheus exporter as `stgraph_<name>{<labels>} <value>`. Used for
-/// per-instance series of dynamic cardinality — e.g. one
-/// `shard.edges{shard="3"}` reading per graph shard.
+/// per-instance series of dynamic cardinality — e.g. one gauge reading
+/// per tenant, labelled `tenant="t3"`.
 pub fn register_labeled_gauge_provider(
     key: &str,
     f: impl Fn() -> Vec<(String, String, f64)> + Send + Sync + 'static,

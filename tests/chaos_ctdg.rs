@@ -1,6 +1,6 @@
 //! Chaos suite for the CTDG event store: seeded fault plans fire inside
 //! the T-CSR batch append (`tcsr.append`) while the fraud-burst stream
-//! lands. The invariants mirror the sharded-store suite:
+//! lands. The invariants mirror the DTDG store's rollback suite:
 //!
 //! 1. Every injected failure surfaces as a typed `CtdgError::Fault` —
 //!    no panic escapes.

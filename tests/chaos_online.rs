@@ -2,7 +2,8 @@
 //! train-while-serving loop mid-step (`online.step`, after the Adam update
 //! has mutated the weights) and mid-publish (`online.publish`, before the
 //! atomic generation swap), then recover from the rotated checkpoint
-//! directory. The invariants mirror the CTDG and shard chaos suites:
+//! directory. The invariants mirror the CTDG chaos and store rollback
+//! suites:
 //!
 //! 1. Every injected failure surfaces as a typed `OnlineError::Fault` —
 //!    no panic escapes — and the trainer halts.

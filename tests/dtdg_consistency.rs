@@ -16,7 +16,7 @@ use stgraph::executor::{GraphSource, TemporalExecutor};
 use stgraph::tgnn::{GConvGru, GConvLstm, RecurrentCell, Tgcn};
 use stgraph::train::{link_prediction_batches, train_epoch_link_prediction};
 use stgraph_datasets::load_dynamic;
-use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph, ShardedGraph};
+use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph};
 use stgraph_graph::base::STGraphBase;
 use stgraph_seastar::exec::ExecOutput;
 use stgraph_seastar::ir::{Id, Program};
@@ -311,69 +311,39 @@ fn snapshot_bitwise_eq(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// ShardedGraph is a fourth observationally-identical DTDG consumer:
-    /// for every shard count, arbitrary snapshot sequences and arbitrary
-    /// interleavings of forward rolls, snapshot queries, feature forwards
-    /// and LIFO backward queries produce snapshots bitwise identical to
-    /// `NaiveGraph` and forward aggregations bitwise identical to the
-    /// dense single-store oracle.
+    /// GpmaGraph at field level: arbitrary snapshot sequences walked
+    /// forward, then backward in LIFO order, produce snapshots bitwise
+    /// identical to `NaiveGraph` — slot layout and edge ids included.
     #[test]
-    fn sharded_graph_bitwise_matches_naive_for_all_k(
-        (n, raw_snaps, k, query_mask) in (3usize..16).prop_flat_map(|n| {
+    fn gpma_graph_bitwise_matches_naive(
+        (n, raw_snaps) in (3usize..16).prop_flat_map(|n| {
             (
                 Just(n),
                 prop::collection::vec(
                     prop::collection::vec((0..n as u32, 0..n as u32), 1..40),
                     2..7,
                 ),
-                1usize..=4,
-                prop::collection::vec(any::<bool>(), 7),
             )
         })
     ) {
-        let snaps: Vec<Vec<(u32, u32)>> = raw_snaps
-            .into_iter()
-            .map(|mut s| {
-                s.sort_unstable();
-                s.dedup();
-                // The sharded store keys in-neighbour rows, so self-loops
-                // are fine, but the forward oracle wants none to keep the
-                // comparison about aggregation order; keep them anyway —
-                // both sides must agree regardless.
-                s
-            })
-            .collect();
-        let src = DtdgSource::from_snapshot_edges(n, snaps);
+        let src = DtdgSource::from_snapshot_edges(n, raw_snaps);
         let mut naive = NaiveGraph::new(&src);
-        let mut sharded = ShardedGraph::from_source(&src, k);
-        let feats = {
-            let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
-            Tensor::rand_uniform((n, 3), -1.0, 1.0, &mut rng)
-        };
-        // Forward sweep with randomly interleaved queries...
+        let mut gpma = GpmaGraph::new(&src);
         for t in 0..src.num_timestamps() {
             let want = naive.get_graph(t);
-            let got = sharded.get_graph(t);
+            let got = gpma.get_graph(t);
             prop_assert!(
                 snapshot_bitwise_eq(&got, &want),
-                "forward snapshot divergence at t={} (k={})", t, k
+                "forward snapshot divergence at t={}", t
             );
-            if query_mask[t % query_mask.len()] {
-                let dense = stgraph_dyngraph::dense_forward_sum(&want, &feats);
-                let fast = sharded.store().forward_sum(&feats);
-                prop_assert_eq!(
-                    fast.data(), dense.data(),
-                    "forward aggregation divergence at t={} (k={})", t, k
-                );
-            }
         }
         // ...then the LIFO backward sweep Algorithm 1 performs.
         for t in (0..src.num_timestamps()).rev() {
             let want = naive.get_backward_graph(t);
-            let got = sharded.get_backward_graph(t);
+            let got = gpma.get_backward_graph(t);
             prop_assert!(
                 snapshot_bitwise_eq(&got, &want),
-                "backward snapshot divergence at t={} (k={})", t, k
+                "backward snapshot divergence at t={}", t
             );
         }
     }
@@ -383,33 +353,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The same store through the `DtdgGraph` path the trainer uses: TGCN
-    /// link-prediction losses over `snapshot()` are bitwise `NaiveGraph`'s
-    /// for every K. Sequences of two timestamps over >= 3 timestamps and
-    /// two epochs walk forward and backward, restore the Algorithm-2 cache
-    /// at the second sequence and rewind across the epoch boundary.
+    /// link-prediction losses over `snapshot()` are bitwise `NaiveGraph`'s.
+    /// Sequences of two timestamps over >= 3 timestamps and two epochs walk
+    /// forward and backward, restore the Algorithm-2 cache at the second
+    /// sequence and rewind across the epoch boundary.
     #[test]
-    fn sharded_graph_trains_bitwise_like_naive_for_all_k(
-        (n, raw_snaps, k) in (8usize..16).prop_flat_map(|n| {
+    fn gpma_graph_trains_bitwise_like_naive(
+        (n, raw_snaps) in (8usize..16).prop_flat_map(|n| {
             (
                 Just(n),
                 prop::collection::vec(
                     prop::collection::vec((0..n as u32, 0..n as u32), 1..40),
                     3..7,
                 ),
-                1usize..=4,
             )
         })
     ) {
         let src = DtdgSource::from_snapshot_edges(n, raw_snaps);
         let bits = |losses: Vec<f32>| losses.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         let naive = train_losses_seq(&src, Rc::new(RefCell::new(NaiveGraph::new(&src))), 2, 2);
-        let sharded = train_losses_seq(
-            &src,
-            Rc::new(RefCell::new(ShardedGraph::from_source(&src, k))),
-            2,
-            2,
-        );
-        prop_assert_eq!(bits(sharded), bits(naive), "k={}", k);
+        let gpma = train_losses_seq(&src, Rc::new(RefCell::new(GpmaGraph::new(&src))), 2, 2);
+        prop_assert_eq!(bits(gpma), bits(naive));
     }
 }
 
