@@ -136,6 +136,69 @@ fn retry_loop_reaches_every_timestamp_under_periodic_faults() {
     );
 }
 
+/// The single seed pass lands where incremental ingest does: loading the
+/// seed in `from_edges` and applying it to an empty store give bitwise the
+/// same snapshot, and both are `NaiveGraph`'s first snapshot.
+#[test]
+fn seed_load_matches_incremental_apply() {
+    for seed in 1u64..=4 {
+        let src = random_source(seed * 53, 35, 1);
+        let mut loaded = store_of(&src);
+        let mut grown = DtdgStore::from_edges(src.num_nodes, &[]);
+        grown.apply(&src.snapshots[0], &[]);
+        assert_eq!(loaded.edges(), grown.edges());
+        assert!(snapshot_identical(&loaded.snapshot(), &grown.snapshot()));
+        assert!(
+            snapshot_identical(&loaded.snapshot(), &NaiveGraph::new(&src).get_graph(0)),
+            "seed load diverged from the oracle (seed {seed})"
+        );
+    }
+}
+
+/// `snapshot.build` faults cost latency, never a snapshot: even when every
+/// attempt fails (outlasting the retry budget) the build proceeds and is
+/// bitwise the oracle, and a faulted `try_apply` beforehand changes nothing.
+#[test]
+fn snapshot_build_faults_never_lose_a_snapshot() {
+    let _g = stgraph_faultline::test_lock();
+    stgraph_faultline::clear_plan();
+    let src = random_source(77, 30, 2);
+    let mut naive = NaiveGraph::new(&src);
+    let mut store = store_of(&src);
+    for (t, batch) in src.diffs().iter().enumerate() {
+        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("ingest.apply", 1));
+        assert!(store.try_apply(batch).is_err());
+        stgraph_faultline::set_plan(FaultPlan::new().fail_prob("snapshot.build", 1.0));
+        let stale = store.snapshot();
+        store.try_apply(batch).unwrap();
+        let fresh = store.snapshot();
+        stgraph_faultline::clear_plan();
+        assert!(snapshot_identical(&stale, &naive.get_graph(t)), "t={t}");
+        assert!(snapshot_identical(&fresh, &naive.get_graph(t + 1)), "t={}", t + 1);
+    }
+}
+
+/// The Algorithm-2 cache round trip: a state taken by `clone_state`
+/// survives later batches, and `restore_state` brings back its exact edge
+/// set as a new version whose snapshot is rebuilt, not the stale memo.
+#[test]
+fn restore_state_returns_to_the_cloned_edge_set() {
+    let src = random_source(19, 40, 4);
+    let mut naive = NaiveGraph::new(&src);
+    let mut store = store_of(&src);
+    let (cached, cached_edges) = (store.clone_state(), store.edges());
+    for batch in src.diffs() {
+        store.apply(&batch.additions, &batch.deletions);
+    }
+    let t_last = src.num_timestamps() - 1;
+    assert!(snapshot_identical(&store.snapshot(), &naive.get_graph(t_last)));
+    let version = store.version();
+    store.restore_state(&cached);
+    assert_eq!(store.version(), version + 1);
+    assert_eq!(store.edges(), cached_edges);
+    assert!(snapshot_identical(&store.snapshot(), &naive.get_graph(0)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
