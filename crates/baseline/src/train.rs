@@ -6,7 +6,7 @@
 use crate::coo::CooGraph;
 use crate::model::BaselineTgcn;
 use rand::Rng;
-use std::rc::Rc;
+use stgraph::train::{edge_logits, epoch_mean, run_sequences, LinkPredBatch};
 use stgraph_dyngraph::DtdgSource;
 use stgraph_tensor::nn::{Linear, ParamSet};
 use stgraph_tensor::optim::Adam;
@@ -79,8 +79,9 @@ impl stgraph_tensor::StateDict for BaselineRegressor {
     }
 }
 
-/// One epoch of node regression on a static graph (same sequence split and
-/// detach-across-sequences policy as `stgraph::train`).
+/// One epoch of node regression on a static graph: the same Algorithm-1
+/// driver as `stgraph::train`, but with no buffer-pool scope, as PyG-T
+/// allocates every activation fresh.
 pub fn train_epoch_node_regression(
     model: &BaselineRegressor,
     graph: &CooGraph,
@@ -89,80 +90,32 @@ pub fn train_epoch_node_regression(
     targets: &[Tensor],
     seq_len: usize,
 ) -> f32 {
-    let total = features.len();
-    let mut carried: Option<Tensor> = None;
-    let mut epoch_loss = 0.0f64;
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + seq_len).min(total);
-        opt.zero_grad();
-        let tape = Tape::new();
-        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
-        let mut seq_loss: Option<Var> = None;
-        #[allow(clippy::needless_range_loop)] // t is a timestamp, not just an index
-        for t in start..end {
-            let x = tape.constant(features[t].clone());
-            let (pred, h_new) = model.forward(&tape, graph, &x, h.as_ref());
-            let l = pred.mse_loss(&targets[t]);
-            seq_loss = Some(match seq_loss {
-                Some(acc) => acc.add(&l),
-                None => l,
-            });
-            h = Some(h_new);
-        }
-        let loss = seq_loss.unwrap().mul_scalar(1.0 / (end - start) as f32);
-        epoch_loss += loss.value().item() as f64 * (end - start) as f64;
-        carried = h.map(|v| v.value().clone());
-        tape.backward(&loss);
-        opt.step();
-        start = end;
-    }
-    (epoch_loss / total as f64) as f32
+    let sums = run_sequences(features.len(), seq_len, Some(opt), |tape, t, h| {
+        let x = tape.constant(features[t].clone());
+        let (pred, h_new) = model.forward(tape, graph, &x, h);
+        (pred.mse_loss(&targets[t]), h_new)
+    });
+    epoch_mean(&sums, seq_len, features.len())
 }
 
 /// One epoch of link prediction over a fully-materialised DTDG, mirroring
-/// `stgraph::train::train_epoch_link_prediction` (same batches type).
+/// `stgraph::train::train_epoch_link_prediction` (same batches and edge
+/// scoring; unpooled, like the node-regression epoch above).
 pub fn train_epoch_link_prediction(
     cell: &BaselineTgcn,
     dtdg: &BaselineDtdg,
     opt: &mut Adam,
     features: &Tensor,
-    batches: &[stgraph::train::LinkPredBatch],
+    batches: &[LinkPredBatch],
     seq_len: usize,
 ) -> f32 {
-    let total = batches.len();
-    let mut carried: Option<Tensor> = None;
-    let mut epoch_loss = 0.0f64;
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + seq_len).min(total);
-        opt.zero_grad();
-        let tape = Tape::new();
-        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
-        let mut seq_loss: Option<Var> = None;
-        #[allow(clippy::needless_range_loop)] // t is a timestamp, not just an index
-        for t in start..end {
-            let x = tape.constant(features.clone());
-            let h_new = cell.step(&tape, &dtdg.snapshots[t], &x, h.as_ref());
-            let batch = &batches[t];
-            let hu = h_new.gather_rows(Rc::clone(&batch.src));
-            let hv = h_new.gather_rows(Rc::clone(&batch.dst));
-            let logits = hu.mul(&hv).sum_cols();
-            let l = logits.bce_with_logits_loss(&batch.labels);
-            seq_loss = Some(match seq_loss {
-                Some(acc) => acc.add(&l),
-                None => l,
-            });
-            h = Some(h_new);
-        }
-        let loss = seq_loss.unwrap().mul_scalar(1.0 / (end - start) as f32);
-        epoch_loss += loss.value().item() as f64 * (end - start) as f64;
-        carried = h.map(|v| v.value().clone());
-        tape.backward(&loss);
-        opt.step();
-        start = end;
-    }
-    (epoch_loss / total as f64) as f32
+    let sums = run_sequences(batches.len(), seq_len, Some(opt), |tape, t, h| {
+        let x = tape.constant(features.clone());
+        let h_new = cell.step(tape, &dtdg.snapshots[t], &x, h);
+        let l = edge_logits(&h_new, &batches[t]).bce_with_logits_loss(&batches[t].labels);
+        (l, h_new)
+    });
+    epoch_mean(&sums, seq_len, batches.len())
 }
 
 #[cfg(test)]

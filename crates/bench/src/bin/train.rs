@@ -16,8 +16,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use stgraph::backend::create_backend;
 use stgraph::executor::{GraphSource, TemporalExecutor};
-use stgraph::tgnn::{GConvGru, GConvLstm, RecurrentCell, Tgcn};
-use stgraph::tgnn_ext::Dcrnn;
 use stgraph::train::{
     eval_link_prediction, link_prediction_batches, train_epoch_link_prediction,
     train_epoch_node_regression, NodeRegressor,
@@ -27,6 +25,7 @@ use stgraph_datasets::cli::{self, get};
 use stgraph_datasets::{info, load_dynamic, load_static, resolve_seed, GraphKind};
 use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph};
 use stgraph_graph::base::{STGraphBase, Snapshot};
+use stgraph_serve::zoo::{build_cell, ARCHITECTURES};
 use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::optim::Adam;
 use stgraph_tensor::Tensor;
@@ -79,25 +78,6 @@ Continuous-time options (--workload ctdg):
                           must be a directory) and continue after its
                           recorded epoch; the loss trajectory matches an
                           uninterrupted run exactly";
-
-fn make_cell(
-    model: &str,
-    params: &mut ParamSet,
-    features: usize,
-    hidden: usize,
-    rng: &mut ChaCha8Rng,
-) -> Box<dyn RecurrentCell> {
-    match model {
-        "tgcn" => Box::new(Tgcn::new(params, "cell", features, hidden, rng)),
-        "gconvgru" => Box::new(GConvGru::new(params, "cell", features, hidden, 2, rng)),
-        "gconvlstm" => Box::new(GConvLstm::new(params, "cell", features, hidden, 2, rng)),
-        "dcrnn" => Box::new(Dcrnn::new(params, "cell", features, hidden, 2, rng)),
-        other => {
-            eprintln!("unknown model '{other}' (try --help)");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Where `--save` writes checkpoints: a single `.stgc` file at the end of
 /// training, or (for a directory path) a rotated sequence with one
@@ -264,6 +244,10 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("tgcn")
         .to_string();
+    if !ARCHITECTURES.contains(&model.as_str()) {
+        eprintln!("unknown model '{model}' (try --help)");
+        std::process::exit(2);
+    }
     let backend = args
         .get("backend")
         .map(String::as_str)
@@ -303,7 +287,8 @@ fn main() {
             let snap = Snapshot::from_edges(ds.graph.num_nodes(), &ds.graph.edges);
             let exec = TemporalExecutor::new(create_backend(&backend), GraphSource::Static(snap));
             let mut params = ParamSet::new();
-            let cell = make_cell(&model, &mut params, features, hidden, &mut rng);
+            let cell = build_cell(&model, &mut params, features, hidden, &mut rng)
+                .expect("model checked against ARCHITECTURES");
             let regressor = NodeRegressor::new(&mut params, cell, 1, &mut rng);
             println!("parameters: {}", params.numel());
             let trained = params.clone();
@@ -357,7 +342,8 @@ fn main() {
             let exec =
                 TemporalExecutor::new(create_backend(&backend), GraphSource::Dynamic(provider));
             let mut params = ParamSet::new();
-            let cell = make_cell(&model, &mut params, features, hidden, &mut rng);
+            let cell = build_cell(&model, &mut params, features, hidden, &mut rng)
+                .expect("model checked against ARCHITECTURES");
             println!("parameters: {}", params.numel());
             let trained = params.clone();
             let mut opt = Adam::new(params, lr);

@@ -5,6 +5,9 @@
 //! optimizer steps. Hidden state is carried across sequences *detached*
 //! (truncated BPTT), matching how PyG-T's reference training loops handle
 //! sequence boundaries.
+//!
+//! [`run_sequences`] is that procedure, written once. The four trainers
+//! here and the PyG-T baseline's two are per-timestamp closures over it.
 
 use crate::executor::TemporalExecutor;
 use crate::tgnn::RecurrentCell;
@@ -17,6 +20,83 @@ use stgraph_dyngraph::DtdgSource;
 use stgraph_tensor::nn::{Linear, ParamSet};
 use stgraph_tensor::optim::Adam;
 use stgraph_tensor::{Param, StateDict, Tape, Tensor, Var};
+
+/// Algorithm 1 over `total` timestamps split into sequences of `seq_len`.
+///
+/// `step(tape, t, h)` runs timestamp `t` from hidden state `h` and returns
+/// `(loss_t, h_new)`. Per sequence the driver sums the losses in timestamp
+/// order on one tape, detaches the last hidden state into the next
+/// sequence, and runs one backward: with `opt`, on the mean loss followed
+/// by one optimizer step; without, on `loss × 0` — evaluation still pops
+/// every stack frame but leaves no gradient. It opens the `train.forward`,
+/// `train.backward` and (training only) `train.optimizer` spans and no
+/// buffer-pool scope, so the caller decides pooling.
+///
+/// Returns each sequence's summed loss; callers apply their own reduction.
+pub fn run_sequences<F>(
+    total: usize,
+    seq_len: usize,
+    mut opt: Option<&mut Adam>,
+    mut step: F,
+) -> Vec<f32>
+where
+    F: for<'t> FnMut(&'t Tape, usize, Option<&Var<'t>>) -> (Var<'t>, Var<'t>),
+{
+    assert!(seq_len >= 1);
+    let mut carried: Option<Tensor> = None;
+    let mut sums = Vec::with_capacity(total.div_ceil(seq_len));
+    let mut start = 0usize;
+    while start < total {
+        let end = (start + seq_len).min(total);
+        if let Some(opt) = opt.as_deref() {
+            opt.zero_grad();
+        }
+        let tape = Tape::new();
+        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
+        let mut seq_loss: Option<Var> = None;
+        {
+            let _sp = stgraph_telemetry::span("train.forward");
+            for t in start..end {
+                let (l, h_new) = step(&tape, t, h.as_ref());
+                seq_loss = Some(match seq_loss {
+                    Some(acc) => acc.add(&l),
+                    None => l,
+                });
+                h = Some(h_new);
+            }
+        }
+        let scale = opt.as_ref().map_or(0.0, |_| 1.0 / (end - start) as f32);
+        // The sum's buffer is released before the backward, which reuses it.
+        let loss = {
+            let seq_loss = seq_loss.expect("non-empty sequence");
+            sums.push(seq_loss.value().item());
+            seq_loss.mul_scalar(scale)
+        };
+        carried = h.map(|v| v.value().clone()); // detach across sequences
+        {
+            let _sp = stgraph_telemetry::span("train.backward");
+            tape.backward(&loss);
+        }
+        if let Some(opt) = opt.as_deref_mut() {
+            let _sp = stgraph_telemetry::span("train.optimizer");
+            opt.step();
+        }
+        start = end;
+    }
+    sums
+}
+
+/// The training reduction over [`run_sequences`]' sums: the mean loss each
+/// backward ran on, weighted by its sequence's length, averaged over all
+/// `total` timestamps.
+pub fn epoch_mean(seq_sums: &[f32], seq_len: usize, total: usize) -> f32 {
+    let mut acc = 0.0f64;
+    for (i, &sum) in seq_sums.iter().enumerate() {
+        let n = seq_len.min(total - i * seq_len);
+        acc += (sum * (1.0 / n as f32)) as f64 * n as f64;
+    }
+    (acc / total as f64) as f32
+}
 
 /// A recurrent cell plus a readout head for per-node regression — the
 /// "RecurrentGCN" pattern of PyG-T's examples (`h = cell(x); relu; linear`).
@@ -72,51 +152,15 @@ pub fn train_epoch_node_regression<C: RecurrentCell>(
     seq_len: usize,
 ) -> f32 {
     assert_eq!(features.len(), targets.len());
-    assert!(seq_len >= 1);
     // Epoch-level buffer-pool scope: activations and scratch recycle across
     // every timestamp and sequence of this epoch, released on return.
     let _pool = stgraph_tensor::PoolScope::new();
-    let total = features.len();
-    let mut carried: Option<Tensor> = None;
-    let mut epoch_loss = 0.0f64;
-    let mut steps = 0usize;
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + seq_len).min(total);
-        opt.zero_grad();
-        let tape = Tape::new();
-        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
-        let mut seq_loss: Option<Var> = None;
-        {
-            let _sp = stgraph_telemetry::span("train.forward");
-            for t in start..end {
-                let x = tape.constant(features[t].clone());
-                let (pred, h_new) = model.forward(&tape, exec, t, &x, h.as_ref());
-                let l = pred.mse_loss(&targets[t]);
-                seq_loss = Some(match seq_loss {
-                    Some(acc) => acc.add(&l),
-                    None => l,
-                });
-                h = Some(h_new);
-                steps += 1;
-            }
-        }
-        let loss = seq_loss
-            .expect("non-empty sequence")
-            .mul_scalar(1.0 / (end - start) as f32);
-        epoch_loss += loss.value().item() as f64 * (end - start) as f64;
-        carried = h.map(|v| v.value().clone()); // detach across sequences
-        {
-            let _sp = stgraph_telemetry::span("train.backward");
-            tape.backward(&loss);
-        }
-        {
-            let _sp = stgraph_telemetry::span("train.optimizer");
-            opt.step();
-        }
-        start = end;
-    }
-    (epoch_loss / steps as f64) as f32
+    let sums = run_sequences(features.len(), seq_len, Some(opt), |tape, t, h| {
+        let x = tape.constant(features[t].clone());
+        let (pred, h_new) = model.forward(tape, exec, t, &x, h);
+        (pred.mse_loss(&targets[t]), h_new)
+    });
+    epoch_mean(&sums, seq_len, features.len())
 }
 
 /// Evaluation (no training): mean MSE of the model over all timestamps.
@@ -128,32 +172,13 @@ pub fn eval_node_regression<C: RecurrentCell>(
     seq_len: usize,
 ) -> f32 {
     let _pool = stgraph_tensor::PoolScope::new();
-    let total = features.len();
-    let mut carried: Option<Tensor> = None;
-    let mut sum = 0.0f64;
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + seq_len).min(total);
-        let tape = Tape::new();
-        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
-        let mut seq_loss: Option<Var> = None;
-        for t in start..end {
-            let x = tape.constant(features[t].clone());
-            let (pred, h_new) = model.forward(&tape, exec, t, &x, h.as_ref());
-            let l = pred.mse_loss(&targets[t]);
-            seq_loss = Some(match seq_loss {
-                Some(acc) => acc.add(&l),
-                None => l,
-            });
-            h = Some(h_new);
-        }
-        sum += seq_loss.as_ref().unwrap().value().item() as f64;
-        carried = h.map(|v| v.value().clone());
-        // Drain the stacks even though we discard gradients.
-        tape.backward(&seq_loss.unwrap().mul_scalar(0.0));
-        start = end;
-    }
-    (sum / total as f64) as f32
+    let sums = run_sequences(features.len(), seq_len, None, |tape, t, h| {
+        let x = tape.constant(features[t].clone());
+        let (pred, h_new) = model.forward(tape, exec, t, &x, h);
+        (pred.mse_loss(&targets[t]), h_new)
+    });
+    let sum = sums.iter().fold(0.0f64, |acc, &s| acc + s as f64);
+    (sum / features.len() as f64) as f32
 }
 
 /// One timestamp's link-prediction batch: candidate edges and 0/1 labels.
@@ -230,47 +255,14 @@ pub fn train_epoch_link_prediction<C: RecurrentCell>(
     batches: &[LinkPredBatch],
     seq_len: usize,
 ) -> f32 {
-    let total = batches.len();
-    assert!(seq_len >= 1);
     let _pool = stgraph_tensor::PoolScope::new();
-    let mut carried: Option<Tensor> = None;
-    let mut epoch_loss = 0.0f64;
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + seq_len).min(total);
-        opt.zero_grad();
-        let tape = Tape::new();
-        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
-        let mut seq_loss: Option<Var> = None;
-        {
-            let _sp = stgraph_telemetry::span("train.forward");
-            #[allow(clippy::needless_range_loop)] // t is a timestamp, not just an index
-            for t in start..end {
-                let x = tape.constant(features.clone());
-                let h_new = cell.step(&tape, exec, t, &x, h.as_ref());
-                let logits = edge_logits(&h_new, &batches[t]);
-                let l = logits.bce_with_logits_loss(&batches[t].labels);
-                seq_loss = Some(match seq_loss {
-                    Some(acc) => acc.add(&l),
-                    None => l,
-                });
-                h = Some(h_new);
-            }
-        }
-        let loss = seq_loss.unwrap().mul_scalar(1.0 / (end - start) as f32);
-        epoch_loss += loss.value().item() as f64 * (end - start) as f64;
-        carried = h.map(|v| v.value().clone());
-        {
-            let _sp = stgraph_telemetry::span("train.backward");
-            tape.backward(&loss);
-        }
-        {
-            let _sp = stgraph_telemetry::span("train.optimizer");
-            opt.step();
-        }
-        start = end;
-    }
-    (epoch_loss / total as f64) as f32
+    let sums = run_sequences(batches.len(), seq_len, Some(opt), |tape, t, h| {
+        let x = tape.constant(features.clone());
+        let h_new = cell.step(tape, exec, t, &x, h);
+        let l = edge_logits(&h_new, &batches[t]).bce_with_logits_loss(&batches[t].labels);
+        (l, h_new)
+    });
+    epoch_mean(&sums, seq_len, batches.len())
 }
 
 /// Link-prediction evaluation: runs the model over all timestamps without
@@ -284,42 +276,26 @@ pub fn eval_link_prediction<C: RecurrentCell>(
     seq_len: usize,
 ) -> (f32, f32, f32) {
     let _pool = stgraph_tensor::PoolScope::new();
-    let total = batches.len();
-    let mut carried: Option<Tensor> = None;
+    // Each timestamp's BCE is added in f64; the f32 sequence sums would round
+    // differently.
     let mut loss_sum = 0.0f64;
     let mut all_logits: Vec<f32> = Vec::new();
     let mut all_labels: Vec<f32> = Vec::new();
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + seq_len).min(total);
-        let tape = Tape::new();
-        let mut h: Option<Var> = carried.take().map(|t| tape.constant(t));
-        let mut seq_loss: Option<Var> = None;
-        #[allow(clippy::needless_range_loop)] // t is a timestamp, not just an index
-        for t in start..end {
-            let x = tape.constant(features.clone());
-            let h_new = cell.step(&tape, exec, t, &x, h.as_ref());
-            let logits = edge_logits(&h_new, &batches[t]);
-            all_logits.extend(logits.value().data());
-            all_labels.extend(batches[t].labels.data());
-            let l = logits.bce_with_logits_loss(&batches[t].labels);
-            loss_sum += l.value().item() as f64;
-            seq_loss = Some(match seq_loss {
-                Some(acc) => acc.add(&l),
-                None => l,
-            });
-            h = Some(h_new);
-        }
-        carried = h.map(|v| v.value().clone());
-        // Drain the stacks without touching gradients.
-        tape.backward(&seq_loss.unwrap().mul_scalar(0.0));
-        start = end;
-    }
+    run_sequences(batches.len(), seq_len, None, |tape, t, h| {
+        let x = tape.constant(features.clone());
+        let h_new = cell.step(tape, exec, t, &x, h);
+        let logits = edge_logits(&h_new, &batches[t]);
+        all_logits.extend(logits.value().data());
+        all_labels.extend(batches[t].labels.data());
+        let l = logits.bce_with_logits_loss(&batches[t].labels);
+        loss_sum += l.value().item() as f64;
+        (l, h_new)
+    });
     let n = all_logits.len();
     let logits_t = Tensor::from_vec(n, all_logits);
     let labels_t = Tensor::from_vec(n, all_labels);
     (
-        (loss_sum / total as f64) as f32,
+        (loss_sum / batches.len() as f64) as f32,
         crate::metrics::roc_auc(&logits_t, &labels_t),
         crate::metrics::binary_accuracy(&logits_t, &labels_t),
     )
@@ -384,6 +360,36 @@ mod tests {
         let (pushes, pops, _, bytes) = exec.state_stack_stats();
         assert_eq!(pushes, pops);
         assert_eq!(bytes, 0);
+    }
+
+    #[test]
+    fn driver_sums_each_sequence_and_carries_the_hidden_state() {
+        let mut seen = Vec::new();
+        let sums = run_sequences(7, 3, None, |tape, t, h| {
+            seen.push((t, h.map(|h| h.value().item())));
+            let l = tape.constant(Tensor::from_vec(1, vec![t as f32]));
+            (l.clone(), l)
+        });
+        assert_eq!(sums, vec![3.0, 12.0, 6.0]);
+        assert_eq!(seen[0], (0, None));
+        // Detached across the boundary: sequence 2 starts from t = 2's state.
+        assert_eq!(seen[3], (3, Some(2.0)));
+        // Means 1, 4, 6 weighted by lengths 3, 3, 1.
+        assert_eq!(epoch_mean(&sums, 3, 7), 3.0);
+    }
+
+    #[test]
+    fn eval_leaves_every_gradient_zero() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let n = 8;
+        let mut ps = ParamSet::new();
+        let cell = Tgcn::new(&mut ps, "t", 3, 4, &mut rng);
+        let model = NodeRegressor::new(&mut ps, cell, 1, &mut rng);
+        let (feats, targets) = synthetic_signal(n, 3, 5, 4);
+        eval_node_regression(&model, &static_exec(n), &feats, &targets, 2);
+        for p in ps.iter() {
+            assert!(p.grad().data().iter().all(|&g| g == 0.0), "{}", p.name());
+        }
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl EventLog {
     pub fn as_slice(&self) -> &[TimedEdge] {
         &self.events
     }
-
-    /// The suffix of events with id `>= eid` — the replay-cursor view an
-    /// online trainer uses to feed freshly ingested events into its replay
-    /// buffer ([`stgraph_serve::online::ReplayBuffer::push_events`]) without
-    /// re-reading the whole log. `eid` past the end yields an empty slice.
-    pub fn events_since(&self, eid: u64) -> &[TimedEdge] {
-        let start = (eid as usize).min(self.events.len());
-        &self.events[start..]
-    }
 }
 
 /// An event log plus its T-CSR index, mutated only in lock-step.
@@ -131,22 +122,5 @@ mod tests {
             }])
             .is_err());
         assert_eq!(s, before);
-    }
-
-    #[test]
-    fn events_since_is_the_replay_cursor_view() {
-        let mut s = CtdgStore::new(8);
-        let batch: Vec<TimedEdge> = (0..5)
-            .map(|i| TimedEdge {
-                src: i,
-                dst: i + 1,
-                t: 10 + i as u64,
-            })
-            .collect();
-        s.append_batch(&batch);
-        assert_eq!(s.log().events_since(0), &batch[..]);
-        assert_eq!(s.log().events_since(3), &batch[3..]);
-        assert_eq!(s.log().events_since(5), &[] as &[TimedEdge]);
-        assert_eq!(s.log().events_since(99), &[] as &[TimedEdge]);
     }
 }

@@ -21,7 +21,7 @@ pub use io::{read_signal_csv, read_snap_temporal, write_snap_temporal};
 pub use static_temporal::{load_static, StaticTemporalDataset};
 pub use synth::{
     community_stream, fraud_stream, EdgeStream, FraudConfig, FraudEvent, FraudStream, SynthConfig,
-    TimedEdge, TimedUpdateBatch, UpdateBatch, UpdateStream,
+    TimedEdge, UpdateBatch, UpdateStream,
 };
 
 /// The one seeding convention every binary shares: an explicit `--seed`

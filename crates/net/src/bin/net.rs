@@ -108,7 +108,7 @@ fn main() {
         max_inflight: get(&args, "max_inflight", 32u64),
     };
 
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::default();
     config.max_batch = get(&args, "max_batch", config.max_batch).max(1);
     config.queue_capacity = get(&args, "queue_cap", config.queue_capacity).max(1);
     if let Some(ms) = args.get("deadline_ms") {

@@ -45,14 +45,14 @@ Options:
   --pct-change <f>        snapshot churn percent (default 5)
   --scale <n>             dataset size divisor (default 64)
   --queries <n>           total queries across the stream (default 1000)
-  --max-batch <n>         micro-batch cap (default 256 / STGRAPH_SERVE_MAX_BATCH)
-  --flush-us <n>          batch linger in microseconds (default 2000 / STGRAPH_SERVE_FLUSH_US)
+  --max-batch <n>         micro-batch cap (default 256)
+  --flush-us <n>          batch linger in microseconds (default 2000)
   --queue-cap <n>         request queue bound; queries beyond it are shed
                           with a typed Overloaded error rather than
-                          blocking (default 1024 / STGRAPH_SERVE_QUEUE_CAP)
+                          blocking (default 1024)
   --deadline-ms <n>       per-request deadline: queries queued longer than
                           this fail with DeadlineExceeded instead of being
-                          answered stale (default off / STGRAPH_SERVE_DEADLINE_MS)
+                          answered stale (default off)
   --seed <n>              RNG seed, must match training (default 42)
   --verify                check every served value bitwise against a direct
                           replay. With --online the replay reruns the
@@ -182,7 +182,7 @@ fn main() {
         stgraph_telemetry::set_enabled(true);
     }
 
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::default();
     config.max_batch = get(&args, "max_batch", config.max_batch).max(1);
     config.flush_interval = std::time::Duration::from_micros(get(
         &args,
@@ -340,9 +340,9 @@ fn main() {
             keep,
         )
         .expect("checkpoint reloaded for verification");
-        let expected = if online_trainer.is_some() {
-            // Replay the train-while-serving schedule from the captured
-            // initial state: forward g, apply diffs[g], step + publish.
+        // With --online, replay the train-while-serving schedule from the
+        // captured initial state.
+        let mut oracle = online_trainer.as_ref().map(|_| {
             let cfg = OnlineConfig {
                 seed,
                 batch_size: online_batch,
@@ -356,16 +356,14 @@ fn main() {
             oracle
                 .load_entries(&online_initial)
                 .expect("initial online state reloads");
-            online_direct_chain(
-                &src,
-                &direct_feats,
-                direct_cell.as_ref(),
-                &direct_params,
-                &mut oracle,
-            )
-        } else {
-            direct_chain(&src, &direct_feats, direct_cell.as_ref())
-        };
+            oracle
+        });
+        let expected = direct_chain(
+            &src,
+            &direct_feats,
+            direct_cell.as_ref(),
+            oracle.as_mut().map(|o| (o, &direct_params)),
+        );
         let mut mismatches = 0usize;
         for resp in &responses {
             let want = &expected[resp.generation as usize];
@@ -443,44 +441,18 @@ fn main() {
 }
 
 /// The no-batching oracle: one recurrent step per generation, hidden
-/// carried, computed on the same snapshot chain the engine saw.
-fn direct_chain(src: &DtdgSource, feats: &Tensor, cell: &dyn RecurrentCell) -> Vec<Tensor> {
-    use stgraph::backend::create_backend;
-    use stgraph::executor::{GraphSource, TemporalExecutor};
-    use stgraph_tensor::Tape;
-
-    let mut live = LiveGraph::from_source(src);
-    let diffs = src.diffs();
-    let mut hidden: Option<Tensor> = None;
-    let mut out = Vec::new();
-    #[allow(clippy::needless_range_loop)] // g is a generation, not just an index
-    for g in 0..src.num_timestamps() {
-        let (_, snap) = live.snapshot();
-        let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
-        let tape = Tape::new();
-        let x = tape.constant(feats.clone());
-        let h = hidden.clone().map(|t| tape.constant(t));
-        let new = cell.step(&tape, &exec, 0, &x, h.as_ref());
-        hidden = Some(new.value().clone());
-        out.push(new.value().clone());
-        if g + 1 < src.num_timestamps() {
-            live.apply(&diffs[g]);
-        }
-    }
-    out
-}
-
-/// The train-while-serving oracle: the engine's exact schedule, no queue —
-/// forward generation `g` on the current weights, apply `diffs[g]`, run one
-/// online step, and install the published weights before `g+1`'s forward.
-/// With `oracle` cloned from the live trainer's initial state this replays
-/// the served embeddings bitwise.
-fn online_direct_chain(
+/// carried, computed on the same snapshot chain the engine saw, with no
+/// engine code on the path. With `online` it follows the engine's
+/// train-while-serving schedule too: forward generation `g` on the current
+/// weights, apply `diffs[g]`, run one online step, and install the
+/// published weights into `params` before `g+1`'s forward. A trainer
+/// cloned from the live one's initial state replays the served embeddings
+/// bitwise.
+fn direct_chain(
     src: &DtdgSource,
     feats: &Tensor,
     cell: &dyn RecurrentCell,
-    params: &ParamSet,
-    oracle: &mut OnlineTrainer,
+    mut online: Option<(&mut OnlineTrainer, &ParamSet)>,
 ) -> Vec<Tensor> {
     use stgraph::backend::create_backend;
     use stgraph::executor::{GraphSource, TemporalExecutor};
@@ -500,8 +472,11 @@ fn online_direct_chain(
         let new = cell.step(&tape, &exec, 0, &x, h.as_ref());
         hidden = Some(new.value().clone());
         out.push(new.value().clone());
-        if g + 1 < src.num_timestamps() {
-            live.apply(&diffs[g]);
+        if g + 1 == src.num_timestamps() {
+            continue;
+        }
+        live.apply(&diffs[g]);
+        if let Some((oracle, params)) = online.as_mut() {
             let (_, snap) = live.snapshot();
             match oracle.on_advance(live.generation(), &diffs[g], snap, feats) {
                 Ok(Some(published)) => params

@@ -121,10 +121,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Engine knobs. Each field has an environment override so deployments can
-/// tune without rebuilding: `STGRAPH_SERVE_MAX_BATCH`,
-/// `STGRAPH_SERVE_FLUSH_US`, `STGRAPH_SERVE_QUEUE_CAP`,
-/// `STGRAPH_SERVE_DEADLINE_MS`.
+/// Engine knobs. The `serve` and `net` binaries start from the default and
+/// set fields from their `--max-batch`, `--flush-us`, `--queue-cap` and
+/// `--deadline-ms` flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Most queries coalesced into one batched forward (default 256).
@@ -147,31 +146,6 @@ impl Default for ServeConfig {
             flush_interval: Duration::from_millis(2),
             queue_capacity: 1024,
             deadline: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The default config with any `STGRAPH_SERVE_*` overrides applied.
-    pub fn from_env() -> ServeConfig {
-        fn read<T: std::str::FromStr>(key: &str, default: T) -> T {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        let d = ServeConfig::default();
-        ServeConfig {
-            max_batch: read("STGRAPH_SERVE_MAX_BATCH", d.max_batch).max(1),
-            flush_interval: Duration::from_micros(read(
-                "STGRAPH_SERVE_FLUSH_US",
-                d.flush_interval.as_micros() as u64,
-            )),
-            queue_capacity: read("STGRAPH_SERVE_QUEUE_CAP", d.queue_capacity).max(1),
-            deadline: std::env::var("STGRAPH_SERVE_DEADLINE_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .map(Duration::from_millis),
         }
     }
 }
@@ -1095,13 +1069,6 @@ mod tests {
         });
         // Generations 0 and 1 each got their pinned forward.
         assert_eq!(engine.report(Duration::from_millis(1)).forwards, 3);
-    }
-
-    #[test]
-    fn config_from_env_defaults() {
-        let c = ServeConfig::from_env();
-        assert!(c.max_batch >= 1);
-        assert!(c.queue_capacity >= 1);
     }
 
     #[test]

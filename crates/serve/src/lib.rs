@@ -52,7 +52,7 @@ pub use ingest::{IngestError, IngestStats, LiveGraph};
 pub use manager::CheckpointManager;
 pub use online::{
     OnlineConfig, OnlineError, OnlineGauges, OnlineStats, OnlineTrainer, PublishedWeights,
-    ReplayBuffer, ReplayEntry,
+    ReplayBuffer,
 };
 pub use stats::{LatencyRecorder, ServeReport};
 pub use zoo::build_cell;

@@ -76,18 +76,9 @@ fn mix(seed: u64, stream: u64, k: u64) -> u64 {
 const STREAM_POSITIVE: u64 = 0x01;
 const STREAM_NEGATIVE: u64 = 0x02;
 
-/// One replayable edge observation: endpoints plus its logical arrival time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplayEntry {
-    /// Source endpoint.
-    pub src: u32,
-    /// Destination endpoint.
-    pub dst: u32,
-    /// Logical arrival time in milliseconds (monotone within a buffer).
-    pub t_ms: u64,
-}
-
-/// Bounded time-indexed replay buffer over recently ingested edges.
+/// Bounded time-indexed replay buffer over recently ingested edges. Each
+/// entry is a [`TimedEdge`] whose `t` is its logical arrival time in
+/// milliseconds.
 ///
 /// Two eviction rules, and only two:
 ///
@@ -102,7 +93,7 @@ pub struct ReplayEntry {
 /// `tests/prop_online.rs` checks against a reference model.
 #[derive(Clone, Debug)]
 pub struct ReplayBuffer {
-    entries: VecDeque<ReplayEntry>,
+    entries: VecDeque<TimedEdge>,
     cap: usize,
     staleness_ms: u64,
     now_ms: u64,
@@ -151,7 +142,7 @@ impl ReplayBuffer {
     }
 
     /// Iterates the buffered entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &ReplayEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &TimedEdge> {
         self.entries.iter()
     }
 
@@ -173,7 +164,7 @@ impl ReplayBuffer {
             self.entries.pop_front();
             self.evicted_cap += 1;
         }
-        self.entries.push_back(ReplayEntry { src, dst, t_ms: t });
+        self.entries.push_back(TimedEdge { src, dst, t });
     }
 
     /// Pushes every addition of a DTDG [`UpdateBatch`] at logical time
@@ -186,18 +177,10 @@ impl ReplayBuffer {
         }
     }
 
-    /// Pushes a slice of CTDG timed events, using each event's own
-    /// timestamp as its logical arrival time.
-    pub fn push_events(&mut self, events: &[TimedEdge]) {
-        for e in events {
-            self.push(e.t, e.src, e.dst);
-        }
-    }
-
     fn evict_stale(&mut self) {
         let cutoff = self.now_ms.saturating_sub(self.staleness_ms);
         while let Some(front) = self.entries.front() {
-            if front.t_ms < cutoff {
+            if front.t < cutoff {
                 self.entries.pop_front();
                 self.evicted_stale += 1;
             } else {
@@ -210,14 +193,14 @@ impl ReplayBuffer {
     /// its own splitmix64-derived ChaCha8 stream, so the result is a pure
     /// function of `(seed, k, buffer contents)` — identical no matter how
     /// rayon schedules the parallel iterator (`tests/prop_online.rs`).
-    pub fn sample(&self, seed: u64, k: usize) -> Vec<ReplayEntry> {
+    pub fn sample(&self, seed: u64, k: usize) -> Vec<TimedEdge> {
         let n = self.entries.len();
         assert!(n > 0, "cannot sample from an empty replay buffer");
         let mut out = vec![
-            ReplayEntry {
+            TimedEdge {
                 src: 0,
                 dst: 0,
-                t_ms: 0
+                t: 0
             };
             k
         ];
@@ -739,7 +722,7 @@ mod tests {
         // Capacity displacement drops exactly the oldest.
         rb.push(40, 3, 4);
         assert_eq!(rb.len(), 3);
-        assert_eq!(rb.iter().next().unwrap().t_ms, 20);
+        assert_eq!(rb.iter().next().unwrap().t, 20);
         assert_eq!(rb.evicted_cap(), 1);
         // Staleness: advancing far drops everything aged out.
         rb.advance_to(200);
@@ -756,7 +739,7 @@ mod tests {
         let mut rb = ReplayBuffer::new(8, 1000);
         rb.push(50, 0, 1);
         rb.push(10, 1, 2); // clamped to 50
-        let ts: Vec<u64> = rb.iter().map(|e| e.t_ms).collect();
+        let ts: Vec<u64> = rb.iter().map(|e| e.t).collect();
         assert_eq!(ts, vec![50, 50]);
         assert_eq!(rb.now_ms(), 50);
     }

@@ -18,9 +18,10 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use stgraph_datasets::TimedEdge;
 use stgraph_dyngraph::DtdgSource;
 use stgraph_serve::ingest::LiveGraph;
-use stgraph_serve::{OnlineConfig, OnlineTrainer, ReplayBuffer, ReplayEntry};
+use stgraph_serve::{OnlineConfig, OnlineTrainer, ReplayBuffer};
 use stgraph_tensor::Tensor;
 
 /// Raw push ops: (time delta, src, dst). Deltas of zero exercise same-tick
@@ -37,20 +38,20 @@ fn ops_strategy() -> impl Strategy<Value = Vec<(u64, u32, u32)>> {
 }
 
 /// The reference model: a plain Vec driven by the two documented rules.
-fn reference(cap: usize, staleness_ms: u64, ops: &[(u64, u32, u32)]) -> (Vec<ReplayEntry>, u64) {
+fn reference(cap: usize, staleness_ms: u64, ops: &[(u64, u32, u32)]) -> (Vec<TimedEdge>, u64) {
     let mut now = 0u64;
-    let mut kept: Vec<ReplayEntry> = Vec::new();
+    let mut kept: Vec<TimedEdge> = Vec::new();
     let mut t_raw = 0u64;
     for &(dt, src, dst) in ops {
         t_raw += dt;
         let t = t_raw.max(now);
         now = t;
         let cutoff = now.saturating_sub(staleness_ms);
-        kept.retain(|e| e.t_ms >= cutoff);
+        kept.retain(|e| e.t >= cutoff);
         if kept.len() == cap {
             kept.remove(0);
         }
-        kept.push(ReplayEntry { src, dst, t_ms: t });
+        kept.push(TimedEdge { src, dst, t });
     }
     (kept, now)
 }
@@ -78,7 +79,7 @@ proptest! {
         // own entries one by one into a fresh buffer.
         let mut b = ReplayBuffer::new(64, u64::MAX);
         for e in a.iter() {
-            b.push(e.t_ms, e.src, e.dst);
+            b.push(e.t, e.src, e.dst);
         }
         prop_assert_eq!(a.len(), b.len());
 
@@ -90,7 +91,7 @@ proptest! {
         let longer = a.sample(seed, k + 17);
         prop_assert_eq!(&longer[..k], &s1[..], "per-index streams: prefix-stable in k");
         // Every draw is a real buffered entry.
-        let held: Vec<ReplayEntry> = a.iter().copied().collect();
+        let held: Vec<TimedEdge> = a.iter().copied().collect();
         for e in &s1 {
             prop_assert!(held.contains(e), "sampled entry {e:?} not in buffer");
         }
@@ -112,20 +113,20 @@ proptest! {
             buf.push(t_raw, src, dst);
         }
         let (want, now) = reference(cap, staleness_ms, &ops);
-        let got: Vec<ReplayEntry> = buf.iter().copied().collect();
+        let got: Vec<TimedEdge> = buf.iter().copied().collect();
         prop_assert_eq!(&got, &want, "buffer diverged from reference model");
         prop_assert_eq!(buf.now_ms(), now);
         prop_assert!(got.len() <= cap);
         // Nothing staler than the bound survives the final clock...
         let cutoff = now.saturating_sub(staleness_ms);
         for e in &got {
-            prop_assert!(e.t_ms >= cutoff, "stale entry {e:?} retained (cutoff {cutoff})");
+            prop_assert!(e.t >= cutoff, "stale entry {e:?} retained (cutoff {cutoff})");
         }
         // ...and while under capacity, every fresh event survives: the
         // buffer holds exactly the newest min(cap, fresh) pushes.
         let (unbounded, _) = reference(usize::MAX, staleness_ms, &ops);
-        let fresh: Vec<ReplayEntry> =
-            unbounded.into_iter().filter(|e| e.t_ms >= cutoff).collect();
+        let fresh: Vec<TimedEdge> =
+            unbounded.into_iter().filter(|e| e.t >= cutoff).collect();
         let keep = fresh.len().min(cap);
         prop_assert_eq!(&got[..], &fresh[fresh.len() - keep..],
             "a fresh event was dropped under capacity");

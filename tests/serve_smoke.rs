@@ -44,39 +44,16 @@ fn online_config() -> OnlineConfig {
 }
 
 /// Direct, unbatched replay: one recurrent step per generation with the
-/// hidden state carried — the oracle the engine must match bitwise.
-fn direct_chain(src: &DtdgSource, feats: &Tensor, cell: &dyn RecurrentCell) -> Vec<Tensor> {
-    let mut live = LiveGraph::from_source(src);
-    let diffs = src.diffs();
-    let mut hidden: Option<Tensor> = None;
-    let mut out = Vec::new();
-    #[allow(clippy::needless_range_loop)] // g is a generation, not just an index
-    for g in 0..src.num_timestamps() {
-        let (_, snap) = live.snapshot();
-        let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
-        let tape = Tape::new();
-        let x = tape.constant(feats.clone());
-        let h = hidden.clone().map(|t| tape.constant(t));
-        let new = cell.step(&tape, &exec, 0, &x, h.as_ref());
-        hidden = Some(new.value().clone());
-        out.push(new.value().clone());
-        if g + 1 < src.num_timestamps() {
-            live.apply(&diffs[g]);
-        }
-    }
-    out
-}
-
-/// The online oracle: forward at generation `g` with the weights published
-/// at `g`, then apply the batch, run the trainer's step + publish, and
-/// load the published generation into the oracle's serving params — the
-/// exact sequence the engine's run loop performs.
-fn online_direct_chain(
+/// hidden state carried — the oracle the engine must match bitwise. With
+/// `online` it also performs the engine run loop's online sequence: after
+/// the forward at generation `g`, apply the batch, run the trainer's step
+/// and publish, and load the published generation into `params` before
+/// `g+1`'s forward.
+fn direct_chain(
     src: &DtdgSource,
     feats: &Tensor,
     cell: &dyn RecurrentCell,
-    params: &ParamSet,
-    trainer: &mut OnlineTrainer,
+    mut online: Option<(&mut OnlineTrainer, &ParamSet)>,
 ) -> Vec<Tensor> {
     let mut live = LiveGraph::from_source(src);
     let diffs = src.diffs();
@@ -92,8 +69,11 @@ fn online_direct_chain(
         let new = cell.step(&tape, &exec, 0, &x, h.as_ref());
         hidden = Some(new.value().clone());
         out.push(new.value().clone());
-        if g + 1 < src.num_timestamps() {
-            live.apply(&diffs[g]);
+        if g + 1 == src.num_timestamps() {
+            continue;
+        }
+        live.apply(&diffs[g]);
+        if let Some((trainer, params)) = online.as_mut() {
             let (_, snap) = live.snapshot();
             match trainer.on_advance(live.generation(), &diffs[g], snap, feats) {
                 Ok(Some(published)) => params.try_load_state_dict(&published.entries).unwrap(),
@@ -148,14 +128,13 @@ fn run(online: bool) {
     // checkpoint + engine pipeline end to end. In online mode the oracle
     // additionally runs its own trainer replica so its weights walk the
     // same published generations.
-    let expected = if online {
-        let mut oracle =
+    let mut oracle = online.then(|| {
+        let mut t =
             OnlineTrainer::new("tgcn", FEATURES, HIDDEN, src.num_nodes, online_config()).unwrap();
-        oracle.load_weights(&trained.state_dict()).unwrap();
-        online_direct_chain(&src, &feats, &cell, &trained, &mut oracle)
-    } else {
-        direct_chain(&src, &feats, &cell)
-    };
+        t.load_weights(&trained.state_dict()).unwrap();
+        t
+    });
+    let expected = direct_chain(&src, &feats, &cell, oracle.as_mut().map(|t| (t, &trained)));
 
     let live = LiveGraph::from_source(&src);
     let mut engine = InferenceEngine::new(Box::new(cell2), feats.clone(), live, "seastar");

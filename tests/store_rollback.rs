@@ -174,7 +174,11 @@ fn snapshot_build_faults_never_lose_a_snapshot() {
         let fresh = store.snapshot();
         stgraph_faultline::clear_plan();
         assert!(snapshot_identical(&stale, &naive.get_graph(t)), "t={t}");
-        assert!(snapshot_identical(&fresh, &naive.get_graph(t + 1)), "t={}", t + 1);
+        assert!(
+            snapshot_identical(&fresh, &naive.get_graph(t + 1)),
+            "t={}",
+            t + 1
+        );
     }
 }
 
@@ -191,7 +195,10 @@ fn restore_state_returns_to_the_cloned_edge_set() {
         store.apply(&batch.additions, &batch.deletions);
     }
     let t_last = src.num_timestamps() - 1;
-    assert!(snapshot_identical(&store.snapshot(), &naive.get_graph(t_last)));
+    assert!(snapshot_identical(
+        &store.snapshot(),
+        &naive.get_graph(t_last)
+    ));
     let version = store.version();
     store.restore_state(&cached);
     assert_eq!(store.version(), version + 1);
