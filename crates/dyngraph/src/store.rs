@@ -22,7 +22,7 @@ use std::sync::Arc;
 use stgraph_faultline::FaultError;
 use stgraph_graph::base::Snapshot;
 use stgraph_graph::csr::Csr;
-use stgraph_pma::{Gpma, EMPTY};
+use stgraph_pma::Gpma;
 
 /// `(src, dst)` edges as `(dst, src)` key halves.
 fn reversed(edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
@@ -65,10 +65,10 @@ impl DtdgStore {
     /// `(src, dst)` in slot order: destinations ascending, each
     /// destination's sources ascending.
     fn slot_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let keys = self.gpma.pma().key_slots();
-        keys.iter()
-            .filter(|&&k| k != EMPTY)
-            .map(|&k| (k as u32 as usize, (k >> 32) as usize))
+        self.gpma
+            .pma()
+            .iter()
+            .map(|k| (k as u32 as usize, (k >> 32) as usize))
     }
 
     /// The edge set, sorted by `(src, dst)` (tests / oracle comparison).

@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 /// A fully-materialised view of one graph timestamp, ready for the kernels.
 ///
-/// `csr` is the out-neighbour CSR consumed by the *backward* pass (it may
-/// contain GPMA gaps); `reverse_csr` is the dense in-neighbour CSR consumed
-/// by the *forward* pass. Both carry the same edge labels.
+/// `csr` is the out-neighbour CSR consumed by the *backward* pass;
+/// `reverse_csr` is the in-neighbour CSR consumed by the *forward* pass.
+/// Both carry the same edge labels.
 #[derive(Clone)]
 pub struct Snapshot {
     /// Out-neighbour CSR (backward pass).
@@ -184,7 +184,6 @@ pub fn dense_adjacency(s: &Snapshot) -> Vec<Vec<f32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::SPACE;
 
     fn diamond() -> Snapshot {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -212,20 +211,6 @@ mod tests {
         for (dst, src, e) in s.reverse_csr.triples() {
             assert_eq!(fwd[&e], (src, dst));
         }
-    }
-
-    #[test]
-    fn snapshot_from_gapped_csr() {
-        let csr = Csr::from_parts(
-            vec![0, 3, 4, 6],
-            vec![1, SPACE, 2, 2, SPACE, 0],
-            vec![0, 7, 1, 2, 9, 3],
-        );
-        let s = Snapshot::from_csr(csr);
-        assert_eq!(s.num_edges(), 4);
-        assert_eq!(s.in_degrees.as_slice(), &[1, 1, 2]);
-        // Reverse CSR must be dense even though the source was gapped.
-        assert!(s.reverse_csr.col_indices.iter().all(|&c| c != SPACE));
     }
 
     #[test]

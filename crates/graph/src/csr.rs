@@ -10,51 +10,40 @@
 //! * instead of relabelling vertices per snapshot, each CSR carries an
 //!   auxiliary [`Csr::node_ids`] array listing vertices in descending degree
 //!   order — the kernel processes vertices in that order so high-degree rows
-//!   start early and overlap with many low-degree rows (Figure 3);
-//! * `col_indices` entries may be [`SPACE`] sentinels (gaps left by the GPMA
-//!   for fast insertion); every consumer skips them.
+//!   start early and overlap with many low-degree rows (Figure 3).
+//!
+//! Every CSR is dense: a row's slots are exactly its edges. (The paper's
+//! GPMA kernels read gapped arrays in place; here the DTDG store builds
+//! dense CSRs from its PMA's keys, so no consumer ever skips a gap.)
 
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use stgraph_tensor::mem::BytesCharge;
 
-/// Sentinel marking an empty slot in a gapped CSR (GPMA leaves these).
-pub const SPACE: u32 = u32::MAX;
-
 /// A compressed-sparse-row adjacency with edge labels.
 pub struct Csr {
-    /// `row_offset[i]..row_offset[i+1]` spans vertex `i`'s slot range in
-    /// `col_indices` (the range may contain [`SPACE`] gaps).
+    /// `row_offset[i]..row_offset[i+1]` spans vertex `i`'s edges in
+    /// `col_indices` and `eids`.
     pub row_offset: Vec<usize>,
-    /// Neighbour vertex per slot, or [`SPACE`].
+    /// Neighbour vertex per edge.
     pub col_indices: Vec<u32>,
-    /// Edge id per slot (meaningless where `col_indices` is [`SPACE`]).
+    /// Edge id per edge.
     pub eids: Vec<u32>,
-    /// Vertices in descending order of (valid-slot) degree: the kernel
-    /// scheduling order.
+    /// Vertices in descending order of degree: the kernel scheduling order.
     pub node_ids: Vec<u32>,
-    /// Number of valid (non-gap) edges.
-    num_edges: usize,
     charge: BytesCharge,
 }
 
 impl Csr {
     /// Assembles a CSR from raw arrays, computing `node_ids` and the charge.
+    /// The rows must be dense: `row_offset` ends at `col_indices.len()`.
     pub fn from_parts(row_offset: Vec<usize>, col_indices: Vec<u32>, eids: Vec<u32>) -> Csr {
         assert_eq!(col_indices.len(), eids.len());
-        assert!(!row_offset.is_empty());
-        let n = row_offset.len() - 1;
-        debug_assert_eq!(*row_offset.last().unwrap(), col_indices.len());
-        let mut degree = vec![0u32; n];
-        let mut num_edges = 0;
-        for i in 0..n {
-            let d = col_indices[row_offset[i]..row_offset[i + 1]]
-                .iter()
-                .filter(|&&c| c != SPACE)
-                .count();
-            degree[i] = d as u32;
-            num_edges += d;
-        }
+        assert_eq!(row_offset.last(), Some(&col_indices.len()));
+        let degree: Vec<u32> = row_offset
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u32)
+            .collect();
         let node_ids = degree_sorted_ids(&degree);
         let bytes = row_offset.len() * std::mem::size_of::<usize>()
             + col_indices.len() * std::mem::size_of::<u32>()
@@ -65,7 +54,6 @@ impl Csr {
             col_indices,
             eids,
             node_ids,
-            num_edges,
             charge: BytesCharge::new(bytes),
         }
     }
@@ -99,28 +87,26 @@ impl Csr {
         self.row_offset.len() - 1
     }
 
-    /// Number of valid edges (gaps excluded).
+    /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.col_indices.len()
     }
 
-    /// Valid-slot degree of vertex `i`.
+    /// Degree of vertex `i`.
     pub fn degree(&self, i: usize) -> usize {
-        self.iter_row(i).count()
+        self.row_offset[i + 1] - self.row_offset[i]
     }
 
-    /// Iterates vertex `i`'s valid `(neighbour, eid)` slots, skipping gaps.
+    /// Iterates vertex `i`'s `(neighbour, eid)` pairs.
     pub fn iter_row(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.row_offset[i];
-        let hi = self.row_offset[i + 1];
-        self.col_indices[lo..hi]
+        let row = self.row_offset[i]..self.row_offset[i + 1];
+        self.col_indices[row.clone()]
             .iter()
-            .zip(&self.eids[lo..hi])
-            .filter(|(&c, _)| c != SPACE)
-            .map(|(&c, &e)| (c, e))
+            .copied()
+            .zip(self.eids[row].iter().copied())
     }
 
-    /// Degrees of all vertices (valid slots only).
+    /// Degrees of all vertices.
     pub fn degrees(&self) -> Vec<u32> {
         (0..self.num_nodes())
             .map(|i| self.degree(i) as u32)
@@ -134,7 +120,7 @@ impl Csr {
 
     /// Collects `(src, dst, eid)` triples in row order (test/debug helper).
     pub fn triples(&self) -> Vec<(u32, u32, u32)> {
-        let mut out = Vec::with_capacity(self.num_edges);
+        let mut out = Vec::with_capacity(self.num_edges());
         for i in 0..self.num_nodes() {
             for (d, e) in self.iter_row(i) {
                 out.push((i as u32, d, e));
@@ -156,8 +142,8 @@ pub fn degree_sorted_ids(degree: &[u32]) -> Vec<u32> {
 /// Parallel reverse-CSR construction — Algorithm 3 of the paper, with
 /// `atomic_sub` claiming slots exactly as the CUDA kernel does.
 ///
-/// Input: a (possibly gapped) out-neighbour CSR and the in-degree array.
-/// Output: a dense in-neighbour CSR carrying the same edge ids, each row
+/// Input: an out-neighbour CSR and the in-degree array.
+/// Output: an in-neighbour CSR carrying the same edge ids, each row
 /// holding its sources in descending `g`-slot order — what the claims
 /// leave when one thread walks the rows in order. On more threads the
 /// claims race, so each row is put back into that order after the scatter
@@ -193,9 +179,6 @@ pub fn reverse_csr(g: &Csr, in_degrees: &[u32]) -> Csr {
             let shared = &shared;
             for slot in g.row_offset[i]..g.row_offset[i + 1] {
                 let dst = g.col_indices[slot];
-                if dst == SPACE {
-                    continue;
-                }
                 // `loc = atomic_sub(r_row_offset[dst], 1)` then write at
                 // loc-1 (the paper's pseudo-code returns the decremented
                 // value; fetch_sub returns the previous one).
@@ -318,16 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn gapped_rows_are_skipped() {
-        // Row 0 has slots [1, SPACE, 2]; row 1 empty; degrees must ignore
-        // the gap.
-        let g = Csr::from_parts(vec![0, 3, 3], vec![1, SPACE, 2], vec![0, 99, 1]);
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.iter_row(0).collect::<Vec<_>>(), vec![(1, 0), (2, 1)]);
-    }
-
-    #[test]
     fn reverse_matches_sequential_small() {
         let edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3)];
         let g = Csr::from_edges(4, &edges);
@@ -388,20 +361,6 @@ mod tests {
             );
             assert_eq!(rev.eids[row], want_eid[..], "row {v} edge ids");
         }
-    }
-
-    #[test]
-    fn reverse_of_gapped_csr_is_dense() {
-        let g = Csr::from_parts(
-            vec![0, 3, 4, 6],
-            vec![1, SPACE, 2, 2, SPACE, 0],
-            vec![0, 99, 1, 2, 98, 3],
-        );
-        let seq = reverse_csr_sequential(&g, 3);
-        let par = reverse_csr(&g, &seq.degrees());
-        assert!(same_rows(&par, &seq));
-        assert_eq!(par.num_edges(), 4);
-        assert!(par.col_indices.iter().all(|&c| c != SPACE));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Output is one machine-parseable `key=value` line per tenant plus a
 //! `total:` line; `--json <path>` additionally writes the summary as JSON
-//! (the CI smoke job and `BENCH_net.json` both consume these).
+//! (the CI smoke job consumes these).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

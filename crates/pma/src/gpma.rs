@@ -6,6 +6,10 @@
 //! (`stgraph_dyngraph::DtdgStore`) keys by destination, so its slot order
 //! is the in-neighbour adjacency and it builds snapshots — edge ids
 //! included (Algorithm 2, line 8) — straight from the slots.
+//!
+//! The key is the whole edge: there is no per-edge value column (GPMA's
+//! `eids`), and no consumer reads the gapped slots as a CSR. The store
+//! numbers edge ids when it builds the dense snapshot CSRs.
 
 use crate::pma::Pma;
 
@@ -75,11 +79,8 @@ impl Gpma {
 
     /// Batch edge insertion (duplicates of existing edges are no-ops).
     pub fn insert_edges(&mut self, edges: &[(u32, u32)]) {
-        let items: Vec<(u64, u32)> = edges
-            .iter()
-            .map(|&(s, d)| (edge_key(s, d), u32::MAX))
-            .collect();
-        self.pma.insert_batch(&items);
+        let keys: Vec<u64> = edges.iter().map(|&(s, d)| edge_key(s, d)).collect();
+        self.pma.insert_batch(&keys);
     }
 
     /// Batch edge deletion (absent edges are ignored).
@@ -114,7 +115,7 @@ impl Gpma {
 
     /// Lists edges in sorted order (tests / snapshot comparison).
     pub fn edges(&self) -> Vec<(u32, u32)> {
-        self.pma.iter().map(|(k, _)| key_edge(k)).collect()
+        self.pma.iter().map(key_edge).collect()
     }
 
     /// True if the edge is present.
@@ -124,9 +125,8 @@ impl Gpma {
 
     /// A deep copy with its own memory charge (the Algorithm-2 cache).
     pub fn clone_state(&self) -> Gpma {
-        let items: Vec<(u64, u32)> = self.pma.iter().collect();
         Gpma {
-            pma: Pma::from_sorted(&items),
+            pma: Pma::from_sorted(&self.pma.iter().collect::<Vec<_>>()),
             num_nodes: self.num_nodes,
         }
     }
@@ -186,5 +186,52 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(cache.num_edges(), 2);
         assert!(!cache.has_edge(2, 3));
+    }
+
+    fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the slot layout — capacity, segment length and every key slot,
+    /// gaps included — after each of 40 seeded insert/delete batches that
+    /// grow and then shrink the array. Spread positions and rebalance
+    /// decisions depend only on key order and counts, so any change to
+    /// what a slot carries must leave this hash alone.
+    #[test]
+    fn slot_layout_is_pinned() {
+        let mut rng = ChaCha8Rng::seed_from_u64(28);
+        let n = 96u32;
+        let mut g = Gpma::new(n as usize);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let (mut grew, mut shrank) = (false, false);
+        for round in 0..40 {
+            let cap = g.pma().capacity();
+            let edges: Vec<(u32, u32)> = (0..rng.gen_range(1..400))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            // Inserts dominate the first half, deletes the second.
+            if rng.gen_bool(if round < 20 { 0.8 } else { 0.15 }) {
+                g.insert_edges(&edges);
+            } else {
+                let mut dels = g.edges();
+                dels.retain(|_| rng.gen_bool(0.4));
+                dels.extend(edges);
+                g.delete_edges(&dels);
+            }
+            g.pma().check_invariants();
+            grew |= g.pma().capacity() > cap;
+            shrank |= g.pma().capacity() < cap;
+            let pma = g.pma();
+            h = fnv1a(h, [pma.capacity() as u64, pma.segment_len() as u64]);
+            h = fnv1a(h, pma.key_slots().iter().copied());
+        }
+        assert!(grew && shrank, "the run must grow and shrink the array");
+        assert_eq!(h, 0x5f17_74bf_2ada_c6d6);
     }
 }

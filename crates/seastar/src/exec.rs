@@ -945,26 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn gapped_csr_execution_skips_spaces() {
-        use stgraph_graph::csr::{Csr, SPACE};
-        // Same diamond but with gaps in the out-CSR (as GPMA produces).
-        let csr = Csr::from_parts(
-            vec![0, 3, 5, 7, 8],
-            vec![1, SPACE, 2, 3, SPACE, SPACE, 3, SPACE],
-            vec![0, 9, 1, 2, 9, 9, 3, 9],
-        );
-        let snap = Snapshot::from_csr(csr);
-        let mut b = ProgramBuilder::new();
-        let h = b.input(1);
-        let g = b.gather_dst(h);
-        let out = b.agg_sum_src(g);
-        let prog = b.finish(&[out]);
-        let x = Tensor::from_vec((4, 1), vec![10.0, 20.0, 30.0, 40.0]);
-        let r = execute(&prog, &snap, &[&x], &[], &[], &[]);
-        assert_eq!(r.outputs[0].to_vec(), vec![50.0, 40.0, 40.0, 0.0]);
-    }
-
-    #[test]
     fn saved_edge_value_materialises_by_eid() {
         let mut b = ProgramBuilder::new();
         let h = b.input(1);

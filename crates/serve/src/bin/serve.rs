@@ -74,10 +74,6 @@ Options:
                           checkpoint in --online-dir (fresh start if none)
   --trace <path>          enable tracing and write a Chrome trace_event JSON
                           timeline there (chrome://tracing / Perfetto)
-  --metrics <path>        write a Prometheus text-exposition snapshot of all
-                          counters/gauges/histograms at exit (deprecated:
-                          the canonical path is the stgraph-net tier's live
-                          /metrics endpoint)
   --help                  this text
 
 Fault injection: set STGRAPH_FAULTS (e.g. 'ingest.apply:every=7,seed=42')
@@ -177,7 +173,6 @@ fn main() {
         std::process::exit(2);
     }
     let trace_path = args.get("trace").cloned();
-    let metrics_path = args.get("metrics").cloned();
     if trace_path.is_some() {
         stgraph_telemetry::set_enabled(true);
     }
@@ -417,20 +412,6 @@ fn main() {
             Ok(()) => println!("wrote Chrome trace to {path}"),
             Err(e) => {
                 eprintln!("failed to write trace to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics_path {
-        println!(
-            "note: --metrics writes a one-shot snapshot at exit and is deprecated; \
-             the canonical path is the net tier's live /metrics endpoint \
-             (cargo run -p stgraph-net --bin net, then curl http://<addr>/metrics)"
-        );
-        match std::fs::write(path, stgraph_telemetry::export::prometheus_text()) {
-            Ok(()) => println!("wrote metrics exposition to {path}"),
-            Err(e) => {
-                eprintln!("failed to write metrics to {path}: {e}");
                 std::process::exit(1);
             }
         }

@@ -815,7 +815,7 @@ impl InferenceEngine {
             }));
         });
         // The registry copy feeds the Prometheus exposition; the engine's
-        // own recorder (unbounded exact reservoir) produces the report.
+        // own recorder (exact up to its sample cap) produces the report.
         let registry = stgraph_telemetry::histogram("serve.latency_ns");
         for q in batch {
             let latency = done.saturating_duration_since(q.submitted);

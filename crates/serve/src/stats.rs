@@ -11,11 +11,12 @@ use stgraph_tensor::pool::BufPoolStats;
 
 /// Records per-query latencies and reports nearest-rank percentiles.
 ///
-/// A thin wrapper over the shared [`stgraph_telemetry::Histogram`] with an
-/// unbounded exact-sample reservoir: percentiles stay on the histogram's
-/// exact nearest-rank path regardless of sample count, so reported values
-/// are bit-for-bit what the previous sort-the-`Vec` recorder produced,
-/// while the buckets make the recorder mergeable and exportable.
+/// A thin wrapper over the shared [`stgraph_telemetry::Histogram`] with the
+/// default exact-sample cap ([`stgraph_telemetry::hist::DEFAULT_EXACT_CAP`]).
+/// Up to the cap, percentiles are exact nearest-rank — bit-for-bit what the
+/// previous sort-the-`Vec` recorder produced. Past it they fall to bucket
+/// resolution (within 2× of the true value), so a long-lived server keeps
+/// bounded memory. The buckets make the recorder mergeable and exportable.
 #[derive(Debug)]
 pub struct LatencyRecorder {
     hist: Histogram,
@@ -31,7 +32,7 @@ impl LatencyRecorder {
     /// An empty recorder.
     pub fn new() -> LatencyRecorder {
         LatencyRecorder {
-            hist: Histogram::with_exact_cap(usize::MAX),
+            hist: Histogram::new(),
         }
     }
 
@@ -265,6 +266,26 @@ mod tests {
         assert_eq!(r.p50(), Duration::from_millis(500));
         assert_eq!(r.p95(), Duration::from_millis(950));
         assert_eq!(r.p99(), Duration::from_millis(990));
+    }
+
+    #[test]
+    fn reservoir_is_bounded_past_the_exact_cap() {
+        // Regression: the reservoir kept every sample for the process
+        // lifetime. Past the cap the recorder must drop to buckets, and
+        // the median stays within 2× of the true one.
+        let cap = stgraph_telemetry::hist::DEFAULT_EXACT_CAP as u64;
+        let mut r = LatencyRecorder::new();
+        for us in 1..=cap + 1 {
+            r.record(Duration::from_micros(us));
+        }
+        assert!(r.histogram().overflowed());
+        assert_eq!(r.len() as u64, cap + 1);
+        let truth = Duration::from_micros(cap.div_ceil(2) + 1);
+        assert!(
+            r.p50() >= truth && r.p50() <= truth * 2,
+            "p50 {:?} vs true {truth:?}",
+            r.p50()
+        );
     }
 
     #[test]

@@ -81,8 +81,7 @@ impl Histogram {
     }
 
     /// An empty histogram keeping up to `cap` raw samples for exact
-    /// quantiles. `usize::MAX` never degrades (the serve latency recorder
-    /// uses this: it must reproduce the historical exact percentiles).
+    /// quantiles; past `cap` samples, quantiles fall to bucket resolution.
     pub fn with_exact_cap(cap: usize) -> Histogram {
         Histogram {
             buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),

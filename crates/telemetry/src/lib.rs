@@ -17,9 +17,10 @@
 //!   monotone/atomic values and export-time sampled readings (the tensor
 //!   crate re-exposes its pool and memory trackers this way).
 //! * **Histograms** ([`histogram`], [`hist::Histogram`]) — log-bucketed,
-//!   mergeable, with an exact nearest-rank fallback while the sample count
-//!   is small, so the serve engine's p50/p95/p99 report is bit-for-bit what
-//!   the old bespoke recorder produced.
+//!   mergeable, with exact nearest-rank quantiles up to a sample cap
+//!   ([`hist::DEFAULT_EXACT_CAP`]) and bucket resolution (within 2×) past
+//!   it. Below the cap the serve engine's p50/p95/p99 report is
+//!   bit-for-bit what the old bespoke recorder produced.
 //! * **Exporters** ([`export`]) — a Chrome `trace_event` JSON timeline
 //!   (`--trace <path>` on the `train` and `serve` binaries, read it in
 //!   `chrome://tracing` or Perfetto) and a Prometheus-style text exposition

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use stgraph_dyngraph::DtdgSource;
 use stgraph_graph::base::Snapshot;
-use stgraph_graph::csr::{reverse_csr, reverse_csr_sequential, same_rows, Csr, SPACE};
+use stgraph_graph::csr::{reverse_csr, reverse_csr_sequential, same_rows, Csr};
 
 fn arb_edges(n: u32, max_m: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..n, 0..n), 0..max_m)
@@ -60,31 +60,21 @@ proptest! {
     }
 
     #[test]
-    fn gapped_csr_reverse_ignores_spaces(
-        edges in arb_edges(20, 100),
-        gap_every in 2usize..5,
-    ) {
-        // Build a gapped CSR by inflating each row with SPACE slots.
-        let dense = Csr::from_edges(20, &edges);
-        let mut row_offset = vec![0usize];
-        let mut col = Vec::new();
-        let mut eids = Vec::new();
-        for v in 0..20 {
-            for (i, (d, e)) in dense.iter_row(v).enumerate() {
-                if i % gap_every == 0 {
-                    col.push(SPACE);
-                    eids.push(u32::MAX);
-                }
-                col.push(d);
-                eids.push(e);
-            }
-            row_offset.push(col.len());
+    fn degrees_are_row_extents(edges in arb_edges(30, 200)) {
+        // Dense rows: a vertex's degree is its row's extent, and the rows
+        // partition the edge arrays.
+        let g = Csr::from_edges(30, &edges);
+        let mut out_deg = [0usize; 30];
+        for &(s, _) in &edges {
+            out_deg[s as usize] += 1;
         }
-        let gapped = Csr::from_parts(row_offset, col, eids);
-        prop_assert_eq!(gapped.num_edges(), dense.num_edges());
-        let rev_dense = reverse_csr_sequential(&dense, 20);
-        let rev_gapped = reverse_csr(&gapped, &rev_dense.degrees());
-        prop_assert!(same_rows(&rev_gapped, &rev_dense));
+        for (v, &d) in out_deg.iter().enumerate() {
+            prop_assert_eq!(g.degree(v), d);
+            prop_assert_eq!(g.iter_row(v).count(), d);
+        }
+        prop_assert_eq!(g.num_edges(), edges.len());
+        prop_assert_eq!(g.eids.len(), edges.len());
+        prop_assert_eq!(g.degrees().iter().map(|&d| d as usize).sum::<usize>(), edges.len());
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Property-based tests for the PMA/GPMA substrate: under arbitrary
 //! interleaved batch insertions and deletions, the PMA must stay sorted,
-//! respect its density invariants, and hold exactly the same key/value set
-//! as a BTreeMap model.
+//! respect its density invariants, and hold exactly the same key set as a
+//! BTreeSet model.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use stgraph_pma::{Gpma, Pma};
 
 #[derive(Debug, Clone)]
 enum OpBatch {
-    Insert(Vec<(u64, u32)>),
+    Insert(Vec<u64>),
     Delete(Vec<u64>),
 }
 
 fn op_strategy() -> impl Strategy<Value = OpBatch> {
     prop_oneof![
-        prop::collection::vec((0u64..2000, any::<u32>()), 1..120).prop_map(OpBatch::Insert),
+        prop::collection::vec(0u64..2000, 1..120).prop_map(OpBatch::Insert),
         prop::collection::vec(0u64..2000, 1..120).prop_map(OpBatch::Delete),
     ]
 }
@@ -24,21 +24,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn pma_matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..25)) {
+    fn pma_matches_btreeset_model(ops in prop::collection::vec(op_strategy(), 1..25)) {
         let mut pma = Pma::new();
-        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
         for op in &ops {
             match op {
-                OpBatch::Insert(items) => {
-                    pma.insert_batch(items);
-                    // Batch dedup keeps the FIRST occurrence per key (the
-                    // batch is sorted then deduped); replay that.
-                    let mut sorted = items.clone();
-                    sorted.sort_by_key(|&(k, _)| k);
-                    sorted.dedup_by_key(|&mut (k, _)| k);
-                    for &(k, v) in &sorted {
-                        model.insert(k, v);
-                    }
+                OpBatch::Insert(keys) => {
+                    pma.insert_batch(keys);
+                    model.extend(keys);
                 }
                 OpBatch::Delete(keys) => {
                     pma.delete_batch(keys);
@@ -48,28 +41,23 @@ proptest! {
                 }
             }
             pma.check_invariants();
-            let got: Vec<(u64, u32)> = pma.iter().collect();
-            let want: Vec<(u64, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            let got: Vec<u64> = pma.iter().collect();
+            let want: Vec<u64> = model.iter().copied().collect();
             prop_assert_eq!(got, want);
+            prop_assert_eq!(pma.bytes(), pma.capacity() * 8);
         }
     }
 
     #[test]
     fn pma_point_lookups_agree_with_model(
-        items in prop::collection::vec((0u64..500, any::<u32>()), 1..300),
+        keys in prop::collection::vec(0u64..500, 1..300),
         probes in prop::collection::vec(0u64..600, 1..50),
     ) {
         let mut pma = Pma::new();
-        pma.insert_batch(&items);
-        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut sorted = items.clone();
-        sorted.sort_by_key(|&(k, _)| k);
-        sorted.dedup_by_key(|&mut (k, _)| k);
-        for (k, v) in sorted {
-            model.insert(k, v);
-        }
+        pma.insert_batch(&keys);
+        let model: BTreeSet<u64> = keys.iter().copied().collect();
         for p in probes {
-            prop_assert_eq!(pma.get(p), model.get(&p).copied());
+            prop_assert_eq!(pma.contains(p), model.contains(&p));
         }
     }
 
