@@ -9,12 +9,7 @@
 //!
 //! ```sh
 //! cargo run --release -p stgraph-bench --bin kernels
-//! STGRAPH_NO_SIMD=1 cargo run --release -p stgraph-bench --bin kernels
 //! ```
-//!
-//! The SIMD dispatch flag is latched per process, so the scalar "before"
-//! numbers come from re-running under `STGRAPH_NO_SIMD=1`; the JSON rows
-//! carry the active mode so runs can be diffed.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -32,7 +27,6 @@ use stgraph_tensor::Tensor;
 struct KernelRow {
     kernel: String,
     config: String,
-    simd: bool,
     ms_per_iter: f64,
     /// Floating-point operations / time (GEMM and graph kernels only).
     gflops: Option<f64>,
@@ -64,16 +58,8 @@ fn main() {
     // buffer pool; outside a scope every iteration would malloc (and, past
     // glibc's mmap threshold, page-fault) fresh multi-MB buffers.
     let _pool = PoolScope::new();
-    let simd_on = simd::enabled();
     let mut rows: Vec<KernelRow> = Vec::new();
-    println!(
-        "kernel microbenches (SIMD {}):",
-        if simd_on {
-            "on"
-        } else {
-            "off — STGRAPH_NO_SIMD"
-        }
-    );
+    println!("kernel microbenches:");
     println!(
         "{:<26} {:<26} {:>10} {:>9} {:>8} {:>10} {:>9} {:>9}",
         "kernel", "config", "ms/iter", "GFLOP/s", "GB/s", "Medges/s", "Melem/s", "speedup"
@@ -102,7 +88,6 @@ fn main() {
         rows.push(KernelRow {
             kernel: kernel.to_string(),
             config,
-            simd: simd_on,
             ms_per_iter: ms,
             gflops,
             gb_per_s,
@@ -181,13 +166,7 @@ fn main() {
             libm_ms,
         );
         let lanes_ms = time_ms(|| {
-            if simd_on {
-                simd::map_lanes(&mut out, xd, lane, scalar);
-            } else {
-                for (o, &v) in out.iter_mut().zip(xd) {
-                    *o = scalar(v);
-                }
-            }
+            simd::map_lanes(&mut out, xd, lane, scalar);
             std::hint::black_box(&out);
         });
         push(&format!("{name} lanes"), cfg, lanes_ms, elems, libm_ms);

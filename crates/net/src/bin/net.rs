@@ -109,7 +109,7 @@ fn main() {
     };
 
     let mut config = ServeConfig::default();
-    config.max_batch = get(&args, "max_batch", config.max_batch).max(1);
+    config.max_batch = get(&args, "max_batch", config.max_batch);
     config.queue_capacity = get(&args, "queue_cap", config.queue_capacity).max(1);
     if let Some(ms) = args.get("deadline_ms") {
         let ms: u64 = ms.parse().unwrap_or_else(|_| {

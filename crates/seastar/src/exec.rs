@@ -14,64 +14,8 @@ use rayon::prelude::*;
 use stgraph_graph::base::STGraphBase;
 use stgraph_graph::csr::Csr;
 use stgraph_tensor::mem::{self, TrackedBuf};
-use stgraph_tensor::simd::{self, F32x8, LANES};
+use stgraph_tensor::simd::{self, accum_lanes, map_lanes_inline, zip_lanes, F32x8};
 use stgraph_tensor::{par_min, Shape, Tensor};
-
-/// Lane-dispatched `dst[j] = scalar(a[j], b[j])` over equal-width scratch
-/// regions. `lane` must apply the same per-lane IEEE op as `scalar`, so the
-/// SIMD and `STGRAPH_NO_SIMD` paths stay bitwise equal.
-#[inline(always)]
-fn lane_bin(
-    dst: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    lane: impl Fn(F32x8, F32x8) -> F32x8,
-    scalar: impl Fn(f32, f32) -> f32,
-) {
-    if simd::enabled() {
-        let main = dst.len() / LANES * LANES;
-        let (dm, dt) = dst.split_at_mut(main);
-        let mut ac = a.chunks_exact(LANES);
-        let mut bc = b.chunks_exact(LANES);
-        for (dc, (ac, bc)) in dm.chunks_exact_mut(LANES).zip(ac.by_ref().zip(bc.by_ref())) {
-            lane(F32x8::load(ac), F32x8::load(bc)).store(dc);
-        }
-        for (d, (&x, &y)) in dt.iter_mut().zip(ac.remainder().iter().zip(bc.remainder())) {
-            *d = scalar(x, y);
-        }
-    } else {
-        for (d, (&x, &y)) in dst.iter_mut().zip(a.iter().zip(b)) {
-            *d = scalar(x, y);
-        }
-    }
-}
-
-/// Lane-dispatched in-place accumulate `row[j] = scalar(row[j], val[j])`
-/// (the fused aggregation's hot loop). Same bitwise contract as
-/// [`lane_bin`].
-#[inline(always)]
-fn lane_accum(
-    row: &mut [f32],
-    val: &[f32],
-    lane: impl Fn(F32x8, F32x8) -> F32x8,
-    scalar: impl Fn(f32, f32) -> f32,
-) {
-    if simd::enabled() {
-        let main = row.len() / LANES * LANES;
-        let (rm, rt) = row.split_at_mut(main);
-        let mut vc = val.chunks_exact(LANES);
-        for (rc, vc) in rm.chunks_exact_mut(LANES).zip(vc.by_ref()) {
-            lane(F32x8::load(rc), F32x8::load(vc)).store(rc);
-        }
-        for (r, &v) in rt.iter_mut().zip(vc.remainder()) {
-            *r = scalar(*r, v);
-        }
-    } else {
-        for (r, &v) in row.iter_mut().zip(val) {
-            *r = scalar(*r, v);
-        }
-    }
-}
 
 /// Binary edge-op kinds.
 #[derive(Debug, Clone, Copy)]
@@ -400,10 +344,10 @@ impl EdgePlan<'_> {
                         let (lo, hi) = scratch.split_at_mut(out);
                         let (dst, aa, bb) = (&mut hi[..w], &lo[a..a + w], &lo[b..b + w]);
                         match k {
-                            BinKind::Add => lane_bin(dst, aa, bb, |x, y| x.add(y), |x, y| x + y),
-                            BinKind::Sub => lane_bin(dst, aa, bb, |x, y| x.sub(y), |x, y| x - y),
-                            BinKind::Mul => lane_bin(dst, aa, bb, |x, y| x.mul(y), |x, y| x * y),
-                            BinKind::Div => lane_bin(dst, aa, bb, |x, y| x.div(y), |x, y| x / y),
+                            BinKind::Add => zip_lanes(dst, aa, bb, |x, y| x.add(y), |x, y| x + y),
+                            BinKind::Sub => zip_lanes(dst, aa, bb, |x, y| x.sub(y), |x, y| x - y),
+                            BinKind::Mul => zip_lanes(dst, aa, bb, |x, y| x.mul(y), |x, y| x * y),
+                            BinKind::Div => zip_lanes(dst, aa, bb, |x, y| x.div(y), |x, y| x / y),
                         }
                     } else {
                         for j in 0..w {
@@ -422,13 +366,7 @@ impl EdgePlan<'_> {
                     debug_assert!(a + w <= out);
                     let (lo, hi) = scratch.split_at_mut(out);
                     let cx = F32x8::splat(c);
-                    lane_bin(
-                        &mut hi[..w],
-                        &lo[a..a + w],
-                        &lo[a..a + w],
-                        |x, _| x.mul(cx),
-                        |x, _| x * c,
-                    );
+                    map_lanes_inline(&mut hi[..w], &lo[a..a + w], |x| x.mul(cx), |x| x * c);
                 }
                 Instr::LeakyRelu { a, slope, out, w } => {
                     for j in 0..w {
@@ -566,13 +504,13 @@ fn run_aggregation(plan: &EdgePlan<'_>, csr: &Csr, kind: AggKind, num_nodes: usi
                 };
                 match kind {
                     AggKind::SumDst | AggKind::SumSrc => {
-                        lane_accum(row, val, |r, v| r.add(v), |r, v| r + v);
+                        accum_lanes(row, val, |r, v| r.add(v), |r, v| r + v);
                     }
                     AggKind::MaxDst => {
                         if first {
                             row.copy_from_slice(val);
                         } else {
-                            lane_accum(row, val, |r, v| r.max(v), |r, v| r.max(v));
+                            accum_lanes(row, val, |r, v| r.max(v), |r, v| r.max(v));
                         }
                     }
                 }

@@ -178,7 +178,7 @@ fn main() {
     }
 
     let mut config = ServeConfig::default();
-    config.max_batch = get(&args, "max_batch", config.max_batch).max(1);
+    config.max_batch = get(&args, "max_batch", config.max_batch);
     config.flush_interval = std::time::Duration::from_micros(get(
         &args,
         "flush_us",

@@ -126,7 +126,8 @@ impl std::error::Error for ServeError {}
 /// `--deadline-ms` flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most queries coalesced into one batched forward (default 256).
+    /// Most queries coalesced into one batched forward (default 256; 0 is
+    /// served as 1).
     pub max_batch: usize,
     /// How long the engine lingers for stragglers after the first query of
     /// a batch arrives (default 2 ms).
@@ -397,28 +398,28 @@ impl RequestQueue {
     }
 }
 
-/// One resident model: its cell, its hidden chain and its per-generation
-/// embedding memo. Each resident model steps once per generation, so its
-/// chain stays bit-identical to a direct replay from its install point.
+/// One resident model: its cell and its hidden chain. Each resident model
+/// steps once per generation, so its chain stays bit-identical to a direct
+/// replay from its install point.
 struct ModelSlot {
     cell: Box<dyn RecurrentCell>,
-    /// Carried hidden state `h_{g}` after the generation-`g` step.
-    hidden: Option<Tensor>,
-    /// Memoised `(generation, embeddings)` of the last forward.
-    memo: Option<(u64, Tensor)>,
+    /// `(g, h_g)` of the last step: the hidden state carried into the next
+    /// generation's step, and the embeddings served for generation `g`
+    /// (the memo hit when `g` is still current).
+    chain: Option<(u64, Tensor)>,
     /// Monotone tick of the last query touching this model (LRU order).
     last_used: u64,
 }
 
-/// An evicted model's chain state, held aside so a provider reload under
-/// the same key resumes the chain (hidden *and* memo: restoring the memo
-/// keeps a same-generation evict/reload bit-identical — re-stepping from
-/// the parked hidden would double-apply the current generation's step).
+/// An evicted model's chain, held aside so a provider reload under the
+/// same key resumes it. Its generation tag keeps a same-generation
+/// evict/reload bit-identical: the reload answers from the parked
+/// embeddings instead of re-stepping, which would double-apply the current
+/// generation's step.
 struct ParkedChain {
     /// Eviction tick (oldest-parked is dropped first past the cap).
     tick: u64,
-    hidden: Option<Tensor>,
-    memo: Option<(u64, Tensor)>,
+    chain: (u64, Tensor),
 }
 
 /// Resolves a [`ModelKey`] into a freshly-built cell on the engine thread.
@@ -485,8 +486,7 @@ impl InferenceEngine {
             DEFAULT_MODEL,
             ModelSlot {
                 cell,
-                hidden: None,
-                memo: None,
+                chain: None,
                 last_used: 0,
             },
         );
@@ -530,8 +530,7 @@ impl InferenceEngine {
             key,
             ModelSlot {
                 cell,
-                hidden: None,
-                memo: None,
+                chain: None,
                 last_used: self.tick,
             },
         );
@@ -652,16 +651,10 @@ impl InferenceEngine {
     /// cold-start behavior, now reserved for long-gone keys).
     fn park_and_remove(&mut self, key: ModelKey) {
         if let Some(slot) = self.models.remove(&key) {
-            if slot.hidden.is_some() || slot.memo.is_some() {
+            if let Some(chain) = slot.chain {
                 self.tick += 1;
-                self.parked.insert(
-                    key,
-                    ParkedChain {
-                        tick: self.tick,
-                        hidden: slot.hidden,
-                        memo: slot.memo,
-                    },
-                );
+                let tick = self.tick;
+                self.parked.insert(key, ParkedChain { tick, chain });
             }
         }
         let cap = self.max_models.saturating_mul(4).max(8);
@@ -700,8 +693,7 @@ impl InferenceEngine {
             self.install_model(key, cell);
             if let Some(p) = resumed {
                 let slot = self.models.get_mut(&key).expect("just installed");
-                slot.hidden = p.hidden;
-                slot.memo = p.memo;
+                slot.chain = Some(p.chain);
                 stgraph_telemetry::counter("serve.model_chain_resumes").inc();
             }
         }
@@ -711,7 +703,7 @@ impl InferenceEngine {
         {
             let slot = self.models.get_mut(&key).expect("resident");
             slot.last_used = tick;
-            if let Some((g, emb)) = &slot.memo {
+            if let Some((g, emb)) = &slot.chain {
                 if *g == generation {
                     return Ok((*g, emb.clone()));
                 }
@@ -723,13 +715,12 @@ impl InferenceEngine {
         let tape = Tape::new();
         let x = tape.constant(self.features.clone());
         let slot = self.models.get_mut(&key).expect("resident");
-        let h_prev = slot.hidden.clone().map(|t| tape.constant(t));
+        let h_prev = slot.chain.as_ref().map(|(_, t)| tape.constant(t.clone()));
         let h = slot.cell.step(&tape, &exec, 0, &x, h_prev.as_ref());
         let emb = h.value().clone();
         // Inference only: the executor (and its stacks) drop here; no
         // backward pass ever runs, so nothing accumulates across steps.
-        slot.hidden = Some(emb.clone());
-        slot.memo = Some((g, emb.clone()));
+        slot.chain = Some((g, emb.clone()));
         self.forwards += 1;
         Ok((g, emb))
     }
@@ -842,8 +833,10 @@ impl InferenceEngine {
     /// a quarantined [`DEFAULT_MODEL`] with no provider fails subsequent
     /// queries with the typed [`ServeError::UnknownModel`].
     pub fn run(&mut self, queue: &RequestQueue, config: &ServeConfig) {
+        // A zero cap would drain nothing while queries wait: a livelock.
+        let max_batch = config.max_batch.max(1);
         loop {
-            let drained = queue.drain(config.max_batch, config.flush_interval);
+            let drained = queue.drain(max_batch, config.flush_interval);
             if !drained.queries.is_empty() {
                 self.answer(drained.queries, config.deadline);
             }

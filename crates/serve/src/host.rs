@@ -109,6 +109,39 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_batch_still_answers() {
+        let src = DtdgSource::from_snapshot_edges(3, vec![vec![(0, 1), (1, 2)]]);
+        let config = ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        };
+        let host = EngineHost::spawn(config, move || {
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let mut ps = ParamSet::new();
+            let cell = Tgcn::new(&mut ps, "cell", 2, 2, &mut rng);
+            let x = Tensor::rand_uniform((3, 2), -1.0, 1.0, &mut rng);
+            InferenceEngine::new(Box::new(cell), x, LiveGraph::from_source(&src), "seastar")
+        });
+        let ticket = host.queue().submit(1).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(ticket.wait()));
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(resp) => assert_eq!(resp.unwrap().node, 1),
+            Err(_) => {
+                // A livelocked engine never drains the queue, so joining it
+                // on drop would hang the test binary too.
+                std::mem::forget(host);
+                panic!("max_batch = 0 livelocked the engine");
+            }
+        }
+        waiter
+            .join()
+            .expect("waiter thread")
+            .expect("receiver alive");
+        assert_eq!(host.shutdown().queries, 1);
+    }
+
+    #[test]
     fn dropped_host_joins_cleanly() {
         let src = DtdgSource::from_snapshot_edges(3, vec![vec![(0, 1), (1, 2)]]);
         let host = EngineHost::spawn(ServeConfig::default(), move || {

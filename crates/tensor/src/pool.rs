@@ -23,8 +23,7 @@
 //!   memory tracker — the process really does hold them. Memory
 //!   measurements (the Fig. 6 / Fig. 8 exhibits of the `paper` binary) run
 //!   under [`force_disable`] so their reported live and peak bytes reflect
-//!   true working-set sizes, and `STGRAPH_NO_POOL=1` does the same from the
-//!   environment for any binary.
+//!   true working-set sizes.
 //!
 //! When the outermost scope on a thread exits, the pool is trimmed: every
 //! cached buffer is freed and its bytes are finally deducted from the memory
@@ -94,20 +93,11 @@ static RECYCLED_BYTES: AtomicU64 = AtomicU64::new(0);
 static CACHED_BYTES: AtomicU64 = AtomicU64::new(0);
 static TRIMMED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-fn env_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("STGRAPH_NO_POOL")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
 /// True when allocations on the current thread may be served from and
-/// returned to the pool: a [`PoolScope`] is alive on this thread, and neither
-/// `STGRAPH_NO_POOL` nor [`force_disable`] has switched pooling off.
+/// returned to the pool: a [`PoolScope`] is alive on this thread and
+/// [`force_disable`] has not switched pooling off.
 pub fn enabled() -> bool {
-    SCOPE_DEPTH.with(|d| d.get()) > 0 && !FORCE_DISABLED.load(Ordering::Relaxed) && !env_disabled()
+    SCOPE_DEPTH.with(|d| d.get()) > 0 && !FORCE_DISABLED.load(Ordering::Relaxed)
 }
 
 /// Disables (`true`) or re-enables (`false`) pooling process-wide regardless

@@ -6,49 +6,36 @@
 //! register, NEON pairs) without any `unsafe` or target-feature detection.
 //! Because each lane performs *exactly* the scalar op — [`F32x8::mul_add`]
 //! is deliberately `a * b + c`, never a fused hardware FMA — a kernel that
-//! applies the same op per element produces bitwise-identical results on
-//! the SIMD and scalar paths. The transcendental family ([`exp`], [`tanh`],
-//! [`sigmoid`]) keeps the same contract: each is written once as a
-//! branch-free per-lane function and the lane forms map it over the eight
-//! lanes. Only the matmul may differ between paths, and only in whether its
-//! multiply-adds are fused (see [`avx2_fma`]); that difference is
-//! epsilon-gated in tests rather than bitwise-compared.
+//! runs lanes over full chunks and the scalar op over the remainder is
+//! bitwise equal to a per-element scalar loop. The transcendental family
+//! ([`exp`], [`tanh`], [`sigmoid`]) keeps the same contract: each is
+//! written once as a branch-free per-lane function and the lane forms map
+//! it over the eight lanes. Only the matmul may fuse its multiply-adds
+//! (see [`avx2_fma`]).
 //!
-//! Runtime dispatch: every SIMD-ized kernel consults [`enabled`] once per
-//! call and falls back to its scalar loop when `STGRAPH_NO_SIMD` is set.
-//! The flag exists so CI can prove both paths green and so a miscompile on
-//! an exotic target can be worked around without rebuilding.
+//! Every elementwise kernel walks its slices through one of these helpers
+//! — [`map_lanes`] / [`map_lanes_inline`] (unary), [`zip_lanes`] (binary)
+//! and [`accum_lanes`] (in-place accumulation): full [`LANES`]-wide
+//! chunks, then a scalar remainder. There is one path per kernel; the
+//! only runtime dispatch is the cached CPU check [`avx2_fma`].
 
 /// Lane count of [`F32x8`]. Kernels peel `len / LANES * LANES` elements
-/// through lane ops and finish the remainder with the scalar loop.
+/// through lane ops and finish the remainder with the scalar op.
 pub const LANES: usize = 8;
 
-/// Whether the SIMD lane paths are active. `true` unless the
-/// `STGRAPH_NO_SIMD` environment variable is set to anything other than
-/// `0` (read once at first use, like `STGRAPH_PAR_MIN`).
-pub fn enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("STGRAPH_NO_SIMD") {
-        Ok(v) => v == "0" || v.is_empty(),
-        Err(_) => true,
-    })
-}
-
-/// Whether the CPU has AVX2 and FMA (and [`enabled`] is true). A baseline
-/// x86-64 build lowers the portable lanes to SSE pairs; behind this check
-/// the GEMM microkernel is compiled for AVX2 with *fused* multiply-adds,
-/// and the elementwise lane loops ([`map_lanes`]) for AVX2 *without* FMA.
-/// Only the matmul may fuse: fusion changes rounding, which the
-/// elementwise bitwise contract forbids. `false` whenever [`enabled`] is
-/// false, so `STGRAPH_NO_SIMD` still forces the one true scalar path.
-/// Detection is cached, keeping every dispatch decision process-stable.
+/// Whether the CPU has AVX2 and FMA. A baseline x86-64 build lowers the
+/// portable lanes to SSE pairs; behind this check the GEMM microkernel is
+/// compiled for AVX2 with *fused* multiply-adds, and the unary lane loop
+/// ([`map_lanes`]) for AVX2 *without* FMA. Only the matmul may fuse:
+/// fusion changes rounding, which the elementwise bitwise contract
+/// forbids. Detection is cached, keeping every dispatch decision
+/// process-stable.
 pub fn avx2_fma() -> bool {
     static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *OK.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            enabled()
-                && std::arch::is_x86_feature_detected!("avx2")
+            std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -208,10 +195,10 @@ pub fn map_lanes(
         // SAFETY: AVX2 presence was verified at runtime (cached).
         return unsafe { map_lanes_avx2(dst, src, lane, scalar) };
     }
-    map_lanes_body(dst, src, lane, scalar)
+    map_lanes_inline(dst, src, lane, scalar)
 }
 
-/// [`map_lanes_body`] compiled for AVX2.
+/// [`map_lanes_inline`] compiled for AVX2.
 ///
 /// # Safety
 /// The CPU must support AVX2.
@@ -223,11 +210,14 @@ unsafe fn map_lanes_avx2(
     lane: impl Fn(F32x8) -> F32x8,
     scalar: impl Fn(f32) -> f32,
 ) {
-    map_lanes_body(dst, src, lane, scalar)
+    map_lanes_inline(dst, src, lane, scalar)
 }
 
+/// [`map_lanes`] without the AVX2 dispatch, inlined into the caller. For
+/// per-row and per-edge maps (`scale_rows`, seastar's `Scale`), where a
+/// non-inlined call per short slice costs more than AVX2 saves.
 #[inline(always)]
-fn map_lanes_body(
+pub fn map_lanes_inline(
     dst: &mut [f32],
     src: &[f32],
     lane: impl Fn(F32x8) -> F32x8,
@@ -241,6 +231,49 @@ fn map_lanes_body(
     }
     for (d, &s) in dt.iter_mut().zip(sc.remainder()) {
         *d = scalar(s);
+    }
+}
+
+/// `dst[i] = scalar(a[i], b[i])` over equal-length slices: `lane` over the
+/// [`LANES`]-wide chunks, `scalar` over the remainder, under the same
+/// bitwise contract as [`map_lanes`].
+#[inline(always)]
+pub fn zip_lanes(
+    dst: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    lane: impl Fn(F32x8, F32x8) -> F32x8,
+    scalar: impl Fn(f32, f32) -> f32,
+) {
+    let main = dst.len() / LANES * LANES;
+    let (dm, dt) = dst.split_at_mut(main);
+    let mut ac = a.chunks_exact(LANES);
+    let mut bc = b.chunks_exact(LANES);
+    for (dc, (ac, bc)) in dm.chunks_exact_mut(LANES).zip(ac.by_ref().zip(bc.by_ref())) {
+        lane(F32x8::load(ac), F32x8::load(bc)).store(dc);
+    }
+    for (d, (&x, &y)) in dt.iter_mut().zip(ac.remainder().iter().zip(bc.remainder())) {
+        *d = scalar(x, y);
+    }
+}
+
+/// In-place `row[i] = scalar(row[i], val[i])` (the fused aggregation's
+/// per-edge loop), walked like [`zip_lanes`].
+#[inline(always)]
+pub fn accum_lanes(
+    row: &mut [f32],
+    val: &[f32],
+    lane: impl Fn(F32x8, F32x8) -> F32x8,
+    scalar: impl Fn(f32, f32) -> f32,
+) {
+    let main = row.len() / LANES * LANES;
+    let (rm, rt) = row.split_at_mut(main);
+    let mut vc = val.chunks_exact(LANES);
+    for (rc, vc) in rm.chunks_exact_mut(LANES).zip(vc.by_ref()) {
+        lane(F32x8::load(rc), F32x8::load(vc)).store(rc);
+    }
+    for (r, &v) in rt.iter_mut().zip(vc.remainder()) {
+        *r = scalar(*r, v);
     }
 }
 

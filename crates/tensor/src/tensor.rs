@@ -251,10 +251,10 @@ impl Tensor {
         }
     }
 
-    /// Lane-dispatched unary map: `lane` over [`LANES`]-wide chunks when
-    /// SIMD is enabled, `scalar` for the remainder and the
-    /// `STGRAPH_NO_SIMD` fallback. Both closures must compute the same
-    /// per-element IEEE expression so the two paths stay bitwise equal.
+    /// Lane-wise unary map ([`simd::map_lanes`] per chunk): `lane` over
+    /// [`LANES`]-wide chunks, `scalar` for the remainder. Both closures
+    /// must compute the same per-element IEEE expression, so the result is
+    /// bitwise the per-element scalar map.
     #[inline]
     fn unary_lanes(
         &self,
@@ -264,16 +264,7 @@ impl Tensor {
         let src = self.data();
         let mut out = TrackedBuf::raw(src.len());
         let dst = out.as_mut_slice();
-        let use_simd = simd::enabled();
-        let body = |(d, s): (&mut [f32], &[f32])| {
-            if use_simd {
-                simd::map_lanes(d, s, &lane, &scalar);
-            } else {
-                for (d, &s) in d.iter_mut().zip(s) {
-                    *d = scalar(s);
-                }
-            }
-        };
+        let body = |(d, s): (&mut [f32], &[f32])| simd::map_lanes(d, s, &lane, &scalar);
         if src.len() >= par_min() {
             dst.par_chunks_mut(ELEMWISE_BLOCK)
                 .zip(src.par_chunks(ELEMWISE_BLOCK))
@@ -287,8 +278,8 @@ impl Tensor {
         }
     }
 
-    /// Lane-dispatched binary map; see [`Tensor::unary_lanes`] for the
-    /// bitwise contract between `lane` and `scalar`.
+    /// Lane-wise binary map ([`simd::zip_lanes`] per chunk); see
+    /// [`Tensor::unary_lanes`] for the contract between `lane` and `scalar`.
     #[inline]
     fn binary_lanes(
         &self,
@@ -305,25 +296,8 @@ impl Tensor {
         let b = other.data();
         let mut out = TrackedBuf::raw(a.len());
         let dst = out.as_mut_slice();
-        let use_simd = simd::enabled();
-        let body = |(d, (a, b)): (&mut [f32], (&[f32], &[f32]))| {
-            if use_simd {
-                let main = a.len() / LANES * LANES;
-                let (dm, dt) = d.split_at_mut(main);
-                let mut ac = a.chunks_exact(LANES);
-                let mut bc = b.chunks_exact(LANES);
-                for (dc, (ac, bc)) in dm.chunks_exact_mut(LANES).zip(ac.by_ref().zip(bc.by_ref())) {
-                    lane(F32x8::load(ac), F32x8::load(bc)).store(dc);
-                }
-                for (d, (&x, &y)) in dt.iter_mut().zip(ac.remainder().iter().zip(bc.remainder())) {
-                    *d = scalar(x, y);
-                }
-            } else {
-                for (d, (&x, &y)) in d.iter_mut().zip(a.iter().zip(b)) {
-                    *d = scalar(x, y);
-                }
-            }
-        };
+        let body =
+            |(d, (a, b)): (&mut [f32], (&[f32], &[f32]))| simd::zip_lanes(d, a, b, &lane, &scalar);
         if a.len() >= par_min() {
             dst.par_chunks_mut(ELEMWISE_BLOCK)
                 .zip(
@@ -502,7 +476,7 @@ impl Tensor {
     // ---------- broadcasts ----------
 
     /// Adds a length-`cols` bias vector to every row of a matrix.
-    /// Lane-dispatched along each row; bitwise-equal on both paths.
+    /// Lane-wise along each row ([`simd::zip_lanes`]).
     pub fn add_bias(&self, bias: &Tensor) -> Tensor {
         let (_, m) = self.shape.as_mat();
         assert_eq!(
@@ -515,35 +489,13 @@ impl Tensor {
         let a = self.data();
         let mut out = TrackedBuf::raw(a.len());
         let dst = out.as_mut_slice();
-        let use_simd = simd::enabled();
-        let body = |(_i, (drow, arow)): (usize, (&mut [f32], &[f32]))| {
-            if use_simd {
-                let main = m / LANES * LANES;
-                let (dm, dt) = drow.split_at_mut(main);
-                let mut ac = arow.chunks_exact(LANES);
-                let mut bc = b.chunks_exact(LANES);
-                for (dc, (ac, bc)) in dm.chunks_exact_mut(LANES).zip(ac.by_ref().zip(bc.by_ref())) {
-                    F32x8::load(ac).add(F32x8::load(bc)).store(dc);
-                }
-                for (d, (&x, &bv)) in dt.iter_mut().zip(ac.remainder().iter().zip(bc.remainder())) {
-                    *d = x + bv;
-                }
-            } else {
-                for (d, (&x, &bv)) in drow.iter_mut().zip(arow.iter().zip(b)) {
-                    *d = x + bv;
-                }
-            }
+        let body = |(drow, arow): (&mut [f32], &[f32])| {
+            simd::zip_lanes(drow, arow, b, |x, y| x.add(y), |x, y| x + y)
         };
         if a.len() >= par_min() {
-            dst.par_chunks_mut(m)
-                .zip(a.par_chunks(m))
-                .enumerate()
-                .for_each(body);
+            dst.par_chunks_mut(m).zip(a.par_chunks(m)).for_each(body);
         } else {
-            dst.chunks_mut(m)
-                .zip(a.chunks(m))
-                .enumerate()
-                .for_each(body);
+            dst.chunks_mut(m).zip(a.chunks(m)).for_each(body);
         }
         Tensor {
             buf: Arc::new(out),
@@ -552,7 +504,7 @@ impl Tensor {
     }
 
     /// Scales row `i` of a matrix by `s[i]` (per-node normalisation).
-    /// Lane-dispatched along each row; bitwise-equal on both paths.
+    /// Lane-wise along each row ([`simd::map_lanes_inline`]).
     pub fn scale_rows(&self, s: &Tensor) -> Tensor {
         let (n, m) = self.shape.as_mat();
         assert_eq!(s.numel(), n, "scale_rows: scale {} vs rows {n}", s.shape());
@@ -560,25 +512,10 @@ impl Tensor {
         let a = self.data();
         let mut out = TrackedBuf::raw(a.len());
         let dst = out.as_mut_slice();
-        let use_simd = simd::enabled();
         let body = |(i, (drow, arow)): (usize, (&mut [f32], &[f32]))| {
             let f = sv[i];
-            if use_simd {
-                let fx = F32x8::splat(f);
-                let main = m / LANES * LANES;
-                let (dm, dt) = drow.split_at_mut(main);
-                let mut ac = arow.chunks_exact(LANES);
-                for (dc, ac) in dm.chunks_exact_mut(LANES).zip(ac.by_ref()) {
-                    F32x8::load(ac).mul(fx).store(dc);
-                }
-                for (d, &x) in dt.iter_mut().zip(ac.remainder()) {
-                    *d = x * f;
-                }
-            } else {
-                for (d, &x) in drow.iter_mut().zip(arow) {
-                    *d = x * f;
-                }
-            }
+            let fx = F32x8::splat(f);
+            simd::map_lanes_inline(drow, arow, |x| x.mul(fx), |x| x * f)
         };
         if a.len() >= par_min() {
             dst.par_chunks_mut(m)
@@ -806,23 +743,17 @@ const GEMM_ROWS: usize = 4;
 /// runs, so each B row is loaded once per row block and each output once.
 /// Every element is one ascending-k chain `acc = acc + a[i,l]·b[l,j]` from
 /// `acc = 0`: fused (one rounding per step) behind [`simd::avx2_fma`],
-/// two roundings otherwise — the unfused chain is bitwise
-/// [`gemm_scalar`]'s, which `STGRAPH_NO_SIMD` runs instead.
+/// two roundings otherwise, where it is bitwise [`gemm_scalar`]'s.
 pub fn gemm(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_fma() {
         // SAFETY: AVX2+FMA presence was verified at runtime (cached).
         return unsafe { gemm_fma(c, a, b, k, m) };
     }
-    if simd::enabled() {
-        gemm_block::<false>(c, a, b, k, m)
-    } else {
-        gemm_scalar(c, a, b, k, m)
-    }
+    gemm_block::<false>(c, a, b, k, m)
 }
 
-/// The scalar reference for [`gemm`] and its `STGRAPH_NO_SIMD` path: the
-/// same unfused ascending-k chain per element, accumulated in axpy order
+/// The scalar reference for [`gemm`]: the same unfused ascending-k chain per element, accumulated in axpy order
 /// (`c[i,·] += a[i,l] · b[l,·]` for l = 0, 1, …) so B is read row by row.
 pub fn gemm_scalar(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize) {
     if m == 0 {
@@ -1020,6 +951,29 @@ mod tests {
                     s += av[i * n + k] * bv[k * n + j];
                 }
                 assert!((c.at(i, j) - s).abs() < 1e-3, "({i},{j})");
+            }
+        }
+    }
+
+    /// The unfused microkernel is what [`gemm`] runs on hosts without
+    /// AVX2+FMA; its chains are bitwise [`gemm_scalar`]'s at every row
+    /// count around the 4-row block, every width around the 16- and
+    /// 8-column tiles, and `k = 1`.
+    #[test]
+    fn unfused_block_matches_scalar_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        for n in [1usize, 3, 4, 5, 7, 9] {
+            for m in [1usize, 7, 8, 9, 15, 16, 17, 24, 25, 33] {
+                for k in [1usize, 2, 13, 40] {
+                    let a = Tensor::rand_uniform((n, k), -1.0, 1.0, &mut rng);
+                    let b = Tensor::rand_uniform((k, m), -1.0, 1.0, &mut rng);
+                    let mut want = vec![f32::NAN; n * m];
+                    let mut got = vec![f32::NAN; n * m];
+                    gemm_scalar(&mut want, a.data(), b.data(), k, m);
+                    gemm_block::<false>(&mut got, a.data(), b.data(), k, m);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "n={n} k={k} m={m}");
+                }
             }
         }
     }

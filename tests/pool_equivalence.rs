@@ -1,6 +1,6 @@
 //! Satellite guarantee for the workspace buffer pool: recycling buffers must
 //! never change numerics. Training with the pool enabled and with it disabled
-//! (`STGRAPH_NO_POOL` / `pool::force_disable`) must produce *bit-identical*
+//! (`pool::force_disable`) must produce *bit-identical*
 //! loss trajectories, final parameters and last-epoch gradients, for both a
 //! plain GCN stack and a recurrent TGCN. Pooled buffers hand back
 //! unspecified-but-initialized contents, so any kernel that reads an output

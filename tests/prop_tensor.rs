@@ -1,9 +1,11 @@
 //! Property-based tests on the tensor substrate: algebraic identities the
-//! kernels must satisfy regardless of shape, and the adjoint relationships
-//! the autodiff formulas rely on.
+//! kernels must satisfy regardless of shape, the adjoint relationships
+//! the autodiff formulas rely on, and the lane contract of the elementwise
+//! kernels (bitwise their per-element scalar expression).
 
 use proptest::prelude::*;
-use stgraph_tensor::Tensor;
+use rand::SeedableRng;
+use stgraph_tensor::{par_min, simd, Tensor};
 
 fn arb_matrix(max_n: usize, max_m: usize) -> impl Strategy<Value = Tensor> {
     (1..=max_n, 1..=max_m).prop_flat_map(|(n, m)| {
@@ -116,5 +118,48 @@ proptest! {
                 prop_assert_eq!(b.at(i, j), a.at(i, 0));
             }
         }
+    }
+
+    /// Every lane kernel is bitwise its per-element scalar expression, at
+    /// widths 1..=40 (full 8-lane chunks plus every remainder) and at sizes
+    /// above `par_min()`, where the work is split into parallel chunks.
+    #[test]
+    fn elementwise_kernels_are_bitwise_scalar(
+        m in 1usize..=40,
+        big in any::<bool>(),
+        small_rows in 1usize..=6,
+        seed in any::<u64>(),
+    ) {
+        let n = if big { (par_min().max(1 << 13) / m) + small_rows } else { small_rows };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let a = Tensor::rand_uniform((n, m), -20.0, 20.0, &mut rng);
+        let b = Tensor::rand_uniform((n, m), -20.0, 20.0, &mut rng);
+        let bias = Tensor::rand_uniform(m, -5.0, 5.0, &mut rng);
+        let s = Tensor::rand_uniform(n, -5.0, 5.0, &mut rng);
+        let c = 0.37f32;
+        let check = |what: &str, got: &Tensor, want: &dyn Fn(usize, usize) -> f32| {
+            let got = got.data();
+            for i in 0..n {
+                for j in 0..m {
+                    let (g, w) = (got[i * m + j], want(i, j));
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i},{j}] of [{n},{m}]: {g} vs {w}");
+                }
+            }
+        };
+        let (ad, bd) = (a.data(), b.data());
+        let x = |i: usize, j: usize| ad[i * m + j];
+        let y = |i: usize, j: usize| bd[i * m + j];
+        check("add", &a.add(&b), &|i, j| x(i, j) + y(i, j));
+        check("sub", &a.sub(&b), &|i, j| x(i, j) - y(i, j));
+        check("mul", &a.mul(&b), &|i, j| x(i, j) * y(i, j));
+        check("div", &a.div(&b), &|i, j| x(i, j) / y(i, j));
+        check("add_scalar", &a.add_scalar(c), &|i, j| x(i, j) + c);
+        check("mul_scalar", &a.mul_scalar(c), &|i, j| x(i, j) * c);
+        check("exp", &a.exp(), &|i, j| simd::exp(x(i, j)));
+        check("sigmoid", &a.sigmoid(), &|i, j| simd::sigmoid(x(i, j)));
+        check("tanh", &a.tanh(), &|i, j| simd::tanh(x(i, j)));
+        check("relu", &a.relu(), &|i, j| x(i, j).max(0.0));
+        check("add_bias", &a.add_bias(&bias), &|i, j| x(i, j) + bias.data()[j]);
+        check("scale_rows", &a.scale_rows(&s), &|i, j| x(i, j) * s.data()[i]);
     }
 }

@@ -141,6 +141,9 @@ fn retry_loop_reaches_every_timestamp_under_periodic_faults() {
 /// same snapshot, and both are `NaiveGraph`'s first snapshot.
 #[test]
 fn seed_load_matches_incremental_apply() {
+    // `apply` passes the fault sites, so it must not consume the hits of
+    // a plan another test has installed.
+    let _g = stgraph_faultline::test_lock();
     for seed in 1u64..=4 {
         let src = random_source(seed * 53, 35, 1);
         let mut loaded = store_of(&src);
@@ -187,6 +190,9 @@ fn snapshot_build_faults_never_lose_a_snapshot() {
 /// set as a new version whose snapshot is rebuilt, not the stale memo.
 #[test]
 fn restore_state_returns_to_the_cloned_edge_set() {
+    // `apply` passes the fault sites, so it must not consume the hits of
+    // a plan another test has installed.
+    let _g = stgraph_faultline::test_lock();
     let src = random_source(19, 40, 4);
     let mut naive = NaiveGraph::new(&src);
     let mut store = store_of(&src);

@@ -204,14 +204,11 @@ fn pygt_epochs_never_touch_the_buffer_pool() {
     };
     assert_eq!(hits(pygt_regressor_epoch), 0, "PyG-T node epoch was pooled");
     assert_eq!(hits(pygt_link_epoch), 0, "PyG-T link epoch was pooled");
-    // The STGraph callers keep their own scope (unless pooling is off).
-    let pooling_off = std::env::var("STGRAPH_NO_POOL").is_ok_and(|v| !v.is_empty() && v != "0");
-    if !pooling_off {
-        assert!(
-            hits(stgraph_regressor_epoch) > 0,
-            "STGraph epoch lost its pool"
-        );
-    }
+    // The STGraph callers keep their own scope.
+    assert!(
+        hits(stgraph_regressor_epoch) > 0,
+        "STGraph epoch lost its pool"
+    );
 }
 
 #[test]
