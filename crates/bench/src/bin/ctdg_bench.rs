@@ -3,8 +3,8 @@
 //!
 //! Two axes, matching the questions the CTDG tier raises:
 //!
-//! * **Ingest**: events/s of T-CSR batch appends as the index grows (the
-//!   per-node tail-block design should keep this flat).
+//! * **Ingest**: events/s of T-CSR batch appends as the index grows (an
+//!   in-order append is a push onto two rows, so this should stay flat).
 //! * **Sampling**: queries/s of `recent` vs `uniform` sampling at
 //!   increasing adjacency sizes — `recent` is pure index arithmetic,
 //!   `uniform` pays an RNG per slot; the gap is the cost of coverage.
@@ -34,7 +34,6 @@ struct IngestRow {
     events_before: u64,
     batch: usize,
     events_per_sec: f64,
-    blocks: u64,
 }
 
 #[derive(Serialize)]
@@ -100,22 +99,15 @@ fn main() {
                 events_before: store.index().num_events() - since as u64,
                 batch,
                 events_per_sec: since as f64 / dt,
-                blocks: store.index().num_blocks(),
             });
             next_cp += 1;
             since = 0;
             t0 = Instant::now();
         }
     }
-    println!(
-        "{:>14} {:>14} {:>12}",
-        "events_before", "events/s", "blocks"
-    );
+    println!("{:>14} {:>14}", "events_before", "events/s");
     for r in &ingest {
-        println!(
-            "{:>14} {:>14.0} {:>12}",
-            r.events_before, r.events_per_sec, r.blocks
-        );
+        println!("{:>14} {:>14.0}", r.events_before, r.events_per_sec);
     }
 
     // --- Sampling throughput, recent vs uniform, at three adjacency

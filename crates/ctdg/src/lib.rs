@@ -7,12 +7,11 @@
 //! snapshots. Three layers:
 //!
 //! * [`event`] / [`tcsr`] — the system of record ([`EventLog`]) and its
-//!   T-CSR index ([`TCsr`]): per-node adjacency kept time-sorted in
-//!   chained fixed-capacity blocks, so appends touch only each node's
-//!   tail block (no global re-sort) and "history before t" is a binary
-//!   search. Batch ingest is a [`stgraph_faultline`] site
-//!   (`tcsr.append`) with exact-inverse rollback: a faulted batch is
-//!   bitwise invisible.
+//!   T-CSR index ([`TCsr`]): one time-sorted row per node, so an in-order
+//!   append is a push (no re-sort) and "history before t" is one binary
+//!   search returning a slice of the row. Batch ingest is a
+//!   [`stgraph_faultline`] site (`tcsr.append`) with exact-inverse
+//!   rollback: a faulted batch is bitwise invisible.
 //! * [`sampler`] — deterministic seeded temporal neighbor sampling
 //!   (`recent` / `uniform`), parallel over the query batch and bitwise
 //!   reproducible regardless of thread schedule.
@@ -32,7 +31,7 @@ pub mod workload;
 pub use event::{CtdgStore, EventLog};
 pub use memory::{TgnMemory, TgnMemoryConfig, TIME_ENC_DIM};
 pub use sampler::{sample, NeighborSample, SamplerConfig, Strategy};
-pub use tcsr::{TCsr, TcsrStats, BLOCK_CAP};
+pub use tcsr::{Entry, TCsr};
 pub use workload::{CtdgConfig, CtdgReport, CtdgWorkload, EpochStats};
 
 use stgraph_faultline::FaultError;

@@ -5,13 +5,14 @@
 //! strictly before *t*". Two strategies, per TGL:
 //!
 //! * **Recent** — the true *k* most-recent such interactions, emitted
-//!   oldest-first. Pure index arithmetic on the time-sorted adjacency: a
-//!   binary search for the horizon, then the tail window. No RNG.
+//!   oldest-first: the tail window of the node's
+//!   [`history`](TCsr::history) slice. No RNG.
 //! * **Uniform** — *k* distinct interactions uniform over everything
-//!   before *t*, via Floyd's algorithm, emitted in time order. RNG is
-//!   derived *per query* from `(seed, query index)` with a splitmix64
-//!   scramble, so results are independent of thread schedule and batch
-//!   partitioning — the parallel sampler is bitwise reproducible.
+//!   before *t*, via Floyd's algorithm over the same slice, emitted in
+//!   time order. RNG is derived *per query* from `(seed, query index)`
+//!   with a splitmix64 scramble, so results are independent of thread
+//!   schedule and batch partitioning — the parallel sampler is bitwise
+//!   reproducible.
 //!
 //! Output is a padded `q × k` struct-of-arrays batch with an f32 validity
 //! mask and per-slot mean-aggregation weights (`mask / count`), shaped to
@@ -28,7 +29,7 @@ use rayon::prelude::*;
 use stgraph_tensor::mem::TrackedBuf;
 use stgraph_tensor::{Shape, Tensor};
 
-use crate::TCsr;
+use crate::{Entry, TCsr};
 
 /// Which temporal neighbors a query draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,49 +163,40 @@ struct Slot<'a> {
 }
 
 fn sample_one(index: &TCsr, cfg: &SamplerConfig, s: &mut Slot<'_>) {
-    let k = cfg.k;
-    let horizon = index.degree_before(s.node, s.t);
-    let take = horizon.min(k);
-    // Choose `take` history indices, ascending (= time order).
-    let chosen: Vec<usize> = match cfg.strategy {
-        Strategy::Recent => (horizon - take..horizon).collect(),
-        Strategy::Uniform => {
-            if take == horizon {
-                (0..horizon).collect()
-            } else {
-                // Floyd's algorithm: `take` distinct draws from 0..horizon.
-                let mut rng =
-                    ChaCha8Rng::seed_from_u64(splitmix64(cfg.seed ^ (s.qi as u64).rotate_left(17)));
-                let mut picked: Vec<usize> = Vec::with_capacity(take);
-                for j in horizon - take..horizon {
-                    let r = rng.gen_range(0..=j);
-                    if picked.contains(&r) {
-                        picked.push(j);
-                    } else {
-                        picked.push(r);
-                    }
-                }
-                picked.sort_unstable();
-                picked
-            }
-        }
-    };
-    *s.count = chosen.len() as u32;
-    let w = if chosen.is_empty() {
-        0.0
-    } else {
-        1.0 / chosen.len() as f32
-    };
-    for (slot, &hist_i) in chosen.iter().enumerate() {
-        let (nbr, t, eid) = index.entry(s.node, hist_i);
-        debug_assert!(t < s.t, "sampled neighbor must predate the query");
-        s.nbr[slot] = nbr;
-        s.times[slot] = t;
-        s.eid[slot] = eid;
+    let hist = index.history(s.node, s.t);
+    let take = hist.len().min(cfg.k);
+    let w = if take == 0 { 0.0 } else { 1.0 / take as f32 };
+    let mut put = |slot: usize, e: &Entry| {
+        debug_assert!(e.t < s.t, "sampled neighbor must predate the query");
+        s.nbr[slot] = e.nbr;
+        s.times[slot] = e.t;
+        s.eid[slot] = e.eid;
         s.mask[slot] = 1.0;
         s.weights[slot] = w;
+    };
+    if cfg.strategy == Strategy::Uniform && take < hist.len() {
+        // Floyd's algorithm: `take` distinct draws from 0..len, emitted in
+        // ascending (= time) order.
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(splitmix64(cfg.seed ^ (s.qi as u64).rotate_left(17)));
+        let mut picked: Vec<usize> = Vec::with_capacity(take);
+        for j in hist.len() - take..hist.len() {
+            let r = rng.gen_range(0..=j);
+            picked.push(if picked.contains(&r) { j } else { r });
+        }
+        picked.sort_unstable();
+        for (slot, &i) in picked.iter().enumerate() {
+            put(slot, &hist[i]);
+        }
+    } else {
+        // Recent, or a uniform draw that takes the whole history: the tail
+        // window, oldest first.
+        for (slot, e) in hist[hist.len() - take..].iter().enumerate() {
+            put(slot, e);
+        }
     }
-    for slot in chosen.len()..k {
+    *s.count = take as u32;
+    for slot in take..cfg.k {
         s.nbr[slot] = 0;
         s.times[slot] = 0;
         s.eid[slot] = 0;
@@ -371,6 +363,64 @@ mod tests {
             },
         );
         assert_ne!(a, c, "different seed, different draws");
+    }
+
+    /// FNV-1a over every output plane of one batch (f32 planes by bits).
+    fn fingerprint(s: &NeighborSample) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let words = s
+            .nbrs
+            .iter()
+            .map(|&v| v as u64)
+            .chain(s.times.iter().copied())
+            .chain(s.eids.iter().copied())
+            .chain(s.counts.iter().map(|&v| v as u64))
+            .chain(s.mask.data().iter().map(|v| v.to_bits() as u64))
+            .chain(s.weights.data().iter().map(|v| v.to_bits() as u64));
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the exact slots both strategies draw on a seeded fraud stream
+    /// (every node queried at three horizons), so a change to the index
+    /// layout or the sampler loop cannot silently move a single draw.
+    #[test]
+    fn sampled_slots_are_pinned_on_a_seeded_stream() {
+        use stgraph_datasets::{fraud_stream, FraudConfig};
+        let nodes = 200usize;
+        let events: Vec<TimedEdge> = fraud_stream(&FraudConfig::new(nodes, 5_000, 11))
+            .map(|e| e.edge)
+            .collect();
+        let mut x = TCsr::new(nodes);
+        for chunk in events.chunks(256) {
+            x.ingest_batch(chunk);
+        }
+        let horizons = [
+            events[events.len() / 4].t,
+            events[events.len() / 2].t,
+            x.last_timestamp() + 1,
+        ];
+        let queries: Vec<(u32, u64)> = horizons
+            .iter()
+            .flat_map(|&t| (0..nodes as u32).map(move |u| (u, t)))
+            .collect();
+        let pinned = [
+            (Strategy::Recent, 0x15a2_4b75_a04d_0391u64),
+            (Strategy::Uniform, 0x0b8d_1f27_23c6_3dea),
+        ];
+        for (strategy, want) in pinned {
+            let cfg = SamplerConfig {
+                k: 10,
+                strategy,
+                seed: 29,
+            };
+            let got = fingerprint(&sample(&x, &queries, &cfg));
+            assert_eq!(got, want, "{} fingerprint {got:#018x}", strategy.name());
+        }
     }
 
     #[test]

@@ -1,26 +1,19 @@
-//! The T-CSR index: per-node neighbor lists sorted by timestamp, stored in
-//! fixed-capacity append blocks.
+//! The T-CSR index: each node's interactions in one time-sorted row.
 //!
 //! The DTDG stores answer "what does the graph look like at snapshot *t*";
 //! the continuous-time sampler instead asks "which interactions touched
 //! node *u* strictly before instant *t*, and when". That query wants
-//! per-node adjacency ordered by time with O(1) random access — a
-//! *temporal* CSR. Two properties drive the layout:
+//! per-node adjacency ordered by time — a *temporal* CSR, as in TGL:
 //!
 //! * **Ingest is append-only.** Events arrive in non-decreasing timestamp
-//!   order (enforced, typed error otherwise), so every per-node list stays
-//!   time-sorted by construction — there is never a global re-sort.
-//!   Appends land in the node's last block; when it fills, a new
-//!   [`BLOCK_CAP`]-entry block is chained on. Existing entries never move,
-//!   so a 1M-event ingest does zero `memcpy`-the-world reallocation and a
-//!   half-applied batch can be rolled back by popping in reverse.
-//! * **Lookup is two divides.** Every block except the last is full, so
-//!   entry `i` of a node lives at block `i / BLOCK_CAP`, offset
-//!   `i % BLOCK_CAP` — binary search over a node's (sorted) timestamps
-//!   costs O(log d) with no pointer chasing beyond one block hop.
-//!
-//! Blocks are struct-of-arrays (`nbr` / `t` / `eid` in parallel vectors) so
-//! the sampler's timestamp binary search touches only timestamp bytes.
+//!   order (enforced, typed error otherwise), so pushing each event onto
+//!   its endpoints' rows keeps every row time-sorted by construction —
+//!   there is never a re-sort. A row is a plain `Vec`: amortised O(1)
+//!   push, and `pop` is its exact inverse, so a half-applied batch rolls
+//!   back by popping in reverse.
+//! * **Lookup is one binary search.** [`TCsr::history`] returns the slice
+//!   of a node's row strictly before `t` (`partition_point` on the
+//!   timestamps); the sampler reads its draws straight out of that slice.
 //!
 //! Each event is indexed on **both** endpoints (interaction graphs are
 //! queried from either side in TGN-class models), under the same event id,
@@ -33,107 +26,29 @@ use stgraph_datasets::TimedEdge;
 
 use crate::CtdgError;
 
-/// Entries per adjacency block. Big enough that the block spine is cold in
-/// the binary search, small enough that a hub node's tail block waste is
-/// negligible.
-pub const BLOCK_CAP: usize = 64;
-
-/// One append block of a node's temporal adjacency (struct-of-arrays).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Block {
-    nbr: Vec<u32>,
-    t: Vec<u64>,
-    eid: Vec<u64>,
-}
-
-impl Block {
-    fn new() -> Block {
-        Block {
-            nbr: Vec::with_capacity(BLOCK_CAP),
-            t: Vec::with_capacity(BLOCK_CAP),
-            eid: Vec::with_capacity(BLOCK_CAP),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.nbr.len()
-    }
-}
-
-/// A node's temporal adjacency: chained blocks, all full except the last.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct NodeAdj {
-    blocks: Vec<Block>,
-}
-
-impl NodeAdj {
-    fn len(&self) -> usize {
-        match self.blocks.last() {
-            None => 0,
-            Some(last) => (self.blocks.len() - 1) * BLOCK_CAP + last.len(),
-        }
-    }
-
-    fn push(&mut self, nbr: u32, t: u64, eid: u64) {
-        let need_block = match self.blocks.last() {
-            None => true,
-            Some(b) => b.len() == BLOCK_CAP,
-        };
-        if need_block {
-            self.blocks.push(Block::new());
-        }
-        let b = self.blocks.last_mut().unwrap();
-        b.nbr.push(nbr);
-        b.t.push(t);
-        b.eid.push(eid);
-    }
-
-    /// Removes the most recent entry — the exact inverse of `push`,
-    /// including the block spine (an emptied tail block is dropped), so a
-    /// rolled-back batch leaves the structure equal to the pre-batch one.
-    fn pop(&mut self) {
-        let b = self.blocks.last_mut().expect("pop on empty adjacency");
-        b.nbr.pop();
-        b.t.pop();
-        b.eid.pop();
-        if b.nbr.is_empty() {
-            self.blocks.pop();
-        }
-    }
-
-    #[inline]
-    fn entry(&self, i: usize) -> (u32, u64, u64) {
-        let b = &self.blocks[i / BLOCK_CAP];
-        let o = i % BLOCK_CAP;
-        (b.nbr[o], b.t[o], b.eid[o])
-    }
-
-    #[inline]
-    fn time_at(&self, i: usize) -> u64 {
-        self.blocks[i / BLOCK_CAP].t[i % BLOCK_CAP]
-    }
-}
-
-/// Live counters behind the `ctdg.*` telemetry gauges.
-#[derive(Debug, Default)]
-pub struct TcsrStats {
-    /// Events currently indexed.
-    pub events: AtomicU64,
-    /// Adjacency blocks currently allocated (both endpoints).
-    pub blocks: AtomicU64,
+/// One indexed interaction of a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Entry {
+    /// When it happened.
+    pub t: u64,
+    /// Its event id (position in the event log).
+    pub eid: u64,
+    /// The other endpoint.
+    pub nbr: u32,
 }
 
 /// The time-sorted adjacency index (see module docs).
 #[derive(Debug, Clone)]
 pub struct TCsr {
-    adj: Vec<NodeAdj>,
+    adj: Vec<Vec<Entry>>,
     num_events: u64,
     last_t: u64,
-    stats: Arc<TcsrStats>,
+    /// Feeds the `ctdg.events` gauge.
+    events: Arc<AtomicU64>,
 }
 
 /// Equality is over indexed contents — the chaos suite's "bitwise
-/// invisible" check. The telemetry stats handle is identity, not state.
+/// invisible" check. The telemetry gauge handle is identity, not state.
 impl PartialEq for TCsr {
     fn eq(&self, other: &TCsr) -> bool {
         self.num_events == other.num_events && self.last_t == other.last_t && self.adj == other.adj
@@ -144,10 +59,10 @@ impl TCsr {
     /// An empty index over `num_nodes` vertices.
     pub fn new(num_nodes: usize) -> TCsr {
         TCsr {
-            adj: vec![NodeAdj::default(); num_nodes],
+            adj: vec![Vec::new(); num_nodes],
             num_events: 0,
             last_t: 0,
-            stats: Arc::new(TcsrStats::default()),
+            events: Arc::default(),
         }
     }
 
@@ -171,45 +86,22 @@ impl TCsr {
         self.adj[u as usize].len()
     }
 
-    /// Number of interactions of `u` strictly before `t` — binary search
-    /// over the node's time-sorted entries. Entries at exactly `t` are
-    /// excluded: sampling at an event's own timestamp must not see it.
-    pub fn degree_before(&self, u: u32, t: u64) -> usize {
-        let a = &self.adj[u as usize];
-        let (mut lo, mut hi) = (0usize, a.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if a.time_at(mid) < t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    /// The interactions of `u` strictly before `t`, oldest first — one
+    /// binary search over the node's time-sorted row. Entries at exactly
+    /// `t` are excluded: sampling at an event's own timestamp must not see
+    /// it.
+    pub fn history(&self, u: u32, t: u64) -> &[Entry] {
+        let row = &self.adj[u as usize];
+        &row[..row.partition_point(|e| e.t < t)]
     }
 
-    /// The `i`-th oldest interaction of `u`: `(neighbor, timestamp,
-    /// event id)`. O(1).
-    pub fn entry(&self, u: u32, i: usize) -> (u32, u64, u64) {
-        self.adj[u as usize].entry(i)
-    }
-
-    /// Adjacency blocks currently allocated across all nodes.
-    pub fn num_blocks(&self) -> u64 {
-        self.stats.blocks.load(Ordering::Relaxed)
-    }
-
-    /// Registers this index's `ctdg.events` / `ctdg.blocks` gauges with
-    /// the telemetry registry. Call once per long-lived index (the train
-    /// workload and the bench do); short-lived test indices skip it.
+    /// Registers this index's `ctdg.events` gauge with the telemetry
+    /// registry. Call once per long-lived index (the train workload and
+    /// the bench do); short-lived test indices skip it.
     pub fn install_gauges(&self) {
-        let stats = Arc::clone(&self.stats);
+        let events = Arc::clone(&self.events);
         stgraph_telemetry::register_gauge("ctdg.events", move || {
-            stats.events.load(Ordering::Relaxed) as f64
-        });
-        let stats = Arc::clone(&self.stats);
-        stgraph_telemetry::register_gauge("ctdg.blocks", move || {
-            stats.blocks.load(Ordering::Relaxed) as f64
+            events.load(Ordering::Relaxed) as f64
         });
     }
 
@@ -250,39 +142,35 @@ impl TCsr {
         let _sp = stgraph_telemetry::span_cat("ctdg.ingest", "ctdg");
         self.validate(batch)?;
         let base_eid = self.num_events;
-        let prev_last_t = self.last_t;
-        let prev_blocks = self.stats.blocks.load(Ordering::Relaxed);
-        let mut applied = 0usize;
         for (i, e) in batch.iter().enumerate() {
             if let Err(f) = stgraph_faultline::fault_point!("tcsr.append") {
-                // Roll back the half-applied prefix in reverse: pop is the
-                // exact inverse of push, block spine included.
-                for ev in batch[..applied].iter().rev() {
+                // Pop the applied prefix in reverse: pop is push's exact
+                // inverse, and the counters only move once the batch lands.
+                for ev in batch[..i].iter().rev() {
                     self.adj[ev.dst as usize].pop();
                     self.adj[ev.src as usize].pop();
                 }
-                self.num_events = base_eid;
-                self.last_t = prev_last_t;
-                self.stats.blocks.store(prev_blocks, Ordering::Relaxed);
                 stgraph_faultline::note_rollback();
                 stgraph_telemetry::counter("ctdg.rollbacks").inc();
                 return Err(CtdgError::Fault(f));
             }
             let eid = base_eid + i as u64;
-            let before = self.block_count_of(e.src) + self.block_count_of(e.dst);
-            self.adj[e.src as usize].push(e.dst, e.t, eid);
-            self.adj[e.dst as usize].push(e.src, e.t, eid);
-            let after = self.block_count_of(e.src) + self.block_count_of(e.dst);
-            if after != before {
-                self.stats
-                    .blocks
-                    .fetch_add((after - before) as u64, Ordering::Relaxed);
-            }
-            self.num_events += 1;
-            self.last_t = e.t;
-            applied = i + 1;
+            self.adj[e.src as usize].push(Entry {
+                t: e.t,
+                eid,
+                nbr: e.dst,
+            });
+            self.adj[e.dst as usize].push(Entry {
+                t: e.t,
+                eid,
+                nbr: e.src,
+            });
         }
-        self.stats.events.store(self.num_events, Ordering::Relaxed);
+        if let Some(e) = batch.last() {
+            self.last_t = e.t;
+        }
+        self.num_events += batch.len() as u64;
+        self.events.store(self.num_events, Ordering::Relaxed);
         stgraph_telemetry::counter("ctdg.events_ingested").add(batch.len() as u64);
         Ok(base_eid)
     }
@@ -294,10 +182,6 @@ impl TCsr {
         self.try_ingest_batch(batch)
             .unwrap_or_else(|e| panic!("ingest failed: {e}"))
     }
-
-    fn block_count_of(&self, u: u32) -> usize {
-        self.adj[u as usize].blocks.len()
-    }
 }
 
 #[cfg(test)]
@@ -308,6 +192,10 @@ mod tests {
         TimedEdge { src, dst, t }
     }
 
+    fn entry(t: u64, eid: u64, nbr: u32) -> Entry {
+        Entry { t, eid, nbr }
+    }
+
     #[test]
     fn appends_stay_time_sorted_and_indexed_on_both_endpoints() {
         let mut x = TCsr::new(8);
@@ -315,28 +203,40 @@ mod tests {
         assert_eq!(x.num_events(), 3);
         assert_eq!(x.last_timestamp(), 9);
         assert_eq!(x.degree(0), 2);
-        assert_eq!(x.entry(0, 0), (1, 5, 0));
-        assert_eq!(x.entry(0, 1), (2, 5, 1));
-        assert_eq!(x.entry(1, 1), (3, 9, 2));
-        assert_eq!(x.degree_before(0, 5), 0, "t == query excluded");
-        assert_eq!(x.degree_before(0, 6), 2);
-        assert_eq!(x.degree_before(1, 9), 1);
+        assert_eq!(x.history(0, 5), &[], "t == query excluded");
+        assert_eq!(x.history(0, 6), &[entry(5, 0, 1), entry(5, 1, 2)]);
+        assert_eq!(x.history(1, 9), &[entry(5, 0, 0)]);
+        assert_eq!(x.history(1, 10), &[entry(5, 0, 0), entry(9, 2, 3)]);
     }
 
+    /// `history(u, t)` equals a brute-force filter of the log for every
+    /// node at every instant, across runs of equal timestamps.
     #[test]
-    fn block_spine_fills_and_random_access_is_exact() {
-        let mut x = TCsr::new(4);
-        let batch: Vec<TimedEdge> = (0..200).map(|i| ev(0, 1 + (i % 3), i as u64)).collect();
-        x.ingest_batch(&batch);
-        assert_eq!(x.degree(0), 200);
-        assert!(x.num_blocks() >= (200 / BLOCK_CAP) as u64);
-        for i in 0..200 {
-            let (nbr, t, eid) = x.entry(0, i);
-            assert_eq!(t, i as u64);
-            assert_eq!(eid, i as u64);
-            assert_eq!(nbr, 1 + (i as u32 % 3));
+    fn history_matches_a_log_filter_at_every_instant() {
+        let n = 6u32;
+        // Timestamps advance in runs: 0,0,0,1,3,3,3,3,4,6,6,...
+        let log: Vec<TimedEdge> = (0..120u32)
+            .map(|i| {
+                let src = (i * 7) % n;
+                let dst = (src + 1 + i % (n - 1)) % n;
+                ev(src, dst, (i / 4 + i / 9) as u64)
+            })
+            .collect();
+        let mut x = TCsr::new(n as usize);
+        for chunk in log.chunks(13) {
+            x.ingest_batch(chunk);
         }
-        assert_eq!(x.degree_before(0, 137), 137);
+        for t in 0..=x.last_timestamp() + 1 {
+            for u in 0..n {
+                let want: Vec<Entry> = log
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| (e.src == u || e.dst == u) && e.t < t)
+                    .map(|(eid, e)| entry(e.t, eid as u64, if e.src == u { e.dst } else { e.src }))
+                    .collect();
+                assert_eq!(x.history(u, t), want.as_slice(), "node {u} at t {t}");
+            }
+        }
     }
 
     #[test]

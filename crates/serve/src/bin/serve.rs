@@ -24,9 +24,10 @@ use stgraph_serve::engine::{
 };
 use stgraph_serve::ingest::LiveGraph;
 use stgraph_serve::online::{OnlineConfig, OnlineTrainer};
+use stgraph_serve::oracle::direct_chain;
 use stgraph_serve::{load_into, CheckpointError, CheckpointManager, QueryResponse};
 use stgraph_tensor::nn::ParamSet;
-use stgraph_tensor::{StateDict, Tensor};
+use stgraph_tensor::Tensor;
 
 const HELP: &str = "stgraph-serve — serve a trained TGNN over a live update stream
 
@@ -358,7 +359,11 @@ fn main() {
             &direct_feats,
             direct_cell.as_ref(),
             oracle.as_mut().map(|o| (o, &direct_params)),
-        );
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("verify: online oracle faulted ({e}); do not combine --verify with STGRAPH_FAULTS at online.* sites");
+            std::process::exit(1);
+        });
         let mut mismatches = 0usize;
         for resp in &responses {
             let want = &expected[resp.generation as usize];
@@ -419,57 +424,4 @@ fn main() {
     if online_halted {
         std::process::exit(EXIT_ONLINE_HALTED);
     }
-}
-
-/// The no-batching oracle: one recurrent step per generation, hidden
-/// carried, computed on the same snapshot chain the engine saw, with no
-/// engine code on the path. With `online` it follows the engine's
-/// train-while-serving schedule too: forward generation `g` on the current
-/// weights, apply `diffs[g]`, run one online step, and install the
-/// published weights into `params` before `g+1`'s forward. A trainer
-/// cloned from the live one's initial state replays the served embeddings
-/// bitwise.
-fn direct_chain(
-    src: &DtdgSource,
-    feats: &Tensor,
-    cell: &dyn RecurrentCell,
-    mut online: Option<(&mut OnlineTrainer, &ParamSet)>,
-) -> Vec<Tensor> {
-    use stgraph::backend::create_backend;
-    use stgraph::executor::{GraphSource, TemporalExecutor};
-    use stgraph_tensor::Tape;
-
-    let mut live = LiveGraph::from_source(src);
-    let diffs = src.diffs();
-    let mut hidden: Option<Tensor> = None;
-    let mut out = Vec::new();
-    #[allow(clippy::needless_range_loop)] // g is a generation, not just an index
-    for g in 0..src.num_timestamps() {
-        let (_, snap) = live.snapshot();
-        let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
-        let tape = Tape::new();
-        let x = tape.constant(feats.clone());
-        let h = hidden.clone().map(|t| tape.constant(t));
-        let new = cell.step(&tape, &exec, 0, &x, h.as_ref());
-        hidden = Some(new.value().clone());
-        out.push(new.value().clone());
-        if g + 1 == src.num_timestamps() {
-            continue;
-        }
-        live.apply(&diffs[g]);
-        if let Some((oracle, params)) = online.as_mut() {
-            let (_, snap) = live.snapshot();
-            match oracle.on_advance(live.generation(), &diffs[g], snap, feats) {
-                Ok(Some(published)) => params
-                    .try_load_state_dict(&published.entries)
-                    .expect("published weights match the serving cell"),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("verify: online oracle faulted ({e}); do not combine --verify with STGRAPH_FAULTS at online.* sites");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    out
 }

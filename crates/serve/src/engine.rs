@@ -912,6 +912,7 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::direct_chain;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use stgraph::tgnn::Tgcn;
@@ -935,32 +936,10 @@ mod tests {
         (src, x, ps, cell)
     }
 
-    /// Direct replay oracle: `h_g = cell(x, A_g, h_{g-1})` for every
-    /// generation, no queue or batching involved.
-    fn direct_chain(src: &DtdgSource, x: &Tensor, cell: &Tgcn) -> Vec<Tensor> {
-        let mut live = LiveGraph::from_source(src);
-        let mut h: Option<Tensor> = None;
-        let mut out = Vec::new();
-        for g in 0..src.num_timestamps() {
-            let (_, snap) = live.snapshot();
-            let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
-            let tape = Tape::new();
-            let xv = tape.constant(x.clone());
-            let hv = h.clone().map(|t| tape.constant(t));
-            let new = cell.step(&tape, &exec, 0, &xv, hv.as_ref());
-            h = Some(new.value().clone());
-            out.push(new.value().clone());
-            if g + 1 < src.num_timestamps() {
-                live.apply(&src.diffs()[g]);
-            }
-        }
-        out
-    }
-
     #[test]
     fn batched_answers_match_direct_forward_bitwise() {
         let (src, x, _ps, cell) = setup();
-        let expected = direct_chain(&src, &x, &cell);
+        let expected = direct_chain(&src, &x, &cell, None).unwrap();
         let live = LiveGraph::from_source(&src);
         let mut engine = InferenceEngine::new(Box::new(cell), x, live, "seastar");
         let queue = RequestQueue::new(64);
@@ -1037,7 +1016,7 @@ mod tests {
     #[test]
     fn hidden_chain_covers_unqueried_generations() {
         let (src, x, _ps, cell) = setup();
-        let expected = direct_chain(&src, &x, &cell);
+        let expected = direct_chain(&src, &x, &cell, None).unwrap();
         let live = LiveGraph::from_source(&src);
         let mut engine = InferenceEngine::new(Box::new(cell), x, live, "seastar");
         let queue = RequestQueue::new(16);
@@ -1190,8 +1169,8 @@ mod tests {
             let mut ps = ParamSet::new();
             Tgcn::new(&mut ps, "cell", 3, 4, &mut rng)
         };
-        let expected_a = direct_chain(&src, &x, &cell_a);
-        let expected_b = direct_chain(&src, &x, &cell_b);
+        let expected_a = direct_chain(&src, &x, &cell_a, None).unwrap();
+        let expected_b = direct_chain(&src, &x, &cell_b, None).unwrap();
         let live = LiveGraph::from_source(&src);
         let mut engine = InferenceEngine::new(Box::new(cell_a), x, live, "seastar");
         engine.install_model(7, Box::new(cell_b));

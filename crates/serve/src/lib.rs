@@ -24,7 +24,10 @@
 //!   generations published atomically and Adam state checkpointed
 //!   crash-consistently;
 //! * [`zoo`] — [`build_cell`], the architecture-name → cell constructor
-//!   shared by the binaries and the per-tenant model registry.
+//!   shared by the binaries and the per-tenant model registry;
+//! * [`oracle`] — [`direct_chain`](oracle::direct_chain), the unbatched
+//!   replay every served answer is checked against bitwise (`serve
+//!   --verify` and the serving test suites).
 //!
 //! The `serve` binary wires them together: load an `.stgc` checkpoint,
 //! replay a dataset's update stream, answer queries, print the report.
@@ -39,6 +42,7 @@ pub mod host;
 pub mod ingest;
 pub mod manager;
 pub mod online;
+pub mod oracle;
 pub mod stats;
 pub mod zoo;
 

@@ -5,11 +5,11 @@
 //! 1. Every injected failure surfaces as a typed `CtdgError::Fault` —
 //!    no panic escapes.
 //! 2. A faulted batch is **bitwise invisible**: log and index compare
-//!    equal to their pre-batch state, including the block spine.
+//!    equal to their pre-batch state, every node's row included.
 //! 3. Clean re-apply recovers exactly: the store lands bitwise on an
 //!    uninterrupted build of the same stream.
 
-use stgraph_ctdg::{CtdgError, CtdgStore};
+use stgraph_ctdg::{CtdgError, CtdgStore, TCsr};
 use stgraph_datasets::{fraud_stream, FraudConfig};
 use stgraph_faultline::FaultPlan;
 
@@ -22,6 +22,40 @@ fn batches(
     let cfg = FraudConfig::new(nodes, events, seed);
     let edges: Vec<_> = fraud_stream(&cfg).map(|e| e.edge).collect();
     edges.chunks(batch).map(|c| c.to_vec()).collect()
+}
+
+/// A fault at every position of a 10-event batch that hits node 0 as both
+/// `src` and `dst` leaves the index equal to its pre-batch clone.
+#[test]
+fn faulted_batch_rolls_back_at_every_position() {
+    let _g = stgraph_faultline::test_lock();
+    stgraph_faultline::clear_plan();
+    let ev = |src, dst, t| stgraph_datasets::TimedEdge { src, dst, t };
+    let mut x = TCsr::new(5);
+    x.ingest_batch(&[ev(0, 1, 1), ev(2, 0, 2)]);
+    let batch: Vec<_> = (0..10u32)
+        .map(|i| {
+            let (other, t) = (1 + i % 4, 3 + i as u64 / 3);
+            if i % 2 == 0 {
+                ev(0, other, t)
+            } else {
+                ev(other, 0, t)
+            }
+        })
+        .collect();
+    let before = x.clone();
+    for nth in 1..=10u64 {
+        stgraph_faultline::set_plan(FaultPlan::new().fail_nth("tcsr.append", nth));
+        let res = x.try_ingest_batch(&batch);
+        stgraph_faultline::clear_plan();
+        assert!(
+            matches!(res, Err(CtdgError::Fault(_))),
+            "fault {nth}: {res:?}"
+        );
+        assert_eq!(x, before, "fault at event {nth} left residue");
+    }
+    assert_eq!(x.try_ingest_batch(&batch), Ok(2));
+    assert_eq!(x.degree(0), 12);
 }
 
 #[test]
@@ -52,7 +86,7 @@ fn faulted_appends_are_invisible_and_reapply_is_exact() {
                     Err(CtdgError::Fault(f)) => assert_eq!(f.site, "tcsr.append"),
                     other => panic!("expected injected fault, got {other:?} (batch {i})"),
                 }
-                // Invariant 2: bitwise invisible (log, index, spine).
+                // Invariant 2: bitwise invisible (log and index).
                 assert_eq!(
                     store, before,
                     "faulted batch {i} left residue (seed {seed})"

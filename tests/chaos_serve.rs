@@ -20,16 +20,15 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::Duration;
-use stgraph::backend::create_backend;
-use stgraph::executor::{GraphSource, TemporalExecutor};
-use stgraph::tgnn::{RecurrentCell, Tgcn};
+use stgraph::tgnn::Tgcn;
 use stgraph_dyngraph::source::{DtdgSource, UpdateBatch};
 use stgraph_faultline::FaultPlan;
+use stgraph_serve::oracle::direct_chain;
 use stgraph_serve::{
     InferenceEngine, IngestError, LiveGraph, RequestQueue, ServeConfig, ServeError, Ticket,
 };
 use stgraph_tensor::nn::ParamSet;
-use stgraph_tensor::{Tape, Tensor};
+use stgraph_tensor::Tensor;
 
 const NODES: usize = 8;
 const FEATURES: usize = 3;
@@ -59,28 +58,6 @@ fn cell(seed: u64) -> Tgcn {
 fn features(seed: u64) -> Tensor {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     Tensor::rand_uniform((NODES, FEATURES), -1.0, 1.0, &mut rng)
-}
-
-/// Fault-free direct replay: `h_g = cell(x, A_g, h_{g-1})` — the oracle
-/// every chaotic run must match bitwise after recovery.
-fn direct_chain(src: &DtdgSource, x: &Tensor, cell: &Tgcn) -> Vec<Tensor> {
-    let mut live = LiveGraph::from_source(src);
-    let mut h: Option<Tensor> = None;
-    let mut out = Vec::new();
-    for g in 0..src.num_timestamps() {
-        let (_, snap) = live.snapshot();
-        let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
-        let tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let hv = h.clone().map(|t| tape.constant(t));
-        let new = cell.step(&tape, &exec, 0, &xv, hv.as_ref());
-        h = Some(new.value().clone());
-        out.push(new.value().clone());
-        if g + 1 < src.num_timestamps() {
-            live.apply(&src.diffs()[g]);
-        }
-    }
-    out
 }
 
 /// Runs the full pipeline (all nodes queried at every generation) under
@@ -149,7 +126,7 @@ fn chaos_matrix_recovers_to_bitwise_identical_outputs() {
     let src = source();
     let x = features(9);
     let oracle_cell = cell(7);
-    let expected = direct_chain(&src, &x, &oracle_cell);
+    let expected = direct_chain(&src, &x, &oracle_cell, None).unwrap();
 
     let matrix: Vec<(&str, FaultPlan)> = vec![
         (

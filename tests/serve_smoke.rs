@@ -20,15 +20,16 @@ use std::rc::Rc;
 use std::time::Duration;
 use stgraph::backend::create_backend;
 use stgraph::executor::{GraphSource, TemporalExecutor};
-use stgraph::tgnn::{RecurrentCell, Tgcn};
+use stgraph::tgnn::Tgcn;
 use stgraph::train::{link_prediction_batches, train_epoch_link_prediction};
 use stgraph_datasets::load_dynamic;
 use stgraph_dyngraph::{DtdgSource, GpmaGraph};
 use stgraph_serve::engine::{InferenceEngine, RequestQueue, ServeConfig, Ticket};
+use stgraph_serve::oracle::direct_chain;
 use stgraph_serve::{load_into, save_model, LiveGraph, OnlineConfig, OnlineTrainer, DEFAULT_MODEL};
 use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::optim::Adam;
-use stgraph_tensor::{StateDict, Tape, Tensor};
+use stgraph_tensor::Tensor;
 
 const FEATURES: usize = 4;
 const HIDDEN: usize = 6;
@@ -41,48 +42,6 @@ fn online_config() -> OnlineConfig {
         batch_size: ONLINE_BATCH,
         ..OnlineConfig::default()
     }
-}
-
-/// Direct, unbatched replay: one recurrent step per generation with the
-/// hidden state carried — the oracle the engine must match bitwise. With
-/// `online` it also performs the engine run loop's online sequence: after
-/// the forward at generation `g`, apply the batch, run the trainer's step
-/// and publish, and load the published generation into `params` before
-/// `g+1`'s forward.
-fn direct_chain(
-    src: &DtdgSource,
-    feats: &Tensor,
-    cell: &dyn RecurrentCell,
-    mut online: Option<(&mut OnlineTrainer, &ParamSet)>,
-) -> Vec<Tensor> {
-    let mut live = LiveGraph::from_source(src);
-    let diffs = src.diffs();
-    let mut hidden: Option<Tensor> = None;
-    let mut out = Vec::new();
-    #[allow(clippy::needless_range_loop)] // g is a generation, not just an index
-    for g in 0..src.num_timestamps() {
-        let (_, snap) = live.snapshot();
-        let exec = TemporalExecutor::new(create_backend("seastar"), GraphSource::Static(snap));
-        let tape = Tape::new();
-        let x = tape.constant(feats.clone());
-        let h = hidden.clone().map(|t| tape.constant(t));
-        let new = cell.step(&tape, &exec, 0, &x, h.as_ref());
-        hidden = Some(new.value().clone());
-        out.push(new.value().clone());
-        if g + 1 == src.num_timestamps() {
-            continue;
-        }
-        live.apply(&diffs[g]);
-        if let Some((trainer, params)) = online.as_mut() {
-            let (_, snap) = live.snapshot();
-            match trainer.on_advance(live.generation(), &diffs[g], snap, feats) {
-                Ok(Some(published)) => params.try_load_state_dict(&published.entries).unwrap(),
-                Ok(None) => {}
-                Err(e) => panic!("oracle trainer faulted: {e}"),
-            }
-        }
-    }
-    out
 }
 
 fn run(online: bool) {
@@ -134,7 +93,8 @@ fn run(online: bool) {
         t.load_weights(&trained.state_dict()).unwrap();
         t
     });
-    let expected = direct_chain(&src, &feats, &cell, oracle.as_mut().map(|t| (t, &trained)));
+    let expected =
+        direct_chain(&src, &feats, &cell, oracle.as_mut().map(|t| (t, &trained))).unwrap();
 
     let live = LiveGraph::from_source(&src);
     let mut engine = InferenceEngine::new(Box::new(cell2), feats.clone(), live, "seastar");
