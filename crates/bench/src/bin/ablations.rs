@@ -4,23 +4,22 @@
 //! 1. **State-Stack saved-set minimisation** (§V.B): bytes retained on the
 //!    State Stack mid-sequence, minimal vs save-everything policy — about
 //!    *memory*, not time.
-//! 2. Three timed forward-aggregation ablations, STGraph's choice against
-//!    the alternative it replaced: **degree-sorted scheduling** (Figure 3)
-//!    vs natural vertex order on a power-law graph; **vertex-parallel**
-//!    aggregation vs PyG-style edge-parallel gather–scale–scatter; and
-//!    **fused** Seastar kernels (edge values in registers) vs the unfused
-//!    reference backend (edge values materialised, §IV).
+//! 2. Two timed forward-aggregation ablations, STGraph's choice against
+//!    the alternative it replaced: **vertex-parallel** aggregation vs
+//!    PyG-style edge-parallel gather–scale–scatter; and **fused** Seastar
+//!    kernels (edge values in registers) vs the unfused reference backend
+//!    (edge values materialised, §IV). (Figure 3's degree-sorted
+//!    scheduling row measured 1.00x and was removed with the order itself;
+//!    see DESIGN.md, "Figure 3's degree order".)
 
 use pygt_baseline::CooGraph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use std::sync::Arc;
 use stgraph::backend::{create_backend, AggregationBackend, ReferenceBackend, SeastarBackend};
 use stgraph::executor::{compile, compile_save_all_inputs, GraphSource, TemporalExecutor};
 use stgraph_bench::time_ms;
 use stgraph_graph::base::{gcn_norm, Snapshot};
-use stgraph_graph::csr::Csr;
 use stgraph_seastar::ir::{gat_aggregation, gcn_aggregation};
 use stgraph_tensor::{Tape, Tensor};
 
@@ -44,44 +43,6 @@ fn timed_ablations() {
     println!(
         "{:<34} {:<26} {:>14} {:>11} {:>9}",
         "ablation", "config", "alternative_ms", "stgraph_ms", "speedup"
-    );
-
-    // Degree-sorted `node_ids` vs natural order: a power-law graph, a few
-    // hubs with huge in-degree, where starting the long rows first matters.
-    let (n, f) = (8000u32, 32usize);
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let edges: Vec<(u32, u32)> = (0..120_000)
-        .map(|_| {
-            let u = rng.gen_range(0..n);
-            let v = ((n as f64) * rng.gen_range(0.0f64..1.0).powf(3.0)) as u32 % n;
-            (u, v)
-        })
-        .collect();
-    let sorted = Snapshot::from_edges(n as usize, &edges);
-    let rev = &sorted.reverse_csr;
-    let mut natural_rev = Csr::from_parts(
-        rev.row_offset.clone(),
-        rev.col_indices.clone(),
-        rev.eids.clone(),
-    );
-    natural_rev.node_ids = (0..n).collect();
-    let natural = Snapshot {
-        reverse_csr: Arc::new(natural_rev),
-        ..sorted.clone()
-    };
-    let x = Tensor::rand_uniform((n as usize, f), -1.0, 1.0, &mut rng);
-    let norm = Tensor::from_vec((n as usize, 1), gcn_norm(&sorted.in_degrees));
-    let gcn = gcn_aggregation(f);
-    let [natural_ms, sorted_ms] = [&natural, &sorted].map(|snap| {
-        time_ms(|| {
-            black_box(SeastarBackend.execute(&gcn, snap, &[&x], &[&norm], &[], &[], &[]));
-        })
-    });
-    timed_row(
-        "natural -> degree-sorted order",
-        "GCN power-law n=8000 F=32",
-        natural_ms,
-        sorted_ms,
     );
 
     // Vertex-parallel (one thread owns an output row) vs edge-parallel

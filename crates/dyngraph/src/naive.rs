@@ -1,6 +1,6 @@
 //! `NaiveGraph` (§V.C): every DTDG snapshot is fully materialised — forward
-//! CSR, reverse CSR, edge labels, degree arrays and the degree-sorted
-//! `node_ids` — ahead of training and kept resident for the whole run.
+//! CSR, reverse CSR, edge labels and degree arrays — ahead of training and
+//! kept resident for the whole run.
 //! Snapshot access is array indexing, so per-epoch time is the best of the
 //! STGraph variants, but memory scales with `T × (2 copies + labels)`,
 //! which is the overhead Figure 8 shows.

@@ -244,20 +244,6 @@ mod tests {
     use std::collections::BTreeSet;
     use stgraph_faultline::FaultPlan;
 
-    fn csr_identical(a: &Csr, b: &Csr) -> bool {
-        a.row_offset == b.row_offset
-            && a.col_indices == b.col_indices
-            && a.eids == b.eids
-            && a.node_ids == b.node_ids
-    }
-
-    fn snapshot_identical(a: &Snapshot, b: &Snapshot) -> bool {
-        csr_identical(&a.csr, &b.csr)
-            && csr_identical(&a.reverse_csr, &b.reverse_csr)
-            && a.in_degrees == b.in_degrees
-            && a.out_degrees == b.out_degrees
-    }
-
     fn random_source(seed: u64, n: u32, t: usize) -> DtdgSource {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut snaps = Vec::new();
@@ -291,13 +277,13 @@ mod tests {
         for t in 0..src.num_timestamps() {
             let a = gpma.get_graph(t);
             let b = naive.get_graph(t);
-            assert!(snapshot_identical(&a, &b), "t={t} diverged");
+            assert!(a == b, "t={t} diverged");
         }
         // LIFO rewind must retrace bitwise too.
         for t in (0..src.num_timestamps()).rev() {
             let a = gpma.get_backward_graph(t);
             let b = naive.get_graph(t);
-            assert!(snapshot_identical(&a, &b), "backward t={t}");
+            assert!(a == b, "backward t={t}");
         }
     }
 
@@ -307,7 +293,7 @@ mod tests {
         let mut naive = NaiveGraph::new(&src);
         let mut g = GpmaGraph::new(&src);
         for t in 0..2 {
-            assert!(snapshot_identical(&g.get_graph(t), &naive.get_graph(t)));
+            assert!(g.get_graph(t) == naive.get_graph(t));
         }
     }
 
@@ -325,14 +311,14 @@ mod tests {
         stgraph_faultline::clear_plan();
         store.memo = None;
         assert!(
-            snapshot_identical(&before, &store.snapshot()),
+            before == store.snapshot(),
             "faulted batch must leave the graph untouched"
         );
 
         // Retry cleanly: must land the full batch.
         store.try_apply(&batch).unwrap();
         let want = NaiveGraph::new(&src).get_graph(1);
-        assert!(snapshot_identical(&store.snapshot(), &want));
+        assert!(store.snapshot() == want);
     }
 
     #[test]
@@ -350,7 +336,7 @@ mod tests {
         assert!(store.try_apply(&batch).is_err());
         stgraph_faultline::clear_plan();
         store.memo = None;
-        assert!(snapshot_identical(&before, &store.snapshot()));
+        assert!(before == store.snapshot());
         store.gpma.pma().check_invariants();
     }
 
@@ -424,7 +410,7 @@ mod tests {
                 prop_assert_eq!(&edges, &model.iter().copied().collect::<Vec<_>>());
                 prop_assert_eq!(store.version(), prev.0 + landed as u64);
                 let snap = store.snapshot();
-                prop_assert!(snapshot_identical(&snap, &Snapshot::from_edges(n, &edges)));
+                prop_assert!(snap == Snapshot::from_edges(n, &edges));
                 prop_assert_eq!(Arc::ptr_eq(&snap.csr, &prev.1.csr), !landed);
                 prop_assert_eq!(Arc::ptr_eq(&snap.reverse_csr, &prev.1.reverse_csr), !landed);
                 prev = (store.version(), snap);
@@ -446,6 +432,6 @@ mod tests {
         store.apply(&diffs[1].additions, &diffs[1].deletions);
         assert!(held.upgrade().is_none());
         let want = NaiveGraph::new(&src).get_graph(2);
-        assert!(snapshot_identical(&store.snapshot(), &want));
+        assert!(store.snapshot() == want);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The abstraction unifies how the framework sees static-temporal graphs and
 //! DTDG snapshots. Per §V.B it must provide: forward and backward CSRs,
-//! degree-sorted vertex order, shared edge labels, and graph properties
-//! (node/edge counts, in/out degrees). Dynamic implementations
+//! shared edge labels, and graph properties (node/edge counts, in/out
+//! degrees). The paper's degree-sorted vertex order is not part of it:
+//! kernels walk rows in natural order. Dynamic implementations
 //! (`NaiveGraph`, `GPMAGraph`) live in `stgraph-dyngraph` and hand out
 //! [`Snapshot`]s through the same interface.
 
@@ -14,8 +15,8 @@ use std::sync::Arc;
 ///
 /// `csr` is the out-neighbour CSR consumed by the *backward* pass;
 /// `reverse_csr` is the in-neighbour CSR consumed by the *forward* pass.
-/// Both carry the same edge labels.
-#[derive(Clone)]
+/// Both carry the same edge labels. Equality is bitwise over every array.
+#[derive(Clone, PartialEq)]
 pub struct Snapshot {
     /// Out-neighbour CSR (backward pass).
     pub csr: Arc<Csr>,

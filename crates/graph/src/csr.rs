@@ -1,16 +1,18 @@
-//! CSR storage with shared edge labels, degree-sorted processing order and
-//! the paper's parallel reverse-CSR kernel (Algorithm 3).
+//! CSR storage with shared edge labels and the paper's parallel
+//! reverse-CSR kernel (Algorithm 3).
 //!
 //! Conventions follow §V.B of the paper:
 //!
 //! * the **CSR** stores *out*-neighbours and drives the backward pass;
 //! * the **reverse CSR** stores *in*-neighbours and drives the forward pass;
 //! * both carry the same **edge ids** (`eids`) so an edge's data is addressed
-//!   identically in both passes;
-//! * instead of relabelling vertices per snapshot, each CSR carries an
-//!   auxiliary [`Csr::node_ids`] array listing vertices in descending degree
-//!   order — the kernel processes vertices in that order so high-degree rows
-//!   start early and overlap with many low-degree rows (Figure 3).
+//!   identically in both passes.
+//!
+//! Kernels walk the rows in natural vertex order. The paper's Figure 3
+//! keeps a degree-sorted vertex array per CSR so GPU thread blocks start
+//! the hub rows first; on CPU threads that order measured as a null result
+//! (DESIGN.md, "Figure 3's degree order"), so a CSR is exactly its three
+//! arrays.
 //!
 //! Every CSR is dense: a row's slots are exactly its edges. (The paper's
 //! GPMA kernels read gapped arrays in place; here the DTDG store builds
@@ -29,31 +31,32 @@ pub struct Csr {
     pub col_indices: Vec<u32>,
     /// Edge id per edge.
     pub eids: Vec<u32>,
-    /// Vertices in descending order of degree: the kernel scheduling order.
-    pub node_ids: Vec<u32>,
     charge: BytesCharge,
 }
 
+/// Two CSRs are equal when their arrays are; the memory charge is
+/// bookkeeping.
+impl PartialEq for Csr {
+    fn eq(&self, other: &Csr) -> bool {
+        self.row_offset == other.row_offset
+            && self.col_indices == other.col_indices
+            && self.eids == other.eids
+    }
+}
+
 impl Csr {
-    /// Assembles a CSR from raw arrays, computing `node_ids` and the charge.
+    /// Assembles a CSR from raw arrays and charges their bytes.
     /// The rows must be dense: `row_offset` ends at `col_indices.len()`.
     pub fn from_parts(row_offset: Vec<usize>, col_indices: Vec<u32>, eids: Vec<u32>) -> Csr {
         assert_eq!(col_indices.len(), eids.len());
         assert_eq!(row_offset.last(), Some(&col_indices.len()));
-        let degree: Vec<u32> = row_offset
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as u32)
-            .collect();
-        let node_ids = degree_sorted_ids(&degree);
         let bytes = row_offset.len() * std::mem::size_of::<usize>()
             + col_indices.len() * std::mem::size_of::<u32>()
-            + eids.len() * std::mem::size_of::<u32>()
-            + node_ids.len() * std::mem::size_of::<u32>();
+            + eids.len() * std::mem::size_of::<u32>();
         Csr {
             row_offset,
             col_indices,
             eids,
-            node_ids,
             charge: BytesCharge::new(bytes),
         }
     }
@@ -128,15 +131,6 @@ impl Csr {
         }
         out
     }
-}
-
-/// Vertices sorted by descending degree (stable: ties keep id order). This is
-/// the `node_ids` auxiliary array of Figure 3 — it avoids relabelling the CSR
-/// per snapshot while still scheduling high-degree vertices first.
-pub fn degree_sorted_ids(degree: &[u32]) -> Vec<u32> {
-    let mut ids: Vec<u32> = (0..degree.len() as u32).collect();
-    ids.sort_by(|&a, &b| degree[b as usize].cmp(&degree[a as usize]).then(a.cmp(&b)));
-    ids
 }
 
 /// Parallel reverse-CSR construction — Algorithm 3 of the paper, with
@@ -277,17 +271,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// The worked example of Figure 3: V2 has out-degree 3, V0 and V1 have 2,
-    /// V3 has 0; node_ids must order them [2, 0, 1, 3].
-    #[test]
-    fn figure3_node_ids_order() {
-        let edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3)];
-        let g = Csr::from_edges(4, &edges);
-        assert_eq!(g.node_ids, vec![2, 0, 1, 3]);
-        assert_eq!(g.degree(2), 3);
-        assert_eq!(g.degree(3), 0);
-    }
-
     #[test]
     fn from_edges_roundtrips_triples() {
         let edges = [(0u32, 1u32), (2, 0), (1, 2), (0, 2)];
@@ -364,15 +347,9 @@ mod tests {
     }
 
     #[test]
-    fn degree_sorted_ids_stable_on_ties() {
-        assert_eq!(degree_sorted_ids(&[1, 3, 3, 0, 2]), vec![1, 2, 4, 0, 3]);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = Csr::from_edges(5, &[]);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.node_ids.len(), 5);
         let r = reverse_csr(&g, &[0; 5]);
         assert_eq!(r.num_edges(), 0);
     }
@@ -380,7 +357,7 @@ mod tests {
     #[test]
     fn bytes_accounts_all_arrays() {
         let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
-        // 4 offsets * 8 + (2 cols + 2 eids + 3 node_ids) * 4
-        assert_eq!(g.bytes(), 4 * 8 + 7 * 4);
+        // 4 offsets * 8 + (2 cols + 2 eids) * 4
+        assert_eq!(g.bytes(), 4 * 8 + 4 * 4);
     }
 }

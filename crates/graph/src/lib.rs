@@ -2,9 +2,10 @@
 //!
 //! Graph storage for the STGraph reproduction: dense CSR / reverse-CSR arrays
 //! with shared edge labels, the parallel reverse-CSR kernel
-//! (paper Algorithm 3), the degree-sorted `node_ids` scheduling order
-//! (Figure 3), and the `STGraphBase` abstraction with its static subclass
-//! (Figure 4).
+//! (paper Algorithm 3), and the `STGraphBase` abstraction with its static
+//! subclass (Figure 4). Kernels walk CSR rows in natural vertex order; the
+//! degree-sorted order of Figure 3 is not kept (DESIGN.md, "Figure 3's
+//! degree order").
 
 #![warn(missing_docs)]
 
@@ -12,4 +13,4 @@ pub mod base;
 pub mod csr;
 
 pub use base::{dense_adjacency, gcn_norm, STGraphBase, Snapshot, StaticGraph};
-pub use csr::{degree_sorted_ids, reverse_csr, reverse_csr_sequential, same_rows, Csr};
+pub use csr::{reverse_csr, reverse_csr_sequential, same_rows, Csr};

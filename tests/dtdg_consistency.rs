@@ -289,25 +289,6 @@ proptest! {
     }
 }
 
-/// Field-level CSR equality — stricter than `same_structure`: slot
-/// layout, edge ids and scheduling order must all match, so the kernels
-/// see literally the same bytes.
-fn csr_bitwise_eq(a: &stgraph_graph::csr::Csr, b: &stgraph_graph::csr::Csr) -> bool {
-    a.row_offset == b.row_offset
-        && a.col_indices == b.col_indices
-        && a.eids == b.eids
-        && a.node_ids == b.node_ids
-}
-
-fn snapshot_bitwise_eq(
-    a: &stgraph_graph::base::Snapshot,
-    b: &stgraph_graph::base::Snapshot,
-) -> bool {
-    csr_bitwise_eq(&a.csr, &b.csr)
-        && csr_bitwise_eq(&a.reverse_csr, &b.reverse_csr)
-        && a.in_degrees == b.in_degrees
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -333,7 +314,7 @@ proptest! {
             let want = naive.get_graph(t);
             let got = gpma.get_graph(t);
             prop_assert!(
-                snapshot_bitwise_eq(&got, &want),
+                got == want,
                 "forward snapshot divergence at t={}", t
             );
         }
@@ -342,7 +323,7 @@ proptest! {
             let want = naive.get_backward_graph(t);
             let got = gpma.get_backward_graph(t);
             prop_assert!(
-                snapshot_bitwise_eq(&got, &want),
+                got == want,
                 "backward snapshot divergence at t={}", t
             );
         }

@@ -8,15 +8,17 @@
 //! 3. CSE + DCE never change the program's value.
 //!
 //! This is the compiler-fuzzing counterpart of the hand-written layer
-//! gradchecks — it explores op combinations no layer uses.
+//! gradchecks — it explores op combinations no layer uses. The random
+//! programs run on a 6-node graph, below the parallel cutover; one seeded
+//! test pins the bits of GCN and GAT on a power-law graph above it.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use stgraph::backend::{AggregationBackend, ReferenceBackend, SeastarBackend};
-use stgraph_graph::base::Snapshot;
+use stgraph_graph::base::{gcn_norm, Snapshot};
 use stgraph_seastar::autodiff::{differentiate, NodeSave};
-use stgraph_seastar::ir::{Program, ProgramBuilder, Val};
+use stgraph_seastar::ir::{gat_aggregation, gcn_aggregation, Program, ProgramBuilder, Val};
 use stgraph_tensor::autograd::check::{assert_close, numeric_grad};
 use stgraph_tensor::Tensor;
 
@@ -192,9 +194,23 @@ fn run(
     inputs: &[Tensor],
     seed_grad: &Tensor,
 ) -> (Tensor, Vec<Option<Tensor>>) {
+    run_with_consts(be, prog, graph, inputs, &[], seed_grad)
+}
+
+/// [`run`] for a program with node constants (they lead the backward
+/// program's node constants, ahead of the saved values).
+fn run_with_consts(
+    be: &dyn AggregationBackend,
+    prog: &Program,
+    graph: &Snapshot,
+    inputs: &[Tensor],
+    consts: &[Tensor],
+    seed_grad: &Tensor,
+) -> (Tensor, Vec<Option<Tensor>>) {
     let plan = differentiate(prog);
     let refs: Vec<&Tensor> = inputs.iter().collect();
-    let fwd = be.execute(prog, graph, &refs, &[], &[], &[], &plan.save_ids());
+    let const_refs: Vec<&Tensor> = consts.iter().collect();
+    let fwd = be.execute(prog, graph, &refs, &const_refs, &[], &[], &plan.save_ids());
     let n_node_value_saves = plan
         .node_saves
         .iter()
@@ -202,7 +218,7 @@ fn run(
         .count();
     let (node_vals, edge_vals) = fwd.saved.split_at(n_node_value_saves);
     let mut node_iter = node_vals.iter();
-    let mut b_node_consts: Vec<&Tensor> = Vec::new();
+    let mut b_node_consts: Vec<&Tensor> = const_refs;
     for s in &plan.node_saves {
         match s {
             NodeSave::Input(i) => b_node_consts.push(&inputs[*i]),
@@ -225,6 +241,74 @@ fn run(
         .map(|ig| ig.map(|idx| bexec.outputs[idx].clone()))
         .collect();
     (fwd.outputs[0].clone(), grads)
+}
+
+/// FNV-1a over the bits of an output and every present gradient.
+fn fingerprint(out: &Tensor, grads: &[Option<Tensor>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let absent = [f32::from_bits(u32::MAX)];
+    let planes = std::iter::once(out.data()).chain(
+        grads
+            .iter()
+            .map(|g| g.as_ref().map_or(&absent[..], |g| g.data())),
+    );
+    for plane in planes {
+        for b in plane.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// GCN and GAT forward + backward on a power-law graph far above
+/// `par_min()`, so every aggregation and saved edge value runs chunked on
+/// more than one thread. The hash pins every output and gradient bit: the
+/// chunking of vertices into tasks may change, the bits may not, on any
+/// `RAYON_NUM_THREADS` or `STGRAPH_PAR_MIN`.
+#[test]
+fn chunked_kernels_are_pinned_on_a_power_law_graph() {
+    let (n, m, f) = (3000usize, 40_000usize, 16usize);
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    // Destinations skew to low ids (u^3): a few hubs with huge in-degree.
+    let edges: Vec<(u32, u32)> = (0..m)
+        .map(|_| {
+            let u = rng.gen_range(0..n as u32);
+            let v = (n as f64 * rng.gen_range(0.0f64..1.0).powf(3.0)) as u32 % n as u32;
+            (u, v)
+        })
+        .collect();
+    let graph = Snapshot::from_edges(n, &edges);
+    assert!(
+        m >= stgraph_tensor::par_min(),
+        "the graph must reach the chunked path"
+    );
+    let x = Tensor::rand_uniform((n, f), -1.0, 1.0, &mut rng);
+    let el = Tensor::rand_uniform((n, 1), -1.0, 1.0, &mut rng);
+    let er = Tensor::rand_uniform((n, 1), -1.0, 1.0, &mut rng);
+    let seed_grad = Tensor::rand_uniform((n, f), -1.0, 1.0, &mut rng);
+    let norm = Tensor::from_vec((n, 1), gcn_norm(&graph.in_degrees));
+
+    let (out, grads) = run_with_consts(
+        &SeastarBackend,
+        &gcn_aggregation(f),
+        &graph,
+        std::slice::from_ref(&x),
+        &[norm],
+        &seed_grad,
+    );
+    let gcn = fingerprint(&out, &grads);
+    let (out, grads) = run(
+        &SeastarBackend,
+        &gat_aggregation(f, 0.2),
+        &graph,
+        &[x, el, er],
+        &seed_grad,
+    );
+    let gat = fingerprint(&out, &grads);
+    // Computed under the former degree-sorted schedule, where it held on 1,
+    // 2 and 4 threads and with `STGRAPH_PAR_MIN=1`.
+    assert_eq!(gcn, 0x10a6_18e0_db78_3dbe, "GCN output/gradient bits moved");
+    assert_eq!(gat, 0xd0b7_8abd_e702_a76d, "GAT output/gradient bits moved");
 }
 
 proptest! {

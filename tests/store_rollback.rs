@@ -22,20 +22,6 @@ use stgraph_dyngraph::source::{DtdgSource, UpdateBatch};
 use stgraph_dyngraph::{DtdgGraph, DtdgStore, NaiveGraph};
 use stgraph_faultline::FaultPlan;
 use stgraph_graph::base::Snapshot;
-use stgraph_graph::csr::Csr;
-
-fn csr_identical(a: &Csr, b: &Csr) -> bool {
-    a.row_offset == b.row_offset
-        && a.col_indices == b.col_indices
-        && a.eids == b.eids
-        && a.node_ids == b.node_ids
-}
-
-fn snapshot_identical(a: &Snapshot, b: &Snapshot) -> bool {
-    csr_identical(&a.csr, &b.csr)
-        && csr_identical(&a.reverse_csr, &b.reverse_csr)
-        && a.in_degrees == b.in_degrees
-}
 
 /// A churning DTDG: random snapshots over `n` vertices.
 fn random_source(seed: u64, n: usize, timestamps: usize) -> DtdgSource {
@@ -93,13 +79,13 @@ fn faulted_batches_are_invisible_and_recovery_is_exact() {
             let after_fault = store.snapshot();
             assert!(Arc::ptr_eq(&after_fault.csr, &before.csr));
             assert!(
-                snapshot_identical(&after_fault, &before),
+                after_fault == before,
                 "faulted batch visible at t={t} (seed {seed})"
             );
             // Invariant 3: clean re-apply is exact.
             store.try_apply(batch).unwrap();
             assert!(
-                snapshot_identical(&store.snapshot(), &naive.get_graph(t + 1)),
+                store.snapshot() == naive.get_graph(t + 1),
                 "recovery diverged at t={} (seed {seed})",
                 t + 1
             );
@@ -123,15 +109,12 @@ fn retry_loop_reaches_every_timestamp_under_periodic_faults() {
             attempts += 1;
             assert!(attempts < 4, "batch {t} should succeed within retries");
         }
-        assert!(snapshot_identical(
-            &store.snapshot(),
-            &naive.get_graph(t + 1)
-        ));
+        assert!(store.snapshot() == naive.get_graph(t + 1));
     }
     stgraph_faultline::clear_plan();
     let want = naive.get_graph(src.num_timestamps() - 1);
     assert!(
-        snapshot_identical(&store.snapshot(), &want),
+        store.snapshot() == want,
         "post-chaos stream must land exactly on the oracle"
     );
 }
@@ -150,9 +133,9 @@ fn seed_load_matches_incremental_apply() {
         let mut grown = DtdgStore::from_edges(src.num_nodes, &[]);
         grown.apply(&src.snapshots[0], &[]);
         assert_eq!(loaded.edges(), grown.edges());
-        assert!(snapshot_identical(&loaded.snapshot(), &grown.snapshot()));
+        assert!(loaded.snapshot() == grown.snapshot());
         assert!(
-            snapshot_identical(&loaded.snapshot(), &NaiveGraph::new(&src).get_graph(0)),
+            loaded.snapshot() == NaiveGraph::new(&src).get_graph(0),
             "seed load diverged from the oracle (seed {seed})"
         );
     }
@@ -176,12 +159,8 @@ fn snapshot_build_faults_never_lose_a_snapshot() {
         store.try_apply(batch).unwrap();
         let fresh = store.snapshot();
         stgraph_faultline::clear_plan();
-        assert!(snapshot_identical(&stale, &naive.get_graph(t)), "t={t}");
-        assert!(
-            snapshot_identical(&fresh, &naive.get_graph(t + 1)),
-            "t={}",
-            t + 1
-        );
+        assert!(stale == naive.get_graph(t), "t={t}");
+        assert!(fresh == naive.get_graph(t + 1), "t={}", t + 1);
     }
 }
 
@@ -201,15 +180,12 @@ fn restore_state_returns_to_the_cloned_edge_set() {
         store.apply(&batch.additions, &batch.deletions);
     }
     let t_last = src.num_timestamps() - 1;
-    assert!(snapshot_identical(
-        &store.snapshot(),
-        &naive.get_graph(t_last)
-    ));
+    assert!(store.snapshot() == naive.get_graph(t_last));
     let version = store.version();
     store.restore_state(&cached);
     assert_eq!(store.version(), version + 1);
     assert_eq!(store.edges(), cached_edges);
-    assert!(snapshot_identical(&store.snapshot(), &naive.get_graph(0)));
+    assert!(store.snapshot() == naive.get_graph(0));
 }
 
 proptest! {
@@ -261,6 +237,6 @@ proptest! {
         prop_assert_eq!(store.version(), version + 1);
         prop_assert_eq!(store.edges(), want.iter().copied().collect::<Vec<_>>());
         let oracle = Snapshot::from_edges(n, &store.edges());
-        prop_assert!(snapshot_identical(&store.snapshot(), &oracle));
+        prop_assert!(store.snapshot() == oracle);
     }
 }
