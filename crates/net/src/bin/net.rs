@@ -57,7 +57,6 @@ Options:
   --http-port <n>         HTTP port, 0 = ephemeral (default 0)
   --bin-port <n>          binary-protocol port, 0 = ephemeral (default 0)
   --threads <n>           acceptor threads per listener (default: cores, 2..16)
-  --max-batch <n>         engine micro-batch cap (default 256)
   --queue-cap <n>         engine queue bound (default 1024)
   --deadline-ms <n>       per-query deadline (default off)
   --duration-s <n>        serve this long then exit; 0 = until POST
@@ -109,7 +108,6 @@ fn main() {
     };
 
     let mut config = ServeConfig::default();
-    config.max_batch = get(&args, "max_batch", config.max_batch);
     config.queue_capacity = get(&args, "queue_cap", config.queue_capacity).max(1);
     if let Some(ms) = args.get("deadline_ms") {
         let ms: u64 = ms.parse().unwrap_or_else(|_| {

@@ -1,6 +1,6 @@
 //! `serve` — load an `.stgc` checkpoint, replay a dataset's update stream
 //! through the live graph, and answer node-embedding queries through the
-//! micro-batching engine.
+//! inference engine.
 //!
 //! ```text
 //! cargo run --release -p stgraph-bench --bin train -- \
@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `--verify` recomputes every generation's recurrent step directly (no
-//! queue, no batching) from a second copy of the checkpoint and requires
-//! every served value to be bit-identical.
+//! queue, no engine, no memo) from a second copy of the checkpoint and
+//! requires every served value to be bit-identical.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -46,8 +46,6 @@ Options:
   --pct-change <f>        snapshot churn percent (default 5)
   --scale <n>             dataset size divisor (default 64)
   --queries <n>           total queries across the stream (default 1000)
-  --max-batch <n>         micro-batch cap (default 256)
-  --flush-us <n>          batch linger in microseconds (default 2000)
   --queue-cap <n>         request queue bound; queries beyond it are shed
                           with a typed Overloaded error rather than
                           blocking (default 1024)
@@ -56,9 +54,10 @@ Options:
                           answered stale (default off)
   --seed <n>              RNG seed, must match training (default 42)
   --verify                check every served value bitwise against a direct
-                          replay. With --online the replay reruns the
-                          online loop from the same initial state (do not
-                          combine with STGRAPH_FAULTS at the online.* sites)
+                          replay that runs no queue, engine or memo. With
+                          --online the replay reruns the online loop from
+                          the same initial state (do not combine with
+                          STGRAPH_FAULTS at the online.* sites)
   --online                train while serving: one incremental gradient
                           step per ingested batch on a replay sample, with
                           weight generations published atomically between
@@ -179,12 +178,6 @@ fn main() {
     }
 
     let mut config = ServeConfig::default();
-    config.max_batch = get(&args, "max_batch", config.max_batch);
-    config.flush_interval = std::time::Duration::from_micros(get(
-        &args,
-        "flush_us",
-        config.flush_interval.as_micros() as u64,
-    ));
     config.queue_capacity = get(&args, "queue_cap", config.queue_capacity).max(1);
     if let Some(ms) = args.get("deadline_ms") {
         let ms: u64 = ms.parse().unwrap_or_else(|_| {

@@ -1,13 +1,17 @@
-//! The micro-batching inference engine.
+//! The inference engine: one thread answers every read from a
+//! per-generation embedding memo.
 //!
 //! Models built on [`stgraph_tensor::Param`] are reference-counted and not
 //! `Send`, so the model lives on exactly one *engine thread*. The
 //! [`RequestQueue`] is the `Send` boundary: any number of producer threads
 //! submit node-level queries (and stream advance events) and block on
-//! [`Ticket`]s; the engine drains the queue, coalesces pending queries into
-//! one batched forward pass per graph generation, and fills the response
-//! slots — with rayon parallelism inside the tensor kernels and across the
-//! per-slot copies.
+//! [`Ticket`]s. The engine blocks for the first queued item, then takes
+//! every query queued ahead of the next advance and answers them at once:
+//! there is no linger and no batch cap. An answer is one `gather_rows` over
+//! the generation's memoised embeddings, and the recurrent step runs once
+//! per generation whatever the number of readers, so waiting for more
+//! readers would save no work. Reads that queue while the engine is busy
+//! still share one answer.
 //!
 //! The hidden-state chain is pinned to generations: exactly one recurrent
 //! step runs per generation (even if no queries arrive during it), so the
@@ -42,12 +46,12 @@
 //!   [`ServeError::Overloaded`] immediately instead of blocking (advance
 //!   events still block: update batches are the stream's ground truth and
 //!   are never dropped);
-//! * a query older than [`ServeConfig::deadline`] when its batch is
+//! * a query older than [`ServeConfig::deadline`] when its drain is
 //!   answered gets [`ServeError::DeadlineExceeded`] instead of a stale
 //!   wait;
-//! * a panic inside the batched forward is caught, every affected slot is
-//!   failed with [`ServeError::Internal`], and the engine keeps serving —
-//!   all queue/slot locks recover from poisoning, so one bad batch can
+//! * a panic inside a forward or an answer is caught, every affected slot
+//!   is failed with [`ServeError::Internal`], and the engine keeps serving —
+//!   all queue/slot locks recover from poisoning, so one bad answer can
 //!   never hang later callers.
 
 use crate::ingest::LiveGraph;
@@ -92,16 +96,16 @@ pub enum ServeError {
     /// resolvable through the model provider hook.
     UnknownModel(ModelKey),
     /// The query waited longer than [`ServeConfig::deadline`] before its
-    /// batch ran; answering it would serve data staler than the caller
-    /// accepts.
+    /// drain was answered; answering it would serve data staler than the
+    /// caller accepts.
     DeadlineExceeded {
         /// How long the query had been queued when it was expired.
         waited: Duration,
     },
     /// The queue was closed before (or while) the query was submitted.
     Closed,
-    /// The batched forward panicked; the engine recovered but this query's
-    /// answer was lost.
+    /// The forward or the answer panicked; the engine recovered but this
+    /// query's answer was lost.
     Internal(String),
 }
 
@@ -122,20 +126,15 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Engine knobs. The `serve` and `net` binaries start from the default and
-/// set fields from their `--max-batch`, `--flush-us`, `--queue-cap` and
-/// `--deadline-ms` flags.
+/// set fields from their `--queue-cap` and `--deadline-ms` flags. How many
+/// queries share one answer is not a knob: it is whatever queued while the
+/// engine was busy.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most queries coalesced into one batched forward (default 256; 0 is
-    /// served as 1).
-    pub max_batch: usize,
-    /// How long the engine lingers for stragglers after the first query of
-    /// a batch arrives (default 2 ms).
-    pub flush_interval: Duration,
     /// Bounded queue depth; queries beyond it are shed (default 1024).
     pub queue_capacity: usize,
     /// Per-request deadline: queries queued longer than this when their
-    /// batch is answered fail with [`ServeError::DeadlineExceeded`].
+    /// drain is answered fail with [`ServeError::DeadlineExceeded`].
     /// `None` (the default) disables expiry.
     pub deadline: Option<Duration>,
 }
@@ -143,8 +142,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            max_batch: 256,
-            flush_interval: Duration::from_millis(2),
             queue_capacity: 1024,
             deadline: None,
         }
@@ -195,7 +192,7 @@ impl Ticket {
     /// Blocks until the engine resolves this query — an answer, a deadline
     /// expiry, or an internal failure. Never hangs: the engine guarantees
     /// every accepted query's slot is eventually filled, even when the
-    /// batch that carried it panicked.
+    /// answer that carried it panicked.
     pub fn wait(self) -> Result<QueryResponse, ServeError> {
         let mut guard = relock(&self.slot.inner);
         loop {
@@ -230,7 +227,7 @@ struct QueueState {
 
 /// The bounded MPSC work queue between producer threads and the engine.
 /// Items preserve submission order, so an [`RequestQueue::advance`] event
-/// acts as a batch boundary: queries before it are answered at the old
+/// acts as a drain boundary: queries before it are answered at the old
 /// generation, queries after it at the new one.
 pub struct RequestQueue {
     state: Mutex<QueueState>,
@@ -334,15 +331,16 @@ impl RequestQueue {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Engine side: blocks for the first item, then lingers up to `flush`
-    /// (or until `max` queries) coalescing stragglers. Stops early at an
-    /// advance event so generations never mix within a batch.
+    /// Engine side: blocks for the first item, then takes every query
+    /// queued ahead of the next advance (and that advance) and returns at
+    /// once. Stopping at an advance keeps generations unmixed within a
+    /// drain.
     ///
     /// Carries the `engine.dequeue` fault point: injected latency models a
     /// slow engine thread (queries age toward their deadline), and an
     /// injected failure turns this call into a spurious empty wake-up —
     /// the run loop just drains again.
-    pub(crate) fn drain(&self, max: usize, flush: Duration) -> Drained {
+    pub(crate) fn drain(&self) -> Drained {
         if stgraph_faultline::fault_point!("engine.dequeue").is_err() {
             let st = relock(&self.state);
             return Drained {
@@ -360,29 +358,11 @@ impl RequestQueue {
         }
         let mut queries = Vec::new();
         let mut advance = None;
-        if !st.items.is_empty() {
-            let deadline = Instant::now() + flush;
-            loop {
-                while queries.len() < max && advance.is_none() {
-                    match st.items.pop_front() {
-                        Some(WorkItem::Query(q)) => queries.push(q),
-                        Some(WorkItem::Advance(b)) => advance = Some(b),
-                        None => break,
-                    }
-                }
-                if queries.len() >= max || advance.is_some() || st.closed {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .not_empty
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-                if timeout.timed_out() && st.items.is_empty() {
+        while let Some(item) = st.items.pop_front() {
+            match item {
+                WorkItem::Query(q) => queries.push(q),
+                WorkItem::Advance(b) => {
+                    advance = Some(b);
                     break;
                 }
             }
@@ -440,7 +420,7 @@ struct OnlineSlot {
 }
 
 /// The single-threaded owner of the resident models + live graph that
-/// answers batched queries. Construct it, then call
+/// answers queued queries. Construct it, then call
 /// [`InferenceEngine::run`] on the thread that owns it while producers
 /// feed the [`RequestQueue`].
 pub struct InferenceEngine {
@@ -518,8 +498,8 @@ impl InferenceEngine {
     /// Installs (or hot-swaps) a resident model under `key`. The new
     /// model's hidden chain starts at the *current* generation; a replaced
     /// model's chain and memo are dropped atomically with the swap — no
-    /// batch ever mixes old and new weights, because the swap happens on
-    /// the engine thread between batches.
+    /// answer ever mixes old and new weights, because the swap happens on
+    /// the engine thread between drains.
     pub fn install_model(&mut self, key: ModelKey, cell: Box<dyn RecurrentCell>) {
         self.evict_to_fit(key);
         // An explicit install is new weights: any chain parked for this key
@@ -725,12 +705,12 @@ impl InferenceEngine {
         Ok((g, emb))
     }
 
-    /// Answers one coalesced micro-batch: expires overdue queries, groups
-    /// the rest by model, runs a single gather over each model's embeddings
-    /// for the generation, and fills response slots in parallel. A panic
+    /// Answers one drain's queries: expires overdue queries, groups the
+    /// rest by model, runs a single gather over each model's embeddings for
+    /// the generation, and fills response slots in parallel. A panic
     /// anywhere inside is caught and converted into [`ServeError::Internal`]
     /// on every still-pending slot of that model's group — the engine
-    /// outlives its worst batch, and one model's panic never fails another
+    /// outlives its worst answer, and one model's panic never fails another
     /// model's queries.
     fn answer(&mut self, batch: Vec<PendingQuery>, deadline: Option<Duration>) {
         let _sp = stgraph_telemetry::span_cat("serve.answer", "serve");
@@ -833,10 +813,8 @@ impl InferenceEngine {
     /// a quarantined [`DEFAULT_MODEL`] with no provider fails subsequent
     /// queries with the typed [`ServeError::UnknownModel`].
     pub fn run(&mut self, queue: &RequestQueue, config: &ServeConfig) {
-        // A zero cap would drain nothing while queries wait: a livelock.
-        let max_batch = config.max_batch.max(1);
         loop {
-            let drained = queue.drain(max_batch, config.flush_interval);
+            let drained = queue.drain();
             if !drained.queries.is_empty() {
                 self.answer(drained.queries, config.deadline);
             }
@@ -944,7 +922,6 @@ mod tests {
         let mut engine = InferenceEngine::new(Box::new(cell), x, live, "seastar");
         let queue = RequestQueue::new(64);
         let config = ServeConfig {
-            flush_interval: Duration::from_micros(200),
             ..ServeConfig::default()
         };
         let diffs = src.diffs();
@@ -983,37 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn queries_coalesce_into_few_batches() {
-        let (src, x, _ps, cell) = setup();
-        let live = LiveGraph::from_source(&src);
-        let mut engine = InferenceEngine::new(Box::new(cell), x, live, "seastar");
-        let queue = RequestQueue::new(256);
-        let config = ServeConfig {
-            max_batch: 64,
-            flush_interval: Duration::from_millis(20),
-            ..ServeConfig::default()
-        };
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let tickets: Vec<Ticket> = (0..48).map(|i| queue.submit(i % 6).unwrap()).collect();
-                for t in tickets {
-                    t.wait().unwrap();
-                }
-                queue.close();
-            });
-            engine.run(&queue, &config);
-        });
-        let report = engine.report(Duration::from_millis(1));
-        assert_eq!(report.queries, 48);
-        assert_eq!(report.forwards, 1, "one generation, one forward");
-        assert!(
-            report.batches <= 4,
-            "48 queries should coalesce, got {} batches",
-            report.batches
-        );
-    }
-
-    #[test]
     fn hidden_chain_covers_unqueried_generations() {
         let (src, x, _ps, cell) = setup();
         let expected = direct_chain(&src, &x, &cell, None).unwrap();
@@ -1044,6 +990,31 @@ mod tests {
     }
 
     #[test]
+    fn drain_takes_every_queued_query_up_to_an_advance() {
+        // No engine thread: drain never lingers, so each call returns what
+        // is queued without waiting for more.
+        let (src, ..) = setup();
+        let queue = RequestQueue::new(16);
+        let _t0 = queue.submit(0).unwrap();
+        let _t1 = queue.submit(1).unwrap();
+        queue.advance(src.diffs()[0].clone());
+        let _t2 = queue.submit(2).unwrap();
+        let nodes = |d: &Drained| d.queries.iter().map(|q| q.node).collect::<Vec<_>>();
+        let first = queue.drain();
+        assert_eq!(nodes(&first), [0, 1], "every query ahead of the advance");
+        assert!(first.advance.is_some(), "the advance ends the drain");
+        assert!(!first.closed);
+        let second = queue.drain();
+        assert_eq!(nodes(&second), [2], "the query behind the advance");
+        assert!(second.advance.is_none());
+        assert!(!second.closed);
+        queue.close();
+        let last = queue.drain();
+        assert!(last.queries.is_empty() && last.advance.is_none());
+        assert!(last.closed);
+    }
+
+    #[test]
     fn full_queue_sheds_instead_of_blocking() {
         // No engine thread at all: if submit blocked on a full queue this
         // test would deadlock. It must return Overloaded immediately.
@@ -1066,7 +1037,6 @@ mod tests {
         let queue = RequestQueue::new(16);
         let config = ServeConfig {
             deadline: Some(Duration::ZERO), // everything is instantly stale
-            flush_interval: Duration::from_micros(100),
             ..ServeConfig::default()
         };
         std::thread::scope(|scope| {
@@ -1128,7 +1098,6 @@ mod tests {
         let mut engine = InferenceEngine::new(Box::new(faulty), x, live, "seastar");
         let queue = RequestQueue::new(16);
         let config = ServeConfig {
-            flush_interval: Duration::from_micros(100),
             ..ServeConfig::default()
         };
         std::thread::scope(|scope| {
@@ -1177,7 +1146,6 @@ mod tests {
         assert_eq!(engine.resident_models(), 2);
         let queue = RequestQueue::new(64);
         let config = ServeConfig {
-            flush_interval: Duration::from_micros(200),
             ..ServeConfig::default()
         };
         let diffs = src.diffs();
@@ -1248,7 +1216,6 @@ mod tests {
         }));
         let queue = RequestQueue::new(16);
         let config = ServeConfig {
-            flush_interval: Duration::from_micros(100),
             ..ServeConfig::default()
         };
         std::thread::scope(|scope| {
@@ -1355,7 +1322,6 @@ mod tests {
         );
         let queue = RequestQueue::new(16);
         let config = ServeConfig {
-            flush_interval: Duration::from_micros(100),
             ..ServeConfig::default()
         };
         let diffs = src.diffs();

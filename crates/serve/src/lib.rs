@@ -11,10 +11,11 @@
 //! * [`ingest`] — [`LiveGraph`](ingest::LiveGraph), a GPMA-backed graph
 //!   advanced by [`UpdateBatch`](stgraph_dyngraph::UpdateBatch) diffs under
 //!   a generation guard (readers never see a half-applied batch);
-//! * [`engine`] — a micro-batching query engine that coalesces concurrent
-//!   node queries into one batched recurrent step per graph generation and
-//!   per resident model (queries carry a [`ModelKey`]), with latency
-//!   percentiles and pool/memory stats in [`stats`];
+//! * [`engine`] — the query engine: one recurrent step per graph
+//!   generation and per resident model (queries carry a [`ModelKey`]),
+//!   memoised, and every read answered from that memo as soon as the
+//!   engine thread wakes, with latency percentiles and pool/memory stats
+//!   in [`stats`];
 //! * [`host`] — [`EngineHost`], which spawns the engine on its own thread
 //!   (cells are `!Send`) behind a shared [`RequestQueue`], the submit
 //!   boundary the network tier (`stgraph-net`) feeds;

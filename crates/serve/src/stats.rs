@@ -86,9 +86,10 @@ impl LatencyRecorder {
 pub struct ServeReport {
     /// Queries answered.
     pub queries: u64,
-    /// Micro-batches flushed through the engine.
+    /// Engine drains answered, counted once per model a drain's queries
+    /// name.
     pub batches: u64,
-    /// Batched forward passes executed (one per generation served).
+    /// Recurrent steps executed (one per generation and resident model).
     pub forwards: u64,
     /// Final graph generation reached.
     pub generation: u64,
@@ -131,7 +132,8 @@ impl ServeReport {
         self.queries as f64 / self.elapsed.as_secs_f64()
     }
 
-    /// Mean queries per micro-batch (coalescing effectiveness).
+    /// Mean queries per drain answer: how many reads queued while the
+    /// engine was busy.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             return 0.0;
@@ -153,7 +155,7 @@ impl fmt::Display for ServeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "serve: {} queries in {} batches ({:.1} q/batch), {} forwards over {} generations",
+            "serve: {} queries in {} drains ({:.1} q/drain), {} forwards over {} generations",
             self.queries,
             self.batches,
             self.mean_batch_size(),

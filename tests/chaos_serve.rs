@@ -71,7 +71,6 @@ fn run_pipeline(
     let mut engine = InferenceEngine::new(Box::new(cell(7)), x, live, "seastar");
     let queue = RequestQueue::new(128);
     let config = ServeConfig {
-        flush_interval: Duration::from_micros(200),
         ..ServeConfig::default()
     };
     let generations = src.num_timestamps();

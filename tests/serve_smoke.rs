@@ -106,8 +106,6 @@ fn run(online: bool) {
     }
     let queue = RequestQueue::new(128);
     let config = ServeConfig {
-        max_batch: 32,
-        flush_interval: Duration::from_micros(500),
         queue_capacity: 128,
         ..ServeConfig::default()
     };
