@@ -1,19 +1,21 @@
 //! `paper` — regenerates the paper's evaluation (Table II, Figs. 5–9,
-//! Table III) and asserts every exhibit's paper shape; see the help text
-//! and `stgraph_bench::paper`.
+//! Table III) and its design ablations, and asserts every exhibit's paper
+//! shape; see the help text and `stgraph_bench::paper`.
 
 use stgraph_bench::paper::{self, EXHIBITS};
 use stgraph_datasets::cli;
 
 const HELP: &str = "paper — regenerate the paper's evaluation and check its shapes
 
-Prints Table II, Figs. 5-9 and Table III and asserts each exhibit's paper
-shape; Table III is derived from the Fig. 5-8 rows, so asking for it runs
-those too. Exits 1 on any shape violation or unwritable results file.
+Prints Table II, Figs. 5-9, the design ablations (State-Stack saved set,
+vertex- vs edge-parallel, fused vs unfused kernels) and Table III, and
+asserts each exhibit's paper shape; Table III is derived from the Fig. 5-8
+rows, so asking for it runs those too. Exits 1 on any shape violation or
+unwritable results file.
 
 Options:
-  --exhibit <name>  table2, fig5, fig6, fig7, fig8, fig9 or table3
-                    (default: every exhibit, in one process)
+  --exhibit <name>  table2, fig5, fig6, fig7, fig8, fig9, ablations or
+                    table3 (default: every exhibit, in one process)
   --quick           8 timestamps, 1 warm-up and 1 timed epoch, dynamic
                     datasets at 1/128 size; writes no JSON (default: the
                     recorded scale, which writes results/<exhibit>.json)

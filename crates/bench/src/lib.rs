@@ -1,12 +1,12 @@
 //! # stgraph-bench
 //!
 //! The harness regenerating every table and figure of the paper's
-//! evaluation (§VII): [`paper`] holds the exhibits as data and the `paper`
-//! binary runs, prints, checks and records them; `ablations` and `kernels`
-//! time the substrate-level design choices. Absolute numbers are CPU
-//! numbers (DESIGN.md's device substitution); the comparisons — who wins,
-//! by what factor, which way each sweep moves — are the reproduction
-//! targets, asserted by each exhibit's predicate.
+//! evaluation (§VII) and its design ablations (§IV, §V.B): [`paper`] holds
+//! the exhibits as data and the `paper` binary runs, prints, checks and
+//! records them; `kernels` times the dense and aggregation kernels.
+//! Absolute numbers are CPU numbers (DESIGN.md's device substitution); the
+//! comparisons — who wins, by what factor, which way each sweep moves —
+//! are the reproduction targets, asserted by each exhibit's predicate.
 
 #![warn(missing_docs)]
 

@@ -41,7 +41,6 @@
 
 pub mod backend;
 pub mod executor;
-pub mod hetero;
 pub mod layers;
 pub mod metrics;
 pub mod stacks;
@@ -51,8 +50,7 @@ pub mod train;
 
 pub use backend::{create_backend, AggregationBackend};
 pub use executor::{compile, CompiledProgram, GraphSource, TemporalExecutor};
-pub use hetero::{HeteroExecutor, HeteroGraph, RgcnConv};
 pub use layers::{ChebConv, GatConv, GcnConv, GcnPropagate, MultiHeadGatConv};
 pub use stacks::{GraphStack, StateStack};
 pub use tgnn::{A3Tgcn, GConvGru, GConvLstm, RecurrentCell, Tgcn};
-pub use tgnn_ext::{DConv, Dcrnn, EvolveGcnO};
+pub use tgnn_ext::{DConv, Dcrnn};

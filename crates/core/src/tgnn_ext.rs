@@ -1,17 +1,11 @@
-//! Extended TGNN layers beyond the paper's benchmark set — the kind of
-//! zoo growth the conclusion lists as future work ("the system can be
-//! extended to include new GNN/TGNN layer APIs").
-//!
-//! * [`DConv`]/[`Dcrnn`] — DCRNN's dual-direction diffusion convolution
-//!   (Li et al., ICLR'18): random-walk powers over *both* out-neighbour
-//!   and in-neighbour matrices, which exercises the executor's
-//!   `AggSumSrc` kernels in the forward pass (normally backward-only).
-//! * [`EvolveGcnO`] — EvolveGCN-O (Pareja et al., AAAI'20): the GCN weight
-//!   matrix itself is the recurrent state, evolved per timestamp by an
-//!   LSTM cell; gradients flow through the whole weight trajectory.
+//! DCRNN (Li et al., ICLR'18), one TGNN beyond the paper's benchmark set,
+//! kept because the serve zoo builds it: [`DConv`] is its dual-direction
+//! diffusion convolution — random-walk powers over *both* out-neighbour
+//! and in-neighbour matrices, which runs the executor's `AggSumSrc`
+//! kernels in the forward pass (normally backward-only) — and [`Dcrnn`]
+//! the recurrent cell built from it.
 
 use crate::executor::{compile, CompiledProgram, TemporalExecutor};
-use crate::layers::GcnPropagate;
 use crate::tgnn::RecurrentCell;
 use rand::Rng;
 use std::rc::Rc;
@@ -260,140 +254,6 @@ impl RecurrentCell for Dcrnn {
     }
 }
 
-/// EvolveGCN-O: the GCN weight `W_t ∈ R^{f×f}` is recurrent state evolved
-/// by an LSTM cell (`W` is both input and hidden), then used for the GCN
-/// at each timestamp. Gradients flow through the weight trajectory.
-pub struct EvolveGcnO {
-    /// Initial weight `W_0` (trainable).
-    pub w0: Param,
-    // LSTM-over-weights parameters (input = hidden = a weight row).
-    u_i: Param,
-    v_i: Param,
-    b_i: Param,
-    u_f: Param,
-    v_f: Param,
-    b_f: Param,
-    u_c: Param,
-    v_c: Param,
-    b_c: Param,
-    u_o: Param,
-    v_o: Param,
-    b_o: Param,
-    prop: GcnPropagate,
-    features: usize,
-}
-
-impl EvolveGcnO {
-    /// A new EvolveGCN-O layer over `features`-wide embeddings.
-    pub fn new(
-        params: &mut ParamSet,
-        name: &str,
-        features: usize,
-        rng: &mut impl Rng,
-    ) -> EvolveGcnO {
-        let f = features;
-        let mat = |part: &str, params: &mut ParamSet, rng: &mut _| {
-            params.register(format!("{name}.{part}"), Tensor::glorot(f, f, rng))
-        };
-        let w0 = params.register(format!("{name}.w0"), Tensor::glorot(f, f, rng));
-        let u_i = mat("u_i", params, rng);
-        let v_i = mat("v_i", params, rng);
-        let b_i = params.register(format!("{name}.b_i"), Tensor::zeros(f));
-        let u_f = mat("u_f", params, rng);
-        let v_f = mat("v_f", params, rng);
-        // Forget bias 1.0: standard LSTM initialisation.
-        let b_f = params.register(format!("{name}.b_f"), Tensor::ones(f));
-        let u_c = mat("u_c", params, rng);
-        let v_c = mat("v_c", params, rng);
-        let b_c = params.register(format!("{name}.b_c"), Tensor::zeros(f));
-        let u_o = mat("u_o", params, rng);
-        let v_o = mat("v_o", params, rng);
-        let b_o = params.register(format!("{name}.b_o"), Tensor::zeros(f));
-        EvolveGcnO {
-            w0,
-            u_i,
-            v_i,
-            b_i,
-            u_f,
-            v_f,
-            b_f,
-            u_c,
-            v_c,
-            b_c,
-            u_o,
-            v_o,
-            b_o,
-            prop: GcnPropagate::new(features),
-            features,
-        }
-    }
-
-    /// Embedding width.
-    pub fn features(&self) -> usize {
-        self.features
-    }
-
-    /// One LSTM step evolving the weight: input = hidden = `w`.
-    fn evolve<'t>(&self, tape: &'t Tape, w: &Var<'t>, c: &Var<'t>) -> (Var<'t>, Var<'t>) {
-        let gate = |u: &Param, v: &Param, b: &Param| {
-            let uu = tape.param(u);
-            let vv = tape.param(v);
-            let bb = tape.param(b);
-            w.matmul(&uu).add(&w.matmul(&vv)).add_bias(&bb)
-        };
-        let i = gate(&self.u_i, &self.v_i, &self.b_i).sigmoid();
-        let f = gate(&self.u_f, &self.v_f, &self.b_f).sigmoid();
-        let g = gate(&self.u_c, &self.v_c, &self.b_c).tanh();
-        let o = gate(&self.u_o, &self.v_o, &self.b_o).sigmoid();
-        let c_new = f.mul(c).add(&i.mul(&g));
-        let w_new = o.mul(&c_new.tanh());
-        (w_new, c_new)
-    }
-
-    /// Forward over a window of feature tensors starting at timestamp
-    /// `t0`, evolving the weight each step. Returns per-step embeddings.
-    pub fn forward_sequence<'t>(
-        &self,
-        tape: &'t Tape,
-        exec: &TemporalExecutor,
-        t0: usize,
-        xs: &[Var<'t>],
-    ) -> Vec<Var<'t>> {
-        let mut w = tape.param(&self.w0);
-        let mut c = tape.constant(Tensor::zeros((self.features, self.features)));
-        let mut outs = Vec::with_capacity(xs.len());
-        for (step, x) in xs.iter().enumerate() {
-            let t = t0 + step;
-            let (w_new, c_new) = self.evolve(tape, &w, &c);
-            w = w_new;
-            c = c_new;
-            // W_t is square, so the width rule keeps this transform-first.
-            outs.push(self.prop.forward(tape, exec, t, &x.matmul(&w)));
-        }
-        outs
-    }
-}
-
-impl StateDict for EvolveGcnO {
-    fn parameters(&self) -> Vec<Param> {
-        vec![
-            self.w0.clone(),
-            self.u_i.clone(),
-            self.v_i.clone(),
-            self.b_i.clone(),
-            self.u_f.clone(),
-            self.v_f.clone(),
-            self.b_f.clone(),
-            self.u_c.clone(),
-            self.v_c.clone(),
-            self.b_c.clone(),
-            self.u_o.clone(),
-            self.v_o.clone(),
-            self.b_o.clone(),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,80 +372,5 @@ mod tests {
             );
         }
         assert!(last < first * 0.7, "{first} -> {last}");
-    }
-
-    #[test]
-    fn evolve_gcn_weight_changes_over_time() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut ps = ParamSet::new();
-        let layer = EvolveGcnO::new(&mut ps, "e", 4, &mut rng);
-        let e = exec();
-        let tape = Tape::new();
-        let xs: Vec<Var> = (0..3)
-            .map(|_| tape.constant(Tensor::rand_uniform((6, 4), -1.0, 1.0, &mut rng)))
-            .collect();
-        let outs = layer.forward_sequence(&tape, &e, 0, &xs);
-        assert_eq!(outs.len(), 3);
-        let loss = outs.last().unwrap().square().sum();
-        tape.backward(&loss);
-        // Gradient reaches both W0 and the evolution parameters.
-        assert!(layer.w0.grad().data().iter().any(|&g| g != 0.0));
-        assert!(layer.u_i.grad().data().iter().any(|&g| g != 0.0));
-
-        // Same input at different timestamps maps through different weights
-        // (fresh tape/executor so stack bookkeeping stays balanced).
-        let e2 = exec();
-        let tape2 = Tape::new();
-        let same_x = tape2.constant(xs[0].value().clone());
-        let xs2 = vec![same_x.clone(), same_x.clone()];
-        let outs2 = layer.forward_sequence(&tape2, &e2, 0, &xs2);
-        assert!(
-            !outs2[0].value().approx_eq(outs2[1].value(), 1e-6),
-            "evolved weights must differ between steps"
-        );
-        let drain = outs2[0].add(&outs2[1]).sum().mul_scalar(0.0);
-        tape2.backward(&drain);
-    }
-
-    #[test]
-    fn evolve_gcn_trains() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut ps = ParamSet::new();
-        let layer = EvolveGcnO::new(&mut ps, "e", 3, &mut rng);
-        let readout = Linear::new(&mut ps, "out", 3, 1, true, &mut rng);
-        let e = exec();
-        let mut opt = Adam::new(ps, 0.02);
-        let feats: Vec<Tensor> = (0..4)
-            .map(|_| Tensor::rand_uniform((6, 3), -1.0, 1.0, &mut rng))
-            .collect();
-        let targets: Vec<Tensor> = feats
-            .iter()
-            .map(|x| x.sum_axis1().mul_scalar(1.0 / 3.0).reshape((6, 1)))
-            .collect();
-        let run = |opt: &mut Adam| -> f32 {
-            opt.zero_grad();
-            let tape = Tape::new();
-            let xs: Vec<Var> = feats.iter().map(|x| tape.constant(x.clone())).collect();
-            let outs = layer.forward_sequence(&tape, &e, 0, &xs);
-            let mut loss: Option<Var> = None;
-            for (o, target) in outs.iter().zip(&targets) {
-                let l = readout.forward(&tape, &o.relu()).mse_loss(target);
-                loss = Some(match loss {
-                    Some(a) => a.add(&l),
-                    None => l,
-                });
-            }
-            let loss = loss.unwrap().mul_scalar(0.25);
-            let v = loss.value().item();
-            tape.backward(&loss);
-            opt.step();
-            v
-        };
-        let first = run(&mut opt);
-        let mut last = first;
-        for _ in 0..40 {
-            last = run(&mut opt);
-        }
-        assert!(last < first * 0.8, "{first} -> {last}");
     }
 }

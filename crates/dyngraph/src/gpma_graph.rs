@@ -1,22 +1,22 @@
 //! `GPMAGraph` (§V.D): the DTDG is stored as a *base graph plus a list of
 //! temporal updates*, and snapshots are constructed on demand. This is the
-//! Algorithm-2 timeline and cache over the one [`DtdgStore`]; the store
-//! owns the edges, the batch apply and the snapshot build.
+//! Algorithm-2 timeline over the one [`DtdgStore`]; the store owns the
+//! edges, the batch apply and the snapshot build.
 //!
 //! * `Get-Graph(G, t)` (Algorithm 2) rolls the store forward to timestamp
 //!   `t` by applying edge insertion/deletion batches and returns the
 //!   store's snapshot.
 //! * `Get-Backward-Graph(G, t)` applies the *reverse* updates, walking the
 //!   graph back down the sequence in LIFO order.
-//! * The Algorithm-2 cache holds the store's state at the most advanced
-//!   timestamp seen, so the next sequence's forward pass restores it
-//!   instead of replaying updates from the rewound position.
+//! * There is no cache (Alg. 2 line 10): the next sequence's forward pass
+//!   replays the update batches from the rewound position. After the
+//!   first epoch a cached copy only stood in for one batch apply per
+//!   epoch (DESIGN.md, "Removed paths": the Alg. 2 cache).
 
 use crate::source::{DtdgGraph, DtdgSource, UpdateBatch};
 use crate::store::DtdgStore;
 use std::time::Duration;
 use stgraph_graph::base::Snapshot;
-use stgraph_pma::Gpma;
 use stgraph_telemetry::{span_timed, TimeAccumulator};
 
 /// A DTDG stored as a base graph plus per-timestamp update batches.
@@ -25,8 +25,6 @@ pub struct GpmaGraph {
     /// `updates[t-1]` transforms snapshot `t-1` into snapshot `t`.
     updates: Vec<UpdateBatch>,
     curr_time: usize,
-    /// Algorithm-2 cache: store state at the given timestamp.
-    cache: Option<(usize, Gpma)>,
     update_time: TimeAccumulator,
 }
 
@@ -37,7 +35,6 @@ impl GpmaGraph {
             store: DtdgStore::from_edges(source.num_nodes, &source.snapshots[0]),
             updates: source.diffs(),
             curr_time: 0,
-            cache: None,
             update_time: TimeAccumulator::new(),
         }
     }
@@ -47,9 +44,9 @@ impl GpmaGraph {
         self.curr_time
     }
 
-    /// Bytes held by the store and the cache (snapshots are transient).
+    /// Bytes held by the store (snapshots are transient).
     pub fn bytes(&self) -> usize {
-        self.store.bytes() + self.cache.as_ref().map_or(0, |(_, state)| state.bytes())
+        self.store.bytes()
     }
 
     /// Moves the store to timestamp `t`, one update batch (forward) or
@@ -77,25 +74,15 @@ impl DtdgGraph for GpmaGraph {
         self.updates.len() + 1
     }
 
-    /// Algorithm 2. Restores the cache when it is between the current
-    /// position and the target, then applies updates up to `t` (edge
-    /// updates run in reverse when `t` precedes the current position —
-    /// e.g. at an epoch boundary, when training restarts at timestamp 0
-    /// while the store still sits at the last sequence's start).
+    /// Algorithm 2 without its cache: applies updates from the current
+    /// position up to `t` (edge updates run in reverse when `t` precedes
+    /// the current position — e.g. at an epoch boundary, when training
+    /// restarts at timestamp 0 while the store still sits at the last
+    /// sequence's start).
     fn get_graph(&mut self, t: usize) -> Snapshot {
         assert!(t < self.num_timestamps(), "timestamp {t} out of range");
         let _sp = span_timed("snapshot.forward", &self.update_time);
-        if let Some((ct, state)) = &self.cache {
-            if *ct <= t && *ct > self.curr_time {
-                self.store.restore_state(state);
-                self.curr_time = *ct;
-            }
-        }
         self.advance(t);
-        // Cache the most advanced state for the next sequence (Alg 2 l.10).
-        if self.cache.as_ref().is_none_or(|(ct, _)| *ct < t) {
-            self.cache = Some((t, self.store.clone_state()));
-        }
         self.store.snapshot()
     }
 
@@ -190,9 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_restores_across_sequences() {
-        // Sequence 1: t=0..2 forward, back to 0. Sequence 2: t=3 forward.
-        // The cache at t=2 must be restored instead of replaying 0->3.
+    fn next_sequence_replays_past_the_rewound_position() {
+        // Sequence 1: t=0..2 forward, back to 0. Sequence 2: t=3 forward
+        // replays every batch 0->3, past where sequence 1 stopped.
         let src = source();
         let mut g = GpmaGraph::new(&src);
         for t in 0..3 {

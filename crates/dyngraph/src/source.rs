@@ -163,8 +163,8 @@ pub trait DtdgGraph {
     /// series of Figure 9.
     ///
     /// The clock spans each *whole* [`DtdgGraph::get_graph`] /
-    /// [`DtdgGraph::get_backward_graph`] call — cache restore, edge updates
-    /// *and* the snapshot build — so it is their sum, not a third cost:
+    /// [`DtdgGraph::get_backward_graph`] call — edge updates *and* the
+    /// snapshot build — so it is their sum, not a third cost:
     /// adding it to timers around those two calls counts the store twice.
     fn take_update_time(&mut self) -> Duration;
 }

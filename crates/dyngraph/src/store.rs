@@ -92,17 +92,6 @@ impl DtdgStore {
         self.version
     }
 
-    /// A deep copy of the PMA (the Algorithm-2 cache payload).
-    pub fn clone_state(&self) -> Gpma {
-        self.gpma.clone_state()
-    }
-
-    /// Replaces the edge set with a state taken by [`Self::clone_state`].
-    pub fn restore_state(&mut self, state: &Gpma) {
-        self.gpma = state.clone_state();
-        self.commit();
-    }
-
     /// Publishes a mutation: new version, memo dropped.
     fn commit(&mut self) {
         self.version += 1;

@@ -122,14 +122,6 @@ impl Gpma {
     pub fn has_edge(&self, src: u32, dst: u32) -> bool {
         self.pma.contains(edge_key(src, dst))
     }
-
-    /// A deep copy with its own memory charge (the Algorithm-2 cache).
-    pub fn clone_state(&self) -> Gpma {
-        Gpma {
-            pma: Pma::from_sorted(&self.pma.iter().collect::<Vec<_>>()),
-            num_nodes: self.num_nodes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,16 +168,6 @@ mod tests {
             g.pma().check_invariants();
         }
         assert_eq!(g.edges(), set.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clone_state_is_independent() {
-        let mut g = Gpma::from_edges(4, &[(0, 1), (1, 2)]);
-        let cache = g.clone_state();
-        g.insert_edges(&[(2, 3)]);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(cache.num_edges(), 2);
-        assert!(!cache.has_edge(2, 3));
     }
 
     fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {

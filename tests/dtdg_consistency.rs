@@ -336,7 +336,7 @@ proptest! {
     /// The same store through the `DtdgGraph` path the trainer uses: TGCN
     /// link-prediction losses over `snapshot()` are bitwise `NaiveGraph`'s.
     /// Sequences of two timestamps over >= 3 timestamps and two epochs walk
-    /// forward and backward, restore the Algorithm-2 cache at the second
+    /// forward and backward, replay past the rewound position at the second
     /// sequence and rewind across the epoch boundary.
     #[test]
     fn gpma_graph_trains_bitwise_like_naive(

@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use stgraph_dyngraph::source::{DtdgSource, UpdateBatch};
-use stgraph_dyngraph::{DtdgGraph, DtdgStore, NaiveGraph};
+use stgraph_dyngraph::{DtdgGraph, DtdgStore, GpmaGraph, NaiveGraph};
 use stgraph_faultline::FaultPlan;
 use stgraph_graph::base::Snapshot;
 
@@ -164,28 +164,44 @@ fn snapshot_build_faults_never_lose_a_snapshot() {
     }
 }
 
-/// The Algorithm-2 cache round trip: a state taken by `clone_state`
-/// survives later batches, and `restore_state` brings back its exact edge
-/// set as a new version whose snapshot is rebuilt, not the stale memo.
+/// `GpmaGraph` is one store and nothing beside it. Over two epochs of
+/// Algorithm-1 sequences of length 2, every `get_graph` and
+/// `get_backward_graph` call leaves its bytes and snapshot equal to those
+/// of a twin store driven through the same forward and inverse batches.
 #[test]
-fn restore_state_returns_to_the_cloned_edge_set() {
+fn gpma_graph_holds_only_its_store_across_sequences_and_epochs() {
     // `apply` passes the fault sites, so it must not consume the hits of
     // a plan another test has installed.
     let _g = stgraph_faultline::test_lock();
-    let src = random_source(19, 40, 4);
-    let mut naive = NaiveGraph::new(&src);
-    let mut store = store_of(&src);
-    let (cached, cached_edges) = (store.clone_state(), store.edges());
-    for batch in src.diffs() {
-        store.apply(&batch.additions, &batch.deletions);
+    let src = random_source(19, 40, 5);
+    let diffs = src.diffs();
+    let mut graph = GpmaGraph::new(&src);
+    let (mut twin, mut at) = (store_of(&src), 0);
+    let mut visit = |t: usize, forward: bool| {
+        while at < t {
+            twin.apply(&diffs[at].additions, &diffs[at].deletions);
+            at += 1;
+        }
+        while at > t {
+            at -= 1;
+            twin.apply(&diffs[at].deletions, &diffs[at].additions);
+        }
+        let snap = if forward {
+            graph.get_graph(t)
+        } else {
+            graph.get_backward_graph(t)
+        };
+        assert_eq!(graph.bytes(), twin.bytes(), "t={t} forward={forward}");
+        assert!(snap == twin.snapshot(), "t={t} forward={forward}");
+    };
+    let total = src.num_timestamps();
+    for _epoch in 0..2 {
+        for start in (0..total).step_by(2) {
+            let end = (start + 2).min(total);
+            (start..end).for_each(|t| visit(t, true));
+            (start..end).rev().for_each(|t| visit(t, false));
+        }
     }
-    let t_last = src.num_timestamps() - 1;
-    assert!(store.snapshot() == naive.get_graph(t_last));
-    let version = store.version();
-    store.restore_state(&cached);
-    assert_eq!(store.version(), version + 1);
-    assert_eq!(store.edges(), cached_edges);
-    assert!(store.snapshot() == naive.get_graph(0));
 }
 
 proptest! {
