@@ -18,6 +18,7 @@ use stgraph::train::{link_prediction_batches, train_epoch_link_prediction};
 use stgraph_datasets::load_dynamic;
 use stgraph_dyngraph::{DtdgGraph, DtdgSource, GpmaGraph, NaiveGraph};
 use stgraph_graph::base::STGraphBase;
+use stgraph_pma::Gpma;
 use stgraph_seastar::exec::ExecOutput;
 use stgraph_seastar::ir::{Id, Program};
 use stgraph_tensor::nn::ParamSet;
@@ -87,6 +88,59 @@ fn train_losses_seq(
     assert_eq!(live, 0);
     assert_eq!(exec.graph_stack_stats().2, 0, "graph stack must drain");
     losses
+}
+
+fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins the PMA slot layout under the benchmark's DTDG traffic: SO at
+/// scale 48, 5 % windows, 20 timestamps, keyed reverse-first as
+/// `DtdgStore` keys them, replayed forward and then back one store apply
+/// (insert, then delete) at a time. Capacity, segment length and every
+/// key slot are hashed after each batch, so a batch-path change that
+/// moves one key, or one density or rebalance decision, fails here.
+#[test]
+fn store_traffic_slot_layout_is_pinned() {
+    let raw = load_dynamic("SO", 48);
+    let mut src = DtdgSource::from_temporal_edges(raw.num_nodes, &raw.edges, 5.0);
+    src.snapshots.truncate(20);
+    let rev = |edges: &[(u32, u32)]| edges.iter().map(|&(u, v)| (v, u)).collect::<Vec<_>>();
+    let diffs: Vec<_> = src
+        .diffs()
+        .iter()
+        .map(|d| (rev(&d.additions), rev(&d.deletions)))
+        .collect();
+    let mut g = Gpma::from_edges(src.num_nodes, &rev(&src.snapshots[0]));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut pin = |g: &Gpma| {
+        let pma = g.pma();
+        h = fnv1a(h, [pma.capacity() as u64, pma.segment_len() as u64]);
+        h = fnv1a(h, pma.key_slots().iter().copied());
+    };
+    pin(&g);
+    let forward = diffs.iter().map(|(a, d)| (a, d));
+    let back = diffs.iter().rev().map(|(a, d)| (d, a));
+    for (ins, del) in forward.chain(back) {
+        g.insert_edges(ins);
+        pin(&g);
+        g.delete_edges(del);
+        pin(&g);
+    }
+    g.pma().check_invariants();
+    assert_eq!(g.edges(), {
+        let mut base = rev(&src.snapshots[0]);
+        base.sort_unstable();
+        base.dedup();
+        base
+    });
+    assert_eq!(h, 0xfcaa_131f_90f0_f41c);
 }
 
 #[test]
