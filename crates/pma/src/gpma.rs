@@ -122,6 +122,19 @@ impl Gpma {
     pub fn has_edge(&self, src: u32, dst: u32) -> bool {
         self.pma.contains(edge_key(src, dst))
     }
+
+    /// Sorts `edges`, drops duplicates and keeps the edges whose presence
+    /// in the graph equals `stored`: one [`Pma::retain_sorted`] walk for
+    /// the whole batch instead of a [`Gpma::has_edge`] search per edge.
+    pub fn retain_edges(&self, edges: &mut Vec<(u32, u32)>, stored: bool) {
+        // Key order is `(src, dst)` order.
+        let mut keys: Vec<u64> = edges.iter().map(|&(s, d)| edge_key(s, d)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        self.pma.retain_sorted(&mut keys, stored);
+        edges.clear();
+        edges.extend(keys.into_iter().map(key_edge));
+    }
 }
 
 #[cfg(test)]
