@@ -30,12 +30,12 @@ pub fn propagate<'t>(tape: &'t Tape, graph: &CooGraph, h: &Var<'t>) -> Var<'t> {
     // Message creation: duplicate source features per edge, then weight.
     let messages = h.value().gather_rows(&src).scale_rows(&norm);
     let out = messages.scatter_add_rows(&dst, n);
-    h.tape().custom(&[h], out, move |g| {
+    h.tape().custom(&[h], out, move |g, _| {
         // PyG's autograd keeps the duplicated message tensor alive until
         // this point; dropping the closure (after backward) releases it.
         let _retained = &messages;
         let gm = g.gather_rows(&dst).scale_rows(&norm);
-        vec![gm.scatter_add_rows(&src, n)]
+        vec![Some(gm.scatter_add_rows(&src, n))]
     })
 }
 
@@ -278,7 +278,7 @@ mod tests {
             let g = CooGraph::new(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]);
             let f = 16;
             let tape = Tape::new();
-            let x = tape.constant(Tensor::zeros((4, f)));
+            let (x, _) = tape.input(Tensor::zeros((4, f)));
             let before = stgraph_tensor::mem::stats("baseline-retention").live;
             let y = propagate(&tape, &g, &x);
             let live_after_fwd = stgraph_tensor::mem::stats("baseline-retention").live;

@@ -199,7 +199,9 @@ pub fn state_stack_rows() -> Vec<StackRow> {
                 compile(program.clone())
             };
             let tape = Tape::new();
-            let mut x = tape.constant(Tensor::rand_uniform((n, f), -1.0, 1.0, &mut rng));
+            // An input that needs a gradient: over constants the first
+            // application would be forward-only and push nothing.
+            let (mut x, _) = tape.input(Tensor::rand_uniform((n, f), -1.0, 1.0, &mut rng));
             for t in 0..10 {
                 x = if layer == "GCN" {
                     exec.apply(&tape, &prog, t, &[&x], vec![norm.clone()], vec![])

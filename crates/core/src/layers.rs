@@ -33,8 +33,9 @@ fn pooled(shape: impl Into<Shape>, parts: &[&[f32]]) -> Tensor {
 /// Parameter-free GCN propagation `Â· = D̂^{-1/2}(A+I)D̂^{-1/2}·` over a
 /// fixed column width — the aggregation half of every GCN-style layer.
 /// Each [`GcnPropagate::forward`] is exactly one
-/// [`TemporalExecutor::apply`]: one State-Stack + Graph-Stack push, one
-/// LIFO pop. The program is compiled once, at construction.
+/// [`TemporalExecutor::apply`]: one State-Stack + Graph-Stack push and one
+/// LIFO pop when its input needs a gradient, a forward launch alone when
+/// not. The program is compiled once, at construction.
 pub struct GcnPropagate {
     program: Rc<CompiledProgram>,
 }
@@ -60,14 +61,35 @@ impl GcnPropagate {
     }
 }
 
+/// The two propagations a GCN application to one shared input can take,
+/// both compiled at construction: `[X|1]` (aggregate-first) and the
+/// gates' transformed inputs side by side (transform-first).
+pub struct SharedPropagate {
+    aggregated: GcnPropagate,
+    transformed: GcnPropagate,
+}
+
+impl SharedPropagate {
+    /// The propagations serving `gates` same-shaped convolutions
+    /// `in_features → out_features` of one input.
+    pub fn new(in_features: usize, out_features: usize, gates: usize) -> SharedPropagate {
+        SharedPropagate {
+            aggregated: GcnPropagate::new(in_features + 1),
+            transformed: GcnPropagate::new(gates * out_features),
+        }
+    }
+}
+
 /// Graph convolution (Kipf & Welling) with self-loops and symmetric
 /// normalisation: `out = Â (X W + b)`, `Â = D̂^{-1/2}(A+I)D̂^{-1/2}`.
 ///
 /// The layer is a parameter-free propagate ([`GcnPropagate`]) and a dense
-/// transform, ordered by the static widths alone (the DGL `GraphConv`
-/// rule): **aggregate-first** when `in_features < out_features`, so the
-/// adjacency pass runs at the narrow width, transform-first otherwise.
-/// Aggregate-first keeps the bias inside the aggregation through
+/// transform. It runs **aggregate-first** when `in_features < out_features`
+/// (the DGL `GraphConv` width rule: the adjacency pass runs at the narrow
+/// width) or when its input needs no gradient: then the propagation reads
+/// only constants and is forward-only — no backward launch, no stack frame,
+/// no graph rewind. Otherwise it runs transform-first. Aggregate-first
+/// keeps the bias inside the aggregation through
 /// `Â(XW + 1bᵀ) = (Â[X|1])·[W; b]`, so both orders compute the same
 /// function of the same parameters (up to float reassociation).
 ///
@@ -94,7 +116,7 @@ impl GcnPropagate {
 /// ```
 pub struct GcnConv {
     linear: Linear,
-    prop: GcnPropagate,
+    prop: SharedPropagate,
 }
 
 impl GcnConv {
@@ -108,29 +130,15 @@ impl GcnConv {
     ) -> GcnConv {
         GcnConv {
             linear: Linear::new(params, name, in_features, out_features, true, rng),
-            prop: GcnPropagate::new(GcnConv::shared_width(in_features, out_features, 1)),
+            prop: SharedPropagate::new(in_features, out_features, 1),
         }
     }
 
-    /// Column width of the one propagation that serves `gates` same-shaped
-    /// convolutions of a shared input: `[X|1]` when aggregate-first, the
-    /// gates' transformed inputs side by side otherwise.
-    pub fn shared_width(in_features: usize, out_features: usize, gates: usize) -> usize {
-        if GcnConv::width_rule(in_features, out_features) {
-            in_features + 1
-        } else {
-            gates * out_features
-        }
-    }
-
-    /// The order rule: aggregate first when that propagates fewer columns.
-    fn width_rule(in_features: usize, out_features: usize) -> bool {
-        in_features < out_features
-    }
-
-    /// True when the layer propagates before it transforms.
+    /// True when the layer propagates before it transforms an input that
+    /// needs a gradient (the width rule: that propagates fewer columns).
+    /// An input that needs none is always aggregated first.
     pub fn aggregates_first(&self) -> bool {
-        GcnConv::width_rule(self.linear.fan_in(), self.linear.fan_out())
+        self.linear.fan_in() < self.linear.fan_out()
     }
 
     /// Output width.
@@ -149,7 +157,8 @@ impl GcnConv {
     }
 
     /// The dense half after an aggregate-first propagation: `p · [W; b]`
-    /// for `p = Â[X|1]` — one GEMM, the bias riding the ones column.
+    /// for `p = Â[X|1]` — one GEMM, the bias riding the ones column. `dp`
+    /// is computed only when `p` needs a gradient.
     fn transform_aggregated<'t>(&self, tape: &'t Tape, p: &Var<'t>) -> Var<'t> {
         let w = tape.param(&self.linear.weight);
         let b = tape.param(self.linear.bias.as_ref().expect("GcnConv has a bias"));
@@ -158,34 +167,38 @@ impl GcnConv {
         let wb = pooled((k + 1, m), &[w.value().data(), b.value().data()]);
         let out = p.value().matmul(&wb);
         let pv = p.value().clone();
-        tape.custom(&[p, &w, &b], out, move |g| {
+        let wb = p.requires_grad().then_some(wb);
+        tape.custom(&[p, &w, &b], out, move |g, _| {
             let dwb = pv.transpose().matmul(g);
             let (dw, db) = dwb.data().split_at(k * m);
             vec![
-                g.matmul(&wb.transpose()),
-                pooled((k, m), &[dw]),
-                pooled(bias_shape, &[db]),
+                wb.as_ref().map(|wb| g.matmul(&wb.transpose())),
+                Some(pooled((k, m), &[dw])),
+                Some(pooled(bias_shape, &[db])),
             ]
         })
     }
 
     /// Applies same-shaped `convs` to one input with a **single**
-    /// propagation through `prop` (of width [`GcnConv::shared_width`]),
-    /// returning one output per conv — how a recurrent cell feeds all its
-    /// gates from one adjacency pass per timestamp.
+    /// propagation through `prop` (built for as many gates), returning one
+    /// output per conv — how a recurrent cell feeds all its gates from one
+    /// adjacency pass per timestamp.
     pub fn forward_shared<'t, const N: usize>(
         convs: [&GcnConv; N],
-        prop: &GcnPropagate,
+        prop: &SharedPropagate,
         tape: &'t Tape,
         exec: &TemporalExecutor,
         t: usize,
         x: &Var<'t>,
     ) -> [Var<'t>; N] {
-        if convs[0].aggregates_first() {
+        if convs[0].aggregates_first() || !x.requires_grad() {
             let ones = tape.constant(Tensor::ones((x.value().rows(), 1)));
-            let p = prop.forward(tape, exec, t, &Var::concat_cols(&[x, &ones]));
+            let p = prop
+                .aggregated
+                .forward(tape, exec, t, &Var::concat_cols(&[x, &ones]));
             return convs.map(|c| c.transform_aggregated(tape, &p));
         }
+        let prop = &prop.transformed;
         let hs = convs.map(|c| c.linear.forward(tape, x));
         if N == 1 {
             return hs.map(|h| prop.forward(tape, exec, t, &h));

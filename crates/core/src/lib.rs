@@ -50,7 +50,7 @@ pub mod train;
 
 pub use backend::{create_backend, AggregationBackend};
 pub use executor::{compile, CompiledProgram, GraphSource, TemporalExecutor};
-pub use layers::{ChebConv, GatConv, GcnConv, GcnPropagate, MultiHeadGatConv};
+pub use layers::{ChebConv, GatConv, GcnConv, GcnPropagate, MultiHeadGatConv, SharedPropagate};
 pub use stacks::{GraphStack, StateStack};
 pub use tgnn::{A3Tgcn, GConvGru, GConvLstm, RecurrentCell, Tgcn};
 pub use tgnn_ext::{DConv, Dcrnn};

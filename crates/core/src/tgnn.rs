@@ -3,7 +3,7 @@
 //! backend recurrent gates (temporal); swapping either yields a new model.
 
 use crate::executor::TemporalExecutor;
-use crate::layers::{ChebConv, GcnConv, GcnPropagate};
+use crate::layers::{ChebConv, GcnConv, SharedPropagate};
 use rand::Rng;
 use stgraph_tensor::nn::{Linear, ParamSet};
 use stgraph_tensor::{Param, StateDict, Tape, Tensor, Var};
@@ -60,7 +60,7 @@ pub struct Tgcn {
     conv_z: GcnConv,
     conv_r: GcnConv,
     conv_h: GcnConv,
-    prop: GcnPropagate,
+    prop: SharedPropagate,
     lin_z: Linear,
     lin_r: Linear,
     lin_h: Linear,
@@ -80,7 +80,7 @@ impl Tgcn {
             conv_z: GcnConv::new(params, &format!("{name}.conv_z"), in_features, hidden, rng),
             conv_r: GcnConv::new(params, &format!("{name}.conv_r"), in_features, hidden, rng),
             conv_h: GcnConv::new(params, &format!("{name}.conv_h"), in_features, hidden, rng),
-            prop: GcnPropagate::new(GcnConv::shared_width(in_features, hidden, 3)),
+            prop: SharedPropagate::new(in_features, hidden, 3),
             lin_z: Linear::new(
                 params,
                 &format!("{name}.lin_z"),
@@ -340,10 +340,11 @@ pub fn scale_by_scalar<'t>(x: &Var<'t>, s: &Var<'t>) -> Var<'t> {
     let s_shape = s.value().shape();
     let xv = x.value().clone();
     let out = xv.mul_scalar(sv);
-    x.tape().custom(&[x, s], out, move |g| {
-        let gx = g.mul_scalar(sv);
-        let gs = Tensor::full(s_shape, g.mul(&xv).sum().item());
-        vec![gx, gs]
+    x.tape().custom(&[x, s], out, move |g, needs| {
+        vec![
+            needs[0].then(|| g.mul_scalar(sv)),
+            needs[1].then(|| Tensor::full(s_shape, g.mul(&xv).sum().item())),
+        ]
     })
 }
 
@@ -432,8 +433,8 @@ pub fn recip_scalar<'t>(s: &Var<'t>) -> Var<'t> {
     let sv = s.value().item();
     let out = Tensor::scalar(1.0 / sv);
     let shape = s.value().shape();
-    s.tape().custom(&[s], out, move |g| {
-        vec![Tensor::full(shape, -g.item() / (sv * sv))]
+    s.tape().custom(&[s], out, move |g, _| {
+        vec![Some(Tensor::full(shape, -g.item() / (sv * sv)))]
     })
 }
 
@@ -449,7 +450,7 @@ impl<'t> ScalarExt<'t> for Var<'t> {
         let v = self.value().reshape(stgraph_tensor::Shape::Scalar);
         let shape = self.value().shape();
         self.tape()
-            .custom(&[self], v, move |g| vec![g.reshape(shape)])
+            .custom(&[self], v, move |g, _| vec![Some(g.reshape(shape))])
     }
 }
 

@@ -7,6 +7,12 @@
 //! analysis reasons about. [`Tape::custom`] lets other crates (the Seastar
 //! executor, the PyG-T baseline) register graph-aggregation ops with their
 //! own backward kernels — including backwards that pop executor stacks.
+//!
+//! As in PyTorch, only what needs a gradient is differentiated. Parameters
+//! and inputs need one, constants do not, and an op needs one iff any of
+//! its inputs does. An op over constants records no backward (its result
+//! is a constant), and a recorded backward is told which inputs need a
+//! gradient, so it computes — and the tape accumulates — only those.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -92,12 +98,16 @@ enum LeafSink {
     Constant,
 }
 
-type BackwardFn = Box<dyn FnMut(&Tensor) -> Vec<Tensor>>;
+/// `backward(grad_out, needs)`: one entry per input, `None` where
+/// `needs[i]` is false (or where the gradient is zero).
+type BackwardFn = Box<dyn FnMut(&Tensor, &[bool]) -> Vec<Option<Tensor>>>;
 
 enum NodeKind {
     Leaf(LeafSink),
     Op {
         parents: Vec<usize>,
+        /// Which parents need a gradient (fixed when the op is recorded).
+        needs: Vec<bool>,
         backward: BackwardFn,
     },
 }
@@ -129,12 +139,14 @@ impl Default for Tape {
     }
 }
 
-/// A differentiable value on a tape: node id plus the forward tensor.
+/// A value on a tape: node id, the forward tensor, and whether anything
+/// differentiable (a parameter or an input) flows into it.
 #[derive(Clone)]
 pub struct Var<'t> {
     tape: &'t Tape,
     id: usize,
     value: Tensor,
+    requires_grad: bool,
 }
 
 impl Tape {
@@ -169,16 +181,19 @@ impl Tape {
             tape: self,
             id,
             value,
+            requires_grad: true,
         }
     }
 
-    /// Registers a non-trainable data leaf (features, targets).
+    /// Registers a non-trainable data leaf (features, targets). It needs no
+    /// gradient, and neither does an op whose inputs are all constants.
     pub fn constant(&self, t: Tensor) -> Var<'_> {
         let id = self.push(NodeKind::Leaf(LeafSink::Constant), t.shape());
         Var {
             tape: self,
             id,
             value: t,
+            requires_grad: false,
         }
     }
 
@@ -192,6 +207,7 @@ impl Tape {
                 tape: self,
                 id,
                 value: t,
+                requires_grad: true,
             },
             InputGrad(cell),
         )
@@ -199,19 +215,31 @@ impl Tape {
 
     /// Records a custom differentiable op.
     ///
-    /// `backward(grad_out)` must return one gradient tensor per input, in
-    /// order. It is `FnMut` so backwards may consume state pushed during the
-    /// forward pass (the State-Stack / Graph-Stack pattern of Algorithm 1).
+    /// `backward(grad_out, needs)` returns one entry per input, in order:
+    /// the gradient where `needs[i]`, `None` elsewhere (a `None` where a
+    /// gradient is needed counts as zero). It is `FnMut` so backwards may
+    /// consume state pushed during the forward pass (the State-Stack /
+    /// Graph-Stack pattern of Algorithm 1).
+    ///
+    /// When no input needs a gradient nothing is recorded: `value` comes
+    /// back as a constant and `backward`, with everything it captured, is
+    /// dropped here. A caller whose forward has side effects that only its
+    /// backward undoes checks [`Var::requires_grad`] first.
     pub fn custom<'t>(
         &'t self,
         inputs: &[&Var<'t>],
         value: Tensor,
-        backward: impl FnMut(&Tensor) -> Vec<Tensor> + 'static,
+        backward: impl FnMut(&Tensor, &[bool]) -> Vec<Option<Tensor>> + 'static,
     ) -> Var<'t> {
+        let needs: Vec<bool> = inputs.iter().map(|v| v.requires_grad).collect();
+        if !needs.contains(&true) {
+            return self.constant(value);
+        }
         let parents = inputs.iter().map(|v| v.id).collect();
         let id = self.push(
             NodeKind::Op {
                 parents,
+                needs,
                 backward: Box::new(backward),
             },
             value.shape(),
@@ -220,6 +248,7 @@ impl Tape {
             tape: self,
             id,
             value,
+            requires_grad: true,
         }
     }
 
@@ -257,14 +286,21 @@ impl Tape {
                     }
                     LeafSink::Constant => {}
                 },
-                NodeKind::Op { parents, backward } => {
-                    let pgrads = backward(&g);
+                NodeKind::Op {
+                    parents,
+                    needs,
+                    backward,
+                } => {
+                    let pgrads = backward(&g, needs);
                     assert_eq!(
                         pgrads.len(),
                         parents.len(),
                         "custom backward returned wrong arity"
                     );
-                    for (pid, pg) in parents.iter().zip(pgrads) {
+                    for ((pid, &need), pg) in parents.iter().zip(needs.iter()).zip(pgrads) {
+                        let Some(pg) = pg.filter(|_| need) else {
+                            continue;
+                        };
                         let slot = &mut grads[*pid];
                         *slot = Some(match slot.take() {
                             Some(prev) => prev.add(&pg),
@@ -311,9 +347,18 @@ impl<'t> Var<'t> {
         self.tape
     }
 
+    /// True when a parameter or an input flows into this value, i.e. when
+    /// backward will compute its gradient.
+    pub fn requires_grad(&self) -> bool {
+        self.requires_grad
+    }
+
+    /// A one-input op: recorded only when `self` needs a gradient, so the
+    /// backward always computes it.
     fn unary(&self, value: Tensor, backward: impl FnMut(&Tensor) -> Tensor + 'static) -> Var<'t> {
         let mut backward = backward;
-        self.tape.custom(&[self], value, move |g| vec![backward(g)])
+        self.tape
+            .custom(&[self], value, move |g, _| vec![Some(backward(g))])
     }
 
     // ---------- arithmetic ----------
@@ -321,23 +366,29 @@ impl<'t> Var<'t> {
     /// Elementwise sum.
     pub fn add(&self, other: &Var<'t>) -> Var<'t> {
         let v = self.value.add(&other.value);
-        self.tape
-            .custom(&[self, other], v, |g| vec![g.clone(), g.clone()])
+        self.tape.custom(&[self, other], v, |g, needs| {
+            vec![needs[0].then(|| g.clone()), needs[1].then(|| g.clone())]
+        })
     }
 
     /// Elementwise difference.
     pub fn sub(&self, other: &Var<'t>) -> Var<'t> {
         let v = self.value.sub(&other.value);
-        self.tape
-            .custom(&[self, other], v, |g| vec![g.clone(), g.neg()])
+        self.tape.custom(&[self, other], v, |g, needs| {
+            vec![needs[0].then(|| g.clone()), needs[1].then(|| g.neg())]
+        })
     }
 
     /// Elementwise product.
     pub fn mul(&self, other: &Var<'t>) -> Var<'t> {
         let v = self.value.mul(&other.value);
-        let (a, b) = (self.value.clone(), other.value.clone());
-        self.tape
-            .custom(&[self, other], v, move |g| vec![g.mul(&b), g.mul(&a)])
+        // Each side's gradient reads the other side's value: keep only the
+        // values a needed gradient reads.
+        let a = other.requires_grad.then(|| self.value.clone());
+        let b = self.requires_grad.then(|| other.value.clone());
+        self.tape.custom(&[self, other], v, move |g, _| {
+            vec![b.as_ref().map(|b| g.mul(b)), a.as_ref().map(|a| g.mul(a))]
+        })
     }
 
     /// Elementwise negation.
@@ -424,9 +475,13 @@ impl<'t> Var<'t> {
     /// Matrix product.
     pub fn matmul(&self, other: &Var<'t>) -> Var<'t> {
         let v = self.value.matmul(&other.value);
-        let (a, b) = (self.value.clone(), other.value.clone());
-        self.tape.custom(&[self, other], v, move |g| {
-            vec![g.matmul(&b.transpose()), a.transpose().matmul(g)]
+        let a = other.requires_grad.then(|| self.value.clone());
+        let b = self.requires_grad.then(|| other.value.clone());
+        self.tape.custom(&[self, other], v, move |g, _| {
+            vec![
+                b.as_ref().map(|b| g.matmul(&b.transpose())),
+                a.as_ref().map(|a| a.transpose().matmul(g)),
+            ]
         })
     }
 
@@ -440,8 +495,9 @@ impl<'t> Var<'t> {
     /// Adds a broadcast bias row vector.
     pub fn add_bias(&self, bias: &Var<'t>) -> Var<'t> {
         let v = self.value.add_bias(&bias.value);
-        self.tape
-            .custom(&[self, bias], v, |g| vec![g.clone(), g.sum_axis0()])
+        self.tape.custom(&[self, bias], v, |g, needs| {
+            vec![needs[0].then(|| g.clone()), needs[1].then(|| g.sum_axis0())]
+        })
     }
 
     /// Scales row `i` by the constant `s[i]` (e.g. GCN degree norms).
@@ -460,11 +516,11 @@ impl<'t> Var<'t> {
         let tensors: Vec<&Tensor> = parts.iter().map(|p| &p.value).collect();
         let v = Tensor::concat_cols(&tensors);
         let widths: Vec<usize> = parts.iter().map(|p| p.value.cols()).collect();
-        tape.custom(parts, v, move |g| {
+        tape.custom(parts, v, move |g, needs| {
             let mut out = Vec::with_capacity(widths.len());
             let mut lo = 0;
-            for &w in &widths {
-                out.push(g.slice_cols(lo, lo + w));
+            for (&w, &need) in widths.iter().zip(needs) {
+                out.push(need.then(|| g.slice_cols(lo, lo + w)));
                 lo += w;
             }
             out
@@ -802,18 +858,58 @@ mod tests {
         // reverse of the forward order (the State-Stack discipline).
         let order = Rc::new(RefCell::new(Vec::new()));
         let tape = Tape::new();
-        let x = tape.constant(Tensor::scalar(1.0));
+        let (x, _) = tape.input(Tensor::scalar(1.0));
         let mut cur = x;
         for i in 0..3 {
             let ord = Rc::clone(&order);
-            cur = tape.custom(&[&cur], cur.value().clone(), move |g| {
+            cur = tape.custom(&[&cur], cur.value().clone(), move |g, _| {
                 ord.borrow_mut().push(i);
-                vec![g.clone()]
+                vec![Some(g.clone())]
             });
         }
         let loss = cur.sum();
         tape.backward(&loss);
         assert_eq!(*order.borrow(), vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn ops_over_constants_record_no_backward() {
+        // The closure (and the tensor it captured) is dropped at record
+        // time; the result is a constant, and so is everything built on it.
+        let tape = Tape::new();
+        let saved = Rc::new(());
+        let c = tape.constant(Tensor::ones((2, 2)));
+        let held = Rc::clone(&saved);
+        let y = tape.custom(&[&c], c.value().clone(), move |g, _| {
+            let _ = &held;
+            vec![Some(g.clone())]
+        });
+        assert_eq!(Rc::strong_count(&saved), 1, "closure must be dropped");
+        assert!(!y.requires_grad());
+        assert!(!y.matmul(&c).sigmoid().add(&y).requires_grad());
+        // One differentiable input makes the op differentiable.
+        let (x, gx) = tape.input(Tensor::ones((2, 2)));
+        let z = y.mul(&x).add(&c).sum();
+        assert!(z.requires_grad());
+        tape.backward(&z);
+        assert_eq!(gx.get().unwrap().to_vec(), vec![1.0; 4]);
+    }
+
+    #[test]
+    fn backward_sees_which_inputs_need_a_gradient() {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let tape = Tape::new();
+        let c = tape.constant(Tensor::scalar(2.0));
+        let (x, gx) = tape.input(Tensor::scalar(3.0));
+        let log = Rc::clone(&seen);
+        let y = tape.custom(&[&c, &x, &c], Tensor::scalar(6.0), move |g, needs| {
+            log.borrow_mut().extend_from_slice(needs);
+            // A gradient for a constant is discarded, never accumulated.
+            vec![Some(g.clone()), Some(g.mul_scalar(2.0)), None]
+        });
+        tape.backward(&y);
+        assert_eq!(*seen.borrow(), vec![false, true, false]);
+        assert_eq!(gx.get().unwrap().item(), 2.0);
     }
 
     #[test]

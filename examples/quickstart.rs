@@ -53,7 +53,9 @@ fn main() {
     }
 
     // 5. The executor's stacks drained exactly (every forward push was
-    //    popped by the matching backward).
+    //    popped by the matching backward). Here nothing was pushed: the
+    //    TGCN propagates the fixed features `[X|1]`, which need no gradient,
+    //    so every propagation is forward-only.
     let (pushes, pops, peak, live) = exec.state_stack_stats();
     println!("state stack: {pushes} pushes / {pops} pops, peak depth {peak}, live bytes {live}");
 }

@@ -53,12 +53,14 @@ fn dyn_source() -> DtdgSource {
     )
 }
 
-/// A 3-step TGCN over an evolving graph; loss vs a fixed target.
+/// A 3-step TGCN over an evolving graph; loss vs a fixed target. The
+/// inputs are differentiable, so every propagation has a backward that
+/// rewinds the store.
 fn dyn_loss(cell: &Tgcn, exec: &TemporalExecutor, feats: &[Tensor], target: &Tensor) -> f32 {
     let tape = Tape::new();
     let mut h: Option<Var> = None;
     for (t, x) in feats.iter().enumerate() {
-        let xv = tape.constant(x.clone());
+        let (xv, _) = tape.input(x.clone());
         h = Some(cell.step(&tape, exec, t, &xv, h.as_ref()));
     }
     let loss = h.unwrap().mse_loss(target);
@@ -100,7 +102,7 @@ fn gradients_through_on_demand_snapshots_match_numerics() {
             let tape = Tape::new();
             let mut h: Option<Var> = None;
             for (t, x) in feats.iter().enumerate() {
-                let xv = tape.constant(x.clone());
+                let (xv, _) = tape.input(x.clone());
                 h = Some(cell.step(&tape, &exec, t, &xv, h.as_ref()));
             }
             let loss = h.unwrap().mse_loss(&target);
@@ -196,7 +198,9 @@ fn backward_snapshot_direction_is_exercised() {
     let mut h: Option<Var> = None;
     let mut loss: Option<Var> = None;
     for (t, x) in feats.iter().enumerate() {
-        let xv = tape.constant(x.clone());
+        // A differentiable input: a propagation over constants would be
+        // forward-only and never rewind.
+        let (xv, _) = tape.input(x.clone());
         let hn = cell.step(&tape, &exec, t, &xv, h.as_ref());
         let l = hn.square().sum();
         loss = Some(match loss {

@@ -10,23 +10,29 @@
 //! the `relu`/`leaky_relu` kink (|x| >= 0.3) where the derivative is
 //! undefined and finite differences are meaningless.
 //!
-//! The last section runs the same check through the graph layers whose
+//! The graph-layer section runs the same check through the layers whose
 //! backward is hand-written or shared: the aggregate-first `GcnConv`
 //! (one GEMM over `[W; b]`) and full `Tgcn` / `GConvGru` steps, where one
 //! propagation feeds every gate.
+//!
+//! The last section checks gradient pruning: a random tape over constant,
+//! input and parameter leaves gives every input and parameter gradient
+//! bitwise equal to its twin in which every constant is an input — the
+//! backward with nothing pruned.
 
+use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::rc::Rc;
 use stgraph::backend::create_backend;
 use stgraph::executor::{GraphSource, TemporalExecutor};
-use stgraph::layers::GcnConv;
-use stgraph::tgnn::{GConvGru, RecurrentCell, Tgcn};
+use stgraph::layers::{GcnConv, GcnPropagate};
+use stgraph::tgnn::{scale_by_scalar, GConvGru, RecurrentCell, Tgcn};
 use stgraph_graph::base::Snapshot;
 use stgraph_tensor::autograd::check::{assert_close, numeric_grad};
-use stgraph_tensor::autograd::Var;
+use stgraph_tensor::autograd::{InputGrad, Var};
 use stgraph_tensor::nn::ParamSet;
-use stgraph_tensor::{Shape, Tape, Tensor};
+use stgraph_tensor::{Param, Shape, Tape, Tensor};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 1e-3;
@@ -286,14 +292,24 @@ fn aggregate_first_gcn_conv() {
 }
 
 /// Two steps of `cell`, so gradients also flow through the carried state.
-fn check_cell(name: &str, params: &ParamSet, cell: &dyn RecurrentCell, in_w: usize) {
+/// `x_grad` registers the inputs with `Tape::input` instead of as
+/// constants: a TGCN over an input that needs a gradient keeps the width
+/// rule, over constants it always aggregates first.
+fn check_cell(name: &str, params: &ParamSet, cell: &dyn RecurrentCell, in_w: usize, x_grad: bool) {
     perturb(params, 30);
     let x0 = test_tensor(Shape::Mat(6, in_w), 40);
     let x1 = test_tensor(Shape::Mat(6, in_w), 41);
     check_params(name, params, |backward| {
         let (tape, exec) = (Tape::new(), layer_exec());
-        let h1 = cell.step(&tape, &exec, 0, &tape.constant(x0.clone()), None);
-        let h2 = cell.step(&tape, &exec, 1, &tape.constant(x1.clone()), Some(&h1));
+        let var = |x: &Tensor| {
+            if x_grad {
+                tape.input(x.clone()).0
+            } else {
+                tape.constant(x.clone())
+            }
+        };
+        let h1 = cell.step(&tape, &exec, 0, &var(&x0), None);
+        let h2 = cell.step(&tape, &exec, 1, &var(&x1), Some(&h1));
         let loss = weighted(&h2);
         if backward {
             tape.backward(&loss);
@@ -306,8 +322,14 @@ fn check_cell(name: &str, params: &ParamSet, cell: &dyn RecurrentCell, in_w: usi
 #[test]
 fn tgcn_step_shared_propagation() {
     // Both sides of the width rule: `[X|1]` shared, then the three gates'
-    // transformed inputs side by side in one launch.
-    for (name, in_w, hidden) in [("tgcn-agg-first", 3, 4), ("tgcn-transform-first", 5, 3)] {
+    // transformed inputs side by side in one launch (an input that needs a
+    // gradient); and constant features on the transform side of the width
+    // rule, which aggregate first.
+    for (name, in_w, hidden, x_grad) in [
+        ("tgcn-agg-first", 3, 4, false),
+        ("tgcn-transform-first", 5, 3, true),
+        ("tgcn-constant-agg-first", 5, 3, false),
+    ] {
         let mut ps = ParamSet::new();
         let cell = Tgcn::new(
             &mut ps,
@@ -316,7 +338,7 @@ fn tgcn_step_shared_propagation() {
             hidden,
             &mut ChaCha8Rng::seed_from_u64(50),
         );
-        check_cell(name, &ps, &cell, in_w);
+        check_cell(name, &ps, &cell, in_w, x_grad);
     }
 }
 
@@ -324,5 +346,144 @@ fn tgcn_step_shared_propagation() {
 fn gconv_gru_step_shared_basis() {
     let mut ps = ParamSet::new();
     let cell = GConvGru::new(&mut ps, "g", 3, 4, 3, &mut ChaCha8Rng::seed_from_u64(51));
-    check_cell("gconvgru", &ps, &cell, 3);
+    check_cell("gconvgru", &ps, &cell, 3, false);
+}
+
+// ---------- gradient pruning ----------
+
+#[derive(Clone, Copy, PartialEq)]
+enum Leaf {
+    Constant,
+    Input,
+    Param,
+}
+
+/// Builds a random tape from `seed`: `leaves` leaves of shape `[3, 3]`
+/// (and as many bias vectors) of the given kinds — constants registered as
+/// inputs when `twin` — then `ops` random ops over earlier values, among
+/// them the hand-written ones (executor propagation, aggregate-first GCN,
+/// `scale_by_scalar`, the baseline's edge-parallel propagation). Runs
+/// backward from the weighted sum of every op output and returns the bits
+/// of every gradient of a leaf that is an input or parameter in the
+/// original tape (`None` where none arrived), then the GCN's parameter
+/// gradients.
+fn pruning_tape(seed: u64, kinds: &[Leaf], ops: usize, twin: bool) -> Vec<Option<Vec<u32>>> {
+    const N: usize = 3;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let edges = [(0, 1), (1, 2), (2, 0), (0, 2)];
+    let exec = TemporalExecutor::new(
+        create_backend("seastar"),
+        GraphSource::Static(Snapshot::from_edges(N, &edges)),
+    );
+    let coo = pygt_baseline::CooGraph::new(N, &edges);
+    let prop = GcnPropagate::new(N);
+    let mut conv_params = ParamSet::new();
+    let conv = GcnConv::new(
+        &mut conv_params,
+        "g",
+        2,
+        N,
+        &mut ChaCha8Rng::seed_from_u64(seed),
+    );
+    perturb(&conv_params, seed);
+
+    let tape = Tape::new();
+    enum Sink {
+        Input(InputGrad),
+        Param(Param),
+        None,
+    }
+    let mut sinks = Vec::new();
+    let mut leaf = |kind: Leaf, value: Tensor| {
+        let (var, sink) = match kind {
+            Leaf::Constant if !twin => (tape.constant(value), Sink::None),
+            Leaf::Constant => (tape.input(value).0, Sink::None),
+            Leaf::Input => {
+                let (v, g) = tape.input(value);
+                (v, Sink::Input(g))
+            }
+            Leaf::Param => {
+                let p = Param::new("p", value);
+                (tape.param(&p), Sink::Param(p))
+            }
+        };
+        sinks.push(sink);
+        var
+    };
+    let mut vals: Vec<Var> = Vec::new();
+    let mut biases: Vec<Var> = Vec::new();
+    for (i, &kind) in kinds.iter().enumerate() {
+        vals.push(leaf(
+            kind,
+            test_tensor(Shape::Mat(N, N), seed + 2 * i as u64),
+        ));
+        biases.push(leaf(
+            kind,
+            test_tensor(Shape::Vec(N), seed + 2 * i as u64 + 1),
+        ));
+    }
+    let mut loss: Option<Var> = None;
+    for _ in 0..ops {
+        let a = &vals[rng.gen_range(0..vals.len())];
+        let b = &vals[rng.gen_range(0..vals.len())];
+        let y = match rng.gen_range(0..12) {
+            0 => a.add(b),
+            1 => a.sub(b),
+            2 => a.mul(b),
+            3 => a.matmul(b),
+            4 => {
+                let lo = rng.gen_range(0..=N);
+                Var::concat_cols(&[a, b]).slice_cols(lo, lo + N)
+            }
+            5 => a.sigmoid(),
+            6 => a.tanh().mul_scalar(-1.5),
+            7 => a.add_bias(&biases[rng.gen_range(0..biases.len())]),
+            8 => prop.forward(&tape, &exec, 0, a),
+            9 => conv.forward(&tape, &exec, 0, &a.slice_cols(0, 2)),
+            10 => scale_by_scalar(a, &b.sum()),
+            _ => pygt_baseline::propagate(&tape, &coo, a),
+        };
+        let l = weighted(&y);
+        loss = Some(match loss {
+            Some(acc) => acc.add(&l),
+            None => l,
+        });
+        vals.push(y);
+    }
+    tape.backward(&loss.expect("at least one op"));
+    let (pushes, pops, _, bytes) = exec.state_stack_stats();
+    assert_eq!((pushes - pops, bytes), (0, 0), "the stack must drain");
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut out: Vec<Option<Vec<u32>>> = sinks
+        .iter()
+        .filter_map(|s| match s {
+            Sink::Input(g) => Some(g.get().map(|t| bits(&t))),
+            Sink::Param(p) => Some(Some(bits(&p.grad()))),
+            Sink::None => None,
+        })
+        .collect();
+    out.extend(conv_params.iter().map(|p| Some(bits(&p.grad()))));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Pruning is invisible to every gradient that is read: turning each
+    /// constant into an input (nothing pruned) changes no input or
+    /// parameter gradient bit.
+    #[test]
+    fn pruned_backward_matches_the_unpruned_twin(
+        seed in 0u64..1_000_000,
+        kinds in prop::collection::vec(0usize..3, 1..5),
+        ops in 1usize..12,
+    ) {
+        let kinds: Vec<Leaf> = kinds
+            .into_iter()
+            .map(|k| [Leaf::Constant, Leaf::Input, Leaf::Param][k])
+            .collect();
+        let pruned = pruning_tape(seed, &kinds, ops, false);
+        let twin = pruning_tape(seed, &kinds, ops, true);
+        prop_assert!(pruned == twin, "seed {} kinds {} ops {}", seed, kinds.len(), ops);
+    }
 }

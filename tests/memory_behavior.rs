@@ -114,7 +114,8 @@ fn state_stack_bytes_match_saved_set_and_drain() {
     let mut ps = ParamSet::new();
     let conv = stgraph::GcnConv::new(&mut ps, "g", 8, 8, &mut rng);
     let tape = Tape::new();
-    let x = tape.constant(Tensor::rand_uniform((n, 8), -1.0, 1.0, &mut rng));
+    // A differentiable input, so every one of the four propagations pushes.
+    let (x, _) = tape.input(Tensor::rand_uniform((n, 8), -1.0, 1.0, &mut rng));
     let mut cur = x;
     for t in 0..4 {
         cur = conv.forward(&tape, &exec, t, &cur);

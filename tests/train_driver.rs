@@ -8,7 +8,9 @@
 //! * The driver opens no buffer-pool scope: PyG-T epochs stay unpooled
 //!   (the Fig. 5 / Fig. 7 baseline columns depend on it), while STGraph's
 //!   callers keep theirs.
-//! * Evaluation still drains the State Stack: every push is popped.
+//! * Evaluation still drains the State Stack: every push is popped (with
+//!   an input that needs a gradient; over constant features the TGCN
+//!   propagation is forward-only and pushes nothing).
 //!
 //! Span aggregates and pool counters are process-global, so the tests in
 //! this file serialise on one lock.
@@ -20,7 +22,7 @@ use std::rc::Rc;
 use std::sync::Mutex;
 use stgraph::backend::create_backend;
 use stgraph::executor::{GraphSource, TemporalExecutor};
-use stgraph::tgnn::Tgcn;
+use stgraph::tgnn::{RecurrentCell, Tgcn};
 use stgraph::train::{
     eval_link_prediction, eval_node_regression, link_prediction_batches,
     train_epoch_link_prediction, train_epoch_node_regression, LinkPredBatch, NodeRegressor,
@@ -29,7 +31,7 @@ use stgraph_dyngraph::{DtdgSource, NaiveGraph};
 use stgraph_graph::base::Snapshot;
 use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::optim::Adam;
-use stgraph_tensor::{pool, Tensor};
+use stgraph_tensor::{pool, Tape, Tensor, Var};
 
 const N: usize = 10;
 const F: usize = 3;
@@ -96,12 +98,39 @@ fn dynamic_exec(src: &DtdgSource) -> TemporalExecutor {
     )
 }
 
-/// One STGraph node-regression setup: `(model, params)`.
-fn stgraph_regressor() -> (NodeRegressor<Tgcn>, ParamSet) {
+/// A cell that registers its input as differentiable before stepping, so
+/// its propagations keep their backward (and their stack frames).
+struct InputGrad<C>(C);
+
+impl<C: RecurrentCell> RecurrentCell for InputGrad<C> {
+    fn hidden_size(&self) -> usize {
+        self.0.hidden_size()
+    }
+
+    fn step<'t>(
+        &self,
+        tape: &'t Tape,
+        exec: &TemporalExecutor,
+        t: usize,
+        x: &Var<'t>,
+        h: Option<&Var<'t>>,
+    ) -> Var<'t> {
+        let (x, _) = tape.input(x.value().clone());
+        self.0.step(tape, exec, t, &x, h)
+    }
+}
+
+/// One STGraph node-regression setup around `wrap(cell)`: `(model, params)`.
+fn regressor_of<C: RecurrentCell>(wrap: impl FnOnce(Tgcn) -> C) -> (NodeRegressor<C>, ParamSet) {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let mut ps = ParamSet::new();
-    let cell = Tgcn::new(&mut ps, "t", F, H, &mut rng);
+    let cell = wrap(Tgcn::new(&mut ps, "t", F, H, &mut rng));
     (NodeRegressor::new(&mut ps, cell, 1, &mut rng), ps)
+}
+
+/// One STGraph node-regression setup: `(model, params)`.
+fn stgraph_regressor() -> (NodeRegressor<Tgcn>, ParamSet) {
+    regressor_of(|cell| cell)
 }
 
 /// One STGraph link-prediction cell: `(cell, params)`.
@@ -221,14 +250,14 @@ fn evaluation_drains_the_state_stack() {
         assert_eq!(bytes, 0, "{what}: bytes left on the stack");
     };
 
-    let (model, _) = stgraph_regressor();
+    let (model, _) = regressor_of(InputGrad);
     let (feats, targets) = signal(4);
     let exec = static_exec();
     eval_node_regression(&model, &exec, &feats, &targets, SEQ_LEN);
     drained(&exec, "eval_node_regression");
 
     let (src, batches, feats) = link_inputs();
-    let (cell, _) = stgraph_cell();
+    let cell = InputGrad(stgraph_cell().0);
     let exec = dynamic_exec(&src);
     eval_link_prediction(&cell, &exec, &feats, &batches, SEQ_LEN);
     drained(&exec, "eval_link_prediction");
