@@ -173,22 +173,13 @@ impl BaselineTgcn {
             None => tape.constant(Tensor::zeros((n, self.hidden))),
         };
         let cz = self.conv_z.forward(tape, graph, x);
-        let z = self
-            .lin_z
-            .forward(tape, &Var::concat_cols(&[&cz, &h]))
-            .sigmoid();
+        let z = self.lin_z.forward_parts(tape, &[&cz, &h]).sigmoid();
         let cr = self.conv_r.forward(tape, graph, x);
-        let r = self
-            .lin_r
-            .forward(tape, &Var::concat_cols(&[&cr, &h]))
-            .sigmoid();
+        let r = self.lin_r.forward_parts(tape, &[&cr, &h]).sigmoid();
         let ch = self.conv_h.forward(tape, graph, x);
         let rh = r.mul(&h);
-        let htilde = self
-            .lin_h
-            .forward(tape, &Var::concat_cols(&[&ch, &rh]))
-            .tanh();
-        z.mul(&h).add(&z.one_minus().mul(&htilde))
+        let htilde = self.lin_h.forward_parts(tape, &[&ch, &rh]).tanh();
+        z.mix(&h, &htilde)
     }
 }
 

@@ -169,7 +169,7 @@ impl GcnConv {
         let pv = p.value().clone();
         let wb = p.requires_grad().then_some(wb);
         tape.custom(&[p, &w, &b], out, move |g, _| {
-            let dwb = pv.transpose().matmul(g);
+            let dwb = pv.t_matmul(g);
             let (dw, db) = dwb.data().split_at(k * m);
             vec![
                 wb.as_ref().map(|wb| g.matmul(&wb.transpose())),

@@ -150,20 +150,11 @@ impl RecurrentCell for Tgcn {
         let h = hidden_or_zeros(tape, h, n, self.hidden);
         let gates = [&self.conv_z, &self.conv_r, &self.conv_h];
         let [cz, cr, ch] = GcnConv::forward_shared(gates, &self.prop, tape, exec, t, x);
-        let z = self
-            .lin_z
-            .forward(tape, &Var::concat_cols(&[&cz, &h]))
-            .sigmoid();
-        let r = self
-            .lin_r
-            .forward(tape, &Var::concat_cols(&[&cr, &h]))
-            .sigmoid();
+        let z = self.lin_z.forward_parts(tape, &[&cz, &h]).sigmoid();
+        let r = self.lin_r.forward_parts(tape, &[&cr, &h]).sigmoid();
         let rh = r.mul(&h);
-        let htilde = self
-            .lin_h
-            .forward(tape, &Var::concat_cols(&[&ch, &rh]))
-            .tanh();
-        z.mul(&h).add(&z.one_minus().mul(&htilde))
+        let htilde = self.lin_h.forward_parts(tape, &[&ch, &rh]).tanh();
+        z.mix(&h, &htilde)
     }
 }
 
@@ -241,7 +232,7 @@ impl RecurrentCell for GConvGru {
             .transform(tape, &bx)
             .add(&self.hh.forward(tape, exec, t, &rh))
             .tanh();
-        z.mul(&h).add(&z.one_minus().mul(&htilde))
+        z.mix(&h, &htilde)
     }
 }
 

@@ -250,7 +250,7 @@ impl RecurrentCell for Dcrnn {
         let r = self.conv_r.transform(tape, &walks).sigmoid();
         let xrh = Var::concat_cols(&[x, &r.mul(&h)]);
         let htilde = self.conv_h.forward(tape, exec, t, &xrh).tanh();
-        z.mul(&h).add(&z.one_minus().mul(&htilde))
+        z.mix(&h, &htilde)
     }
 }
 

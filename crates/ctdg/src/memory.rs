@@ -171,7 +171,7 @@ impl TgnMemory {
             .add(&r.mul(h).matmul(&uh))
             .add_bias(&bh)
             .tanh();
-        z.one_minus().mul(h).add(&z.mul(&h_tilde))
+        z.mix(&h_tilde, h)
     }
 
     /// Writes updated rows back into the store and stamps their clocks.

@@ -27,7 +27,7 @@ use stgraph_datasets::{fraud_stream, FraudConfig, FraudEvent};
 use stgraph_serve::manager::CheckpointManager;
 use stgraph_tensor::nn::{Linear, ParamSet, StateEntry};
 use stgraph_tensor::optim::{clip_grad_norm, Adam};
-use stgraph_tensor::{Param, PoolScope, Shape, StateDict, Tape, Tensor, Var};
+use stgraph_tensor::{Param, PoolScope, Shape, StateDict, Tape, Tensor};
 
 use crate::sampler::{sample, SamplerConfig, Strategy};
 use crate::{CtdgStore, TgnMemory, TgnMemoryConfig};
@@ -294,13 +294,13 @@ impl CtdgWorkload {
         let pos_h = self
             .model
             .score1
-            .forward(&tape, &Var::concat_cols(&[&emb_src, &emb_dst]))
+            .forward_parts(&tape, &[&emb_src, &emb_dst])
             .relu();
         let pos = self.model.score2.forward(&tape, &pos_h);
         let neg_h = self
             .model
             .score1
-            .forward(&tape, &Var::concat_cols(&[&emb_src, &emb_neg]))
+            .forward_parts(&tape, &[&emb_src, &emb_neg])
             .relu();
         let neg = self.model.score2.forward(&tape, &neg_h);
         let ones = Tensor::ones(Shape::Mat(b, 1));

@@ -270,7 +270,15 @@ impl TrackedBuf {
 /// stale), freshly allocated otherwise (zero-filled). Fresh pool-eligible
 /// allocations reserve their full size-class capacity so the buffer can park
 /// on a free list later; the charge covers the capacity either way.
+///
+/// Every call adds `len · 4` to the `tensor.pool_bytes` telemetry counter:
+/// the bytes the kernels draw, whether a free list or the allocator serves
+/// them.
 fn pooled_floats(pool: u32, len: usize) -> (Vec<f32>, bool) {
+    static DRAWN: std::sync::OnceLock<stgraph_telemetry::Counter> = std::sync::OnceLock::new();
+    DRAWN
+        .get_or_init(|| stgraph_telemetry::counter("tensor.pool_bytes"))
+        .add((len * std::mem::size_of::<f32>()) as u64);
     if let Some(mut v) = crate::pool::take(pool, len) {
         if v.len() < len {
             v.resize(len, 0.0);

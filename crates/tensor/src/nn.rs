@@ -219,8 +219,15 @@ impl Linear {
 
     /// Applies the layer on the given tape.
     pub fn forward<'t>(&self, tape: &'t Tape, x: &Var<'t>) -> Var<'t> {
+        self.forward_parts(tape, &[x])
+    }
+
+    /// Applies the layer to `concat_cols(parts)` without building the
+    /// concatenation ([`Var::matmul_parts`]): bitwise the same values and
+    /// gradients, with each part's gradient written directly.
+    pub fn forward_parts<'t>(&self, tape: &'t Tape, parts: &[&Var<'t>]) -> Var<'t> {
         let w = tape.param(&self.weight);
-        let y = x.matmul(&w);
+        let y = Var::matmul_parts(parts, &w);
         match &self.bias {
             Some(b) => y.add_bias(&tape.param(b)),
             None => y,

@@ -31,7 +31,7 @@ use stgraph::tgnn::{scale_by_scalar, GConvGru, RecurrentCell, Tgcn};
 use stgraph_graph::base::Snapshot;
 use stgraph_tensor::autograd::check::{assert_close, numeric_grad};
 use stgraph_tensor::autograd::{InputGrad, Var};
-use stgraph_tensor::nn::ParamSet;
+use stgraph_tensor::nn::{Linear, ParamSet};
 use stgraph_tensor::{Param, Shape, Tape, Tensor};
 
 const EPS: f32 = 1e-2;
@@ -358,15 +358,44 @@ enum Leaf {
     Param,
 }
 
+/// Sigmoid; in the `twin`, with the composed backward the one-pass
+/// kernel replaced.
+fn sigmoid<'t>(a: &Var<'t>, twin: bool) -> Var<'t> {
+    if !twin {
+        return a.sigmoid();
+    }
+    let y = a.value().sigmoid();
+    let yc = y.clone();
+    a.tape().custom(&[a], y, move |g, _| {
+        vec![Some(g.mul(&yc.mul(&yc.neg().add_scalar(1.0))))]
+    })
+}
+
+/// Tanh; in the `twin`, with the composed backward the one-pass kernel
+/// replaced.
+fn tanh<'t>(a: &Var<'t>, twin: bool) -> Var<'t> {
+    if !twin {
+        return a.tanh();
+    }
+    let y = a.value().tanh();
+    let yc = y.clone();
+    a.tape().custom(&[a], y, move |g, _| {
+        vec![Some(g.mul(&yc.square().neg().add_scalar(1.0)))]
+    })
+}
+
 /// Builds a random tape from `seed`: `leaves` leaves of shape `[3, 3]`
-/// (and as many bias vectors) of the given kinds — constants registered as
-/// inputs when `twin` — then `ops` random ops over earlier values, among
-/// them the hand-written ones (executor propagation, aggregate-first GCN,
-/// `scale_by_scalar`, the baseline's edge-parallel propagation). Runs
-/// backward from the weighted sum of every op output and returns the bits
-/// of every gradient of a leaf that is an input or parameter in the
-/// original tape (`None` where none arrived), then the GCN's parameter
-/// gradients.
+/// (and as many bias vectors) of the given kinds, then `ops` random ops
+/// over earlier values, among them the hand-written ones (executor
+/// propagation, aggregate-first GCN, `scale_by_scalar`, the baseline's
+/// edge-parallel propagation) and the fused ones (one-pass sigmoid/tanh
+/// backwards, the GRU update `mix`, the parts `Linear`). The `twin`
+/// registers constants as inputs and builds each fused op as the
+/// composition it replaces. Runs backward from the weighted sum of every
+/// op output and returns the bits of every op value, then of every
+/// gradient of a leaf that is an input or parameter in the original tape
+/// (`None` where none arrived), then the GCN's and the dense layer's
+/// parameter gradients.
 fn pruning_tape(seed: u64, kinds: &[Leaf], ops: usize, twin: bool) -> Vec<Option<Vec<u32>>> {
     const N: usize = 3;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -386,6 +415,16 @@ fn pruning_tape(seed: u64, kinds: &[Leaf], ops: usize, twin: bool) -> Vec<Option
         &mut ChaCha8Rng::seed_from_u64(seed),
     );
     perturb(&conv_params, seed);
+    let mut lin_params = ParamSet::new();
+    let lin = Linear::new(
+        &mut lin_params,
+        "l",
+        2 * N,
+        N,
+        true,
+        &mut ChaCha8Rng::seed_from_u64(seed + 1),
+    );
+    perturb(&lin_params, seed + 1);
 
     let tape = Tape::new();
     enum Sink {
@@ -426,7 +465,7 @@ fn pruning_tape(seed: u64, kinds: &[Leaf], ops: usize, twin: bool) -> Vec<Option
     for _ in 0..ops {
         let a = &vals[rng.gen_range(0..vals.len())];
         let b = &vals[rng.gen_range(0..vals.len())];
-        let y = match rng.gen_range(0..12) {
+        let y = match rng.gen_range(0..14) {
             0 => a.add(b),
             1 => a.sub(b),
             2 => a.mul(b),
@@ -435,13 +474,31 @@ fn pruning_tape(seed: u64, kinds: &[Leaf], ops: usize, twin: bool) -> Vec<Option
                 let lo = rng.gen_range(0..=N);
                 Var::concat_cols(&[a, b]).slice_cols(lo, lo + N)
             }
-            5 => a.sigmoid(),
-            6 => a.tanh().mul_scalar(-1.5),
+            5 => sigmoid(a, twin),
+            6 => tanh(a, twin).mul_scalar(-1.5),
             7 => a.add_bias(&biases[rng.gen_range(0..biases.len())]),
             8 => prop.forward(&tape, &exec, 0, a),
             9 => conv.forward(&tape, &exec, 0, &a.slice_cols(0, 2)),
             10 => scale_by_scalar(a, &b.sum()),
-            _ => pygt_baseline::propagate(&tape, &coo, a),
+            11 => pygt_baseline::propagate(&tape, &coo, a),
+            12 => {
+                // A GRU update: a fresh gate, `a` as the carried state and
+                // a fresh candidate (as in every cell that records one).
+                let z = sigmoid(&vals[rng.gen_range(0..vals.len())], twin);
+                let htilde = tanh(b, twin);
+                if twin {
+                    z.mul(a).add(&z.one_minus().mul(&htilde))
+                } else {
+                    z.mix(a, &htilde)
+                }
+            }
+            _ => {
+                if twin {
+                    lin.forward(&tape, &Var::concat_cols(&[a, b]))
+                } else {
+                    lin.forward_parts(&tape, &[a, b])
+                }
+            }
         };
         let l = weighted(&y);
         loss = Some(match loss {
@@ -454,23 +511,26 @@ fn pruning_tape(seed: u64, kinds: &[Leaf], ops: usize, twin: bool) -> Vec<Option
     let (pushes, pops, _, bytes) = exec.state_stack_stats();
     assert_eq!((pushes - pops, bytes), (0, 0), "the stack must drain");
     let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let mut out: Vec<Option<Vec<u32>>> = sinks
+    let mut out: Vec<Option<Vec<u32>>> = vals[kinds.len()..]
         .iter()
-        .filter_map(|s| match s {
-            Sink::Input(g) => Some(g.get().map(|t| bits(&t))),
-            Sink::Param(p) => Some(Some(bits(&p.grad()))),
-            Sink::None => None,
-        })
+        .map(|v| Some(bits(v.value())))
         .collect();
+    out.extend(sinks.iter().filter_map(|s| match s {
+        Sink::Input(g) => Some(g.get().map(|t| bits(&t))),
+        Sink::Param(p) => Some(Some(bits(&p.grad()))),
+        Sink::None => None,
+    }));
     out.extend(conv_params.iter().map(|p| Some(bits(&p.grad()))));
+    out.extend(lin_params.iter().map(|p| Some(bits(&p.grad()))));
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pruning is invisible to every gradient that is read: turning each
-    /// constant into an input (nothing pruned) changes no input or
+    /// Pruning and fusion are invisible to every value and gradient that
+    /// is read: turning each constant into an input (nothing pruned) and
+    /// each fused op into its composition changes no value, input or
     /// parameter gradient bit.
     #[test]
     fn pruned_backward_matches_the_unpruned_twin(

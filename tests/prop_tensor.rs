@@ -161,5 +161,81 @@ proptest! {
         check("relu", &a.relu(), &|i, j| x(i, j).max(0.0));
         check("add_bias", &a.add_bias(&bias), &|i, j| x(i, j) + bias.data()[j]);
         check("scale_rows", &a.scale_rows(&s), &|i, j| x(i, j) * s.data()[i]);
+        // The fused backward and gate kernels: the composition's expression.
+        let zt = a.sigmoid();
+        let zd = zt.data();
+        let z = |i: usize, j: usize| zd[i * m + j];
+        check("sigmoid_backward", &b.sigmoid_backward(&zt), &|i, j| y(i, j) * (z(i, j) * (-z(i, j) + 1.0)));
+        check("tanh_backward", &b.tanh_backward(&a), &|i, j| y(i, j) * (-(x(i, j) * x(i, j)) + 1.0));
+        check("relu_backward", &b.relu_backward(&a), &|i, j| y(i, j) * if x(i, j) > 0.0 { 1.0 } else { 0.0 });
+        check("leaky_relu_backward", &b.leaky_relu_backward(&a, c), &|i, j| {
+            y(i, j) * if x(i, j) >= 0.0 { 1.0 } else { c }
+        });
+        check("mix", &Tensor::mix(&zt, &a, &b), &|i, j| z(i, j) * x(i, j) + (-z(i, j) + 1.0) * y(i, j));
+        check("mix_backward_z", &zt.mix_backward_z(&a, &b), &|i, j| -(z(i, j) * y(i, j)) + z(i, j) * x(i, j));
+        check("mix_backward_b", &b.mix_backward_b(&zt), &|i, j| y(i, j) * (-z(i, j) + 1.0));
+        let cols = a.sum_axis0();
+        for j in 0..m {
+            let chain = (0..n).fold(0.0f32, |acc, i| acc + x(i, j));
+            prop_assert_eq!(cols.data()[j].to_bits(), chain.to_bits(), "sum_axis0[{}]", j);
+        }
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The parts GEMM is bitwise `concat_cols` + `matmul`, and the
+/// transposed-A GEMM bitwise `transpose` + `matmul`: every element is the
+/// same ascending chain over the concatenated row (or over the n rows),
+/// at every width around the 16- and 8-column tiles, with parts of width
+/// 0 and 1, at row counts around the 4-row block, n = 0, and n large
+/// enough to split into parallel blocks.
+#[test]
+fn parts_and_transposed_gemms_are_bitwise_their_copying_forms() {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(37);
+    let splits: [&[usize]; 7] = [
+        &[1],
+        &[1, 1],
+        &[3, 1],
+        &[16, 16],
+        &[8, 1, 9],
+        &[2, 0, 5],
+        &[9],
+    ];
+    for n in [0usize, 1, 2, 3, 5, 70] {
+        for m in [1usize, 7, 8, 9, 15, 16, 17, 33] {
+            for widths in splits {
+                let parts: Vec<Tensor> = widths
+                    .iter()
+                    .map(|&w| Tensor::rand_uniform((n, w), -1.0, 1.0, &mut rng))
+                    .collect();
+                let refs: Vec<&Tensor> = parts.iter().collect();
+                let k: usize = widths.iter().sum();
+                let w = Tensor::rand_uniform((k, m), -1.0, 1.0, &mut rng);
+                let g = Tensor::rand_uniform((n, m), -1.0, 1.0, &mut rng);
+                let cat = Tensor::concat_cols(&refs);
+                let at = format!("n={n} m={m} widths={widths:?}");
+                assert_eq!(
+                    bits(&Tensor::matmul_parts(&refs, &w)),
+                    bits(&cat.matmul(&w)),
+                    "parts {at}"
+                );
+                let want = cat.transpose().matmul(&g);
+                assert_eq!(bits(&cat.t_matmul(&g)), bits(&want), "transposed {at}");
+                assert_eq!(
+                    bits(&Tensor::t_matmul_parts(&refs, &g)),
+                    bits(&want),
+                    "transposed parts {at}"
+                );
+                if n == 0 {
+                    assert!(
+                        want.data().iter().all(|&v| v.to_bits() == 0),
+                        "empty chains are +0"
+                    );
+                }
+            }
+        }
     }
 }
