@@ -10,16 +10,21 @@
 //! This is the compiler-fuzzing counterpart of the hand-written layer
 //! gradchecks — it explores op combinations no layer uses. The random
 //! programs run on a 6-node graph, below the parallel cutover; one seeded
-//! test pins the bits of GCN and GAT on a power-law graph above it.
+//! test pins the bits of GCN and GAT on a power-law graph above it, and
+//! one checks the register-resident aggregation against the memory-row
+//! loop it replaced, bit for bit.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use stgraph::backend::{AggregationBackend, ReferenceBackend, SeastarBackend};
 use stgraph_graph::base::{gcn_norm, Snapshot};
+use stgraph_graph::csr::Csr;
 use stgraph_seastar::autodiff::{differentiate, NodeSave};
-use stgraph_seastar::ir::{gat_aggregation, gcn_aggregation, Program, ProgramBuilder, Val};
+use stgraph_seastar::exec::execute;
+use stgraph_seastar::ir::{gat_aggregation, gcn_aggregation, Op, Program, ProgramBuilder, Val};
 use stgraph_tensor::autograd::check::{assert_close, numeric_grad};
+use stgraph_tensor::simd::{F32x8, LANES};
 use stgraph_tensor::Tensor;
 
 /// A recipe for one random op applied during program construction.
@@ -309,6 +314,157 @@ fn chunked_kernels_are_pinned_on_a_power_law_graph() {
     // 2 and 4 threads and with `STGRAPH_PAR_MIN=1`.
     assert_eq!(gcn, 0x10a6_18e0_db78_3dbe, "GCN output/gradient bits moved");
     assert_eq!(gat, 0xd0b7_8abd_e702_a76d, "GAT output/gradient bits moved");
+}
+
+/// The aggregation loop the register kernel replaced, kept as its oracle:
+/// each output row lives in memory from `0.0`, and every edge loads it,
+/// combines the edge's value lane-wise over the full [`LANES`] chunks and
+/// scalar over the remainder, and stores it back (`max` copies the first
+/// edge's value instead). `value(v, nbr, eid)` is the edge's value.
+fn memory_row_loop<'v>(
+    csr: &Csr,
+    w: usize,
+    max: bool,
+    value: impl Fn(usize, usize, usize) -> &'v [f32],
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; csr.num_nodes() * w];
+    for v in 0..csr.num_nodes() {
+        let row = &mut out[v * w..v * w + w];
+        for (k, (nbr, eid)) in csr.iter_row(v).enumerate() {
+            let val = value(v, nbr as usize, eid as usize);
+            if max && k == 0 {
+                row.copy_from_slice(val);
+                continue;
+            }
+            let main = w / LANES * LANES;
+            let (rm, rt) = row.split_at_mut(main);
+            for (rc, vc) in rm.chunks_exact_mut(LANES).zip(val.chunks_exact(LANES)) {
+                let (r, x) = (F32x8::load(rc), F32x8::load(vc));
+                if max { r.max(x) } else { r.add(x) }.store(rc);
+            }
+            for (r, &x) in rt.iter_mut().zip(&val[main..]) {
+                *r = if max { r.max(x) } else { *r + x };
+            }
+        }
+    }
+    out
+}
+
+/// A graph of 300 vertices with one in-hub (vertex 0, in-degree 1500),
+/// one out-hub (vertex 1, out-degree 1500), about 3000 random edges and
+/// 20 isolated vertices (280..300, no edge either way).
+fn hub_graph() -> Snapshot {
+    let mut rng = ChaCha8Rng::seed_from_u64(61);
+    let live = 0..280u32;
+    let mut edges: Vec<(u32, u32)> = (0..3000)
+        .map(|_| (rng.gen_range(live.clone()), rng.gen_range(live.clone())))
+        .collect();
+    edges.extend((0..1500).map(|_| (rng.gen_range(live.clone()), 0)));
+    edges.extend((0..1500).map(|_| (1, rng.gen_range(live.clone()))));
+    Snapshot::from_edges(300, &edges)
+}
+
+/// Uniform values in `[-1, 1)` with about 2 % replaced by `-0.0`, `+0.0`,
+/// `+∞`, `-∞` or NaN — outside the two hubs' rows, so that a special
+/// reaches only its own vertex's edges rather than every row.
+fn with_specials(rows: usize, w: usize, rng: &mut ChaCha8Rng) -> Tensor {
+    let specials = [-0.0f32, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let data = (0..rows * w)
+        .map(|i| {
+            if i >= 2 * w && rng.gen_range(0..50) == 0 {
+                specials[rng.gen_range(0..specials.len())]
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        })
+        .collect();
+    Tensor::from_vec((rows, w), data)
+}
+
+/// Equal bits, or NaN on both sides: Rust leaves the sign and payload of
+/// an arithmetic NaN unspecified (x86 returns the first operand's NaN when
+/// both are NaN, and the compiler may commute an add), so only NaN-ness is
+/// part of the contract.
+fn assert_same_bits(got: &Tensor, want: &[f32], what: &str) {
+    assert_eq!(got.data().len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.data().iter().zip(want).enumerate() {
+        if !(g.is_nan() && w.is_nan()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+}
+
+/// Sum-to-destination, sum-to-source and max-to-destination, over a bare
+/// neighbour gather (read in place) and over a GAT-style edge plan
+/// (`exp(leaky_relu(el_u + er_v)) · h_u`, evaluated per edge), at widths
+/// around every lane and register-block boundary, on a graph with hubs and
+/// isolated vertices and inputs holding `±0`, `±∞` and NaN: every output
+/// bit equals the memory-row loop's.
+#[test]
+fn register_aggregation_is_bitwise_the_memory_row_loop() {
+    let graph = hub_graph();
+    let n = graph.reverse_csr.num_nodes();
+    let (fwd, rev) = (&graph.csr, &graph.reverse_csr);
+    let mut rng = ChaCha8Rng::seed_from_u64(62);
+    for w in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 96] {
+        let h = with_specials(n, w, &mut rng);
+
+        // Bare gathers of the neighbour's row.
+        let mut b = ProgramBuilder::new();
+        let x = b.input(w);
+        let (gs, gd) = (b.gather_src(x), b.gather_dst(x));
+        let outs = [b.agg_sum_dst(gs), b.agg_sum_src(gd), b.agg_max_dst(gs)];
+        let prog = b.finish(&outs);
+        let got = execute(&prog, &graph, &[&h], &[], &[], &[]).outputs;
+        let hd = h.data();
+        let bare = |csr: &Csr, max| memory_row_loop(csr, w, max, |_, u, _| &hd[u * w..u * w + w]);
+        assert_same_bits(&got[0], &bare(rev, false), &format!("w={w} bare SumDst"));
+        assert_same_bits(&got[1], &bare(fwd, false), &format!("w={w} bare SumSrc"));
+        assert_same_bits(&got[2], &bare(rev, true), &format!("w={w} bare MaxDst"));
+
+        // A GAT-style plan; its saved edge values feed the oracle.
+        let (el, er) = (with_specials(n, 1, &mut rng), with_specials(n, 1, &mut rng));
+        let mut b = ProgramBuilder::new();
+        let (x, l, r) = (b.input(w), b.input(1), b.input(1));
+        let (ls, rd) = (b.gather_src(l), b.gather_dst(r));
+        let score = b.add(ls, rd);
+        let score = b.leaky_relu(score, 0.2);
+        let alpha = b.exp(score);
+        let xs = b.gather_src(x);
+        let weighted = b.mul(alpha, xs);
+        let outs = [
+            b.agg_sum_dst(weighted),
+            b.agg_sum_src(weighted),
+            b.agg_max_dst(weighted),
+        ];
+        let prog = b.finish(&outs);
+        let edge_value = prog
+            .nodes
+            .iter()
+            .find_map(|nd| match nd.op {
+                Op::AggSumDst(e) => Some(e),
+                _ => None,
+            })
+            .unwrap();
+        let ex = execute(&prog, &graph, &[&h, &el, &er], &[], &[], &[edge_value]);
+        let sd = ex.saved[0].data();
+        let plan = |csr: &Csr, max| memory_row_loop(csr, w, max, |_, _, e| &sd[e * w..e * w + w]);
+        assert_same_bits(
+            &ex.outputs[0],
+            &plan(rev, false),
+            &format!("w={w} plan SumDst"),
+        );
+        assert_same_bits(
+            &ex.outputs[1],
+            &plan(fwd, false),
+            &format!("w={w} plan SumSrc"),
+        );
+        assert_same_bits(
+            &ex.outputs[2],
+            &plan(rev, true),
+            &format!("w={w} plan MaxDst"),
+        );
+    }
 }
 
 proptest! {
