@@ -301,67 +301,6 @@ impl StateDict for GatConv {
     }
 }
 
-/// Multi-head graph attention: `heads` independent [`GatConv`]s with their
-/// outputs concatenated (the standard GAT multi-head form).
-pub struct MultiHeadGatConv {
-    heads: Vec<GatConv>,
-}
-
-impl MultiHeadGatConv {
-    /// A new multi-head GAT producing `heads * out_per_head` features.
-    pub fn new(
-        params: &mut ParamSet,
-        name: &str,
-        in_features: usize,
-        out_per_head: usize,
-        heads: usize,
-        rng: &mut impl Rng,
-    ) -> MultiHeadGatConv {
-        assert!(heads >= 1);
-        MultiHeadGatConv {
-            heads: (0..heads)
-                .map(|h| {
-                    GatConv::new(
-                        params,
-                        &format!("{name}.h{h}"),
-                        in_features,
-                        out_per_head,
-                        rng,
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of heads.
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Applies all heads and concatenates along the feature axis.
-    pub fn forward<'t>(
-        &self,
-        tape: &'t Tape,
-        exec: &TemporalExecutor,
-        t: usize,
-        x: &Var<'t>,
-    ) -> Var<'t> {
-        let outs: Vec<Var<'t>> = self
-            .heads
-            .iter()
-            .map(|h| h.forward(tape, exec, t, x))
-            .collect();
-        let refs: Vec<&Var<'t>> = outs.iter().collect();
-        Var::concat_cols(&refs)
-    }
-}
-
-impl StateDict for MultiHeadGatConv {
-    fn parameters(&self) -> Vec<Param> {
-        self.heads.iter().flat_map(|h| h.parameters()).collect()
-    }
-}
-
 /// The vertex program for `-D^{-1/2} A D^{-1/2} X` — the scaled-Laplacian
 /// application `L̂X` used by Chebyshev convolutions (with the standard
 /// `λ_max ≈ 2` approximation, `L̂ = L - I = -D^{-1/2} A D^{-1/2}`).

@@ -1,37 +1,6 @@
-//! Evaluation metrics for the two benchmark tasks: regression errors for
-//! static-temporal node regression and classification metrics (including
-//! ROC-AUC) for DTDG link prediction.
+//! Classification metrics (accuracy and ROC-AUC) for link prediction.
 
 use stgraph_tensor::Tensor;
-
-/// Mean squared error.
-pub fn mse(pred: &Tensor, target: &Tensor) -> f32 {
-    assert_eq!(pred.shape(), target.shape());
-    let n = pred.numel() as f32;
-    pred.data()
-        .iter()
-        .zip(target.data())
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f32>()
-        / n
-}
-
-/// Mean absolute error.
-pub fn mae(pred: &Tensor, target: &Tensor) -> f32 {
-    assert_eq!(pred.shape(), target.shape());
-    let n = pred.numel() as f32;
-    pred.data()
-        .iter()
-        .zip(target.data())
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f32>()
-        / n
-}
-
-/// Root mean squared error.
-pub fn rmse(pred: &Tensor, target: &Tensor) -> f32 {
-    mse(pred, target).sqrt()
-}
 
 /// Binary accuracy of logits against 0/1 labels at threshold 0.
 pub fn binary_accuracy(logits: &Tensor, labels: &Tensor) -> f32 {
@@ -81,15 +50,6 @@ pub fn roc_auc(logits: &Tensor, labels: &Tensor) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn regression_metrics() {
-        let p = Tensor::from_vec(4, vec![1.0, 2.0, 3.0, 4.0]);
-        let t = Tensor::from_vec(4, vec![1.0, 1.0, 5.0, 4.0]);
-        assert!((mse(&p, &t) - (0.0 + 1.0 + 4.0 + 0.0) / 4.0).abs() < 1e-6);
-        assert!((mae(&p, &t) - 3.0 / 4.0).abs() < 1e-6);
-        assert!((rmse(&p, &t) - (1.25f32).sqrt()).abs() < 1e-6);
-    }
 
     #[test]
     fn accuracy_thresholds_at_zero() {

@@ -15,8 +15,7 @@ use stgraph_graph::base::STGraphBase;
 use stgraph_graph::csr::Csr;
 use stgraph_tensor::mem::{self, TrackedBuf};
 use stgraph_tensor::simd::{
-    self, map_lanes_inline, reduce_rows, with_row_shape, zip_lanes, F32x8, Max, Reduce, RowShaped,
-    Sum,
+    self, map_lanes_inline, reduce_rows, with_row_shape, zip_lanes, Max, Reduce, RowShaped, Sum,
 };
 use stgraph_tensor::{par_min, Shape, Tensor};
 
@@ -63,10 +62,12 @@ enum Instr {
         out: usize,
         w: usize,
     },
-    /// `out = g * leaky_relu'(x)`.
+    /// `out = g * leaky_relu'(x)` with width-1 broadcast on either side.
     LeakyReluGrad {
         g: usize,
+        wg: usize,
         x: usize,
+        wx: usize,
         slope: f32,
         out: usize,
         w: usize,
@@ -208,12 +209,14 @@ impl<'p, 'a> EdgeCompiler<'p, 'a> {
                 (out, w)
             }
             Op::LeakyReluGrad(g, x, slope) => {
-                let (rg, _) = self.compile(g);
-                let (rx, _) = self.compile(x);
+                let (rg, wg) = self.compile(g);
+                let (rx, wx) = self.compile(x);
                 let out = self.alloc(w);
                 self.plan_instrs.push(Instr::LeakyReluGrad {
                     g: rg,
+                    wg,
                     x: rx,
+                    wx,
                     slope,
                     out,
                     w,
@@ -340,70 +343,48 @@ impl EdgePlan<'_> {
                     out,
                     w,
                 } => {
-                    if wa == w && wb == w {
-                        // Register allocation is monotonic, so the output
-                        // region always lies after both operand regions —
-                        // split there for a safe parallel borrow.
-                        debug_assert!(a + w <= out && b + w <= out);
-                        let (lo, hi) = scratch.split_at_mut(out);
-                        let (dst, aa, bb) = (&mut hi[..w], &lo[a..a + w], &lo[b..b + w]);
-                        match k {
-                            BinKind::Add => zip_lanes(dst, aa, bb, |x, y| x.add(y), |x, y| x + y),
-                            BinKind::Sub => zip_lanes(dst, aa, bb, |x, y| x.sub(y), |x, y| x - y),
-                            BinKind::Mul => zip_lanes(dst, aa, bb, |x, y| x.mul(y), |x, y| x * y),
-                            BinKind::Div => zip_lanes(dst, aa, bb, |x, y| x.div(y), |x, y| x / y),
-                        }
-                    } else {
-                        for j in 0..w {
-                            let av = scratch[a + if wa == 1 { 0 } else { j }];
-                            let bv = scratch[b + if wb == 1 { 0 } else { j }];
-                            scratch[out + j] = match k {
-                                BinKind::Add => av + bv,
-                                BinKind::Sub => av - bv,
-                                BinKind::Mul => av * bv,
-                                BinKind::Div => av / bv,
-                            };
-                        }
+                    let (dst, r) = out_reg(scratch, out, w);
+                    let (aa, bb) = (&r[a..a + wa], &r[b..b + wb]);
+                    match k {
+                        BinKind::Add => broadcast_zip(dst, aa, bb, |x, y| x + y),
+                        BinKind::Sub => broadcast_zip(dst, aa, bb, |x, y| x - y),
+                        BinKind::Mul => broadcast_zip(dst, aa, bb, |x, y| x * y),
+                        BinKind::Div => broadcast_zip(dst, aa, bb, |x, y| x / y),
                     }
                 }
                 Instr::Scale { a, c, out, w } => {
-                    debug_assert!(a + w <= out);
-                    let (lo, hi) = scratch.split_at_mut(out);
-                    let cx = F32x8::splat(c);
-                    map_lanes_inline(&mut hi[..w], &lo[a..a + w], |x| x.mul(cx), |x| x * c);
+                    let (dst, r) = out_reg(scratch, out, w);
+                    map_lanes_inline(dst, &r[a..a + w], |x| x * c);
                 }
                 Instr::LeakyRelu { a, slope, out, w } => {
-                    for j in 0..w {
-                        let x = scratch[a + j];
-                        scratch[out + j] = if x >= 0.0 { x } else { slope * x };
-                    }
+                    let (dst, r) = out_reg(scratch, out, w);
+                    map_lanes_inline(dst, &r[a..a + w], |x| if x >= 0.0 { x } else { slope * x });
                 }
                 Instr::LeakyReluGrad {
                     g,
+                    wg,
                     x,
+                    wx,
                     slope,
                     out,
                     w,
                 } => {
-                    for j in 0..w {
-                        let d = if scratch[x + j] >= 0.0 { 1.0 } else { slope };
-                        scratch[out + j] = scratch[g + j] * d;
-                    }
+                    let (dst, r) = out_reg(scratch, out, w);
+                    broadcast_zip(dst, &r[g..g + wg], &r[x..x + wx], |g, x| {
+                        leaky_relu_grad(g, x, slope)
+                    });
                 }
                 Instr::Exp { a, out, w } => {
-                    for j in 0..w {
-                        scratch[out + j] = simd::exp(scratch[a + j]);
-                    }
+                    let (dst, r) = out_reg(scratch, out, w);
+                    map_lanes_inline(dst, &r[a..a + w], simd::exp);
                 }
                 Instr::Sigmoid { a, out, w } => {
-                    for j in 0..w {
-                        scratch[out + j] = simd::sigmoid(scratch[a + j]);
-                    }
+                    let (dst, r) = out_reg(scratch, out, w);
+                    map_lanes_inline(dst, &r[a..a + w], simd::sigmoid);
                 }
                 Instr::Tanh { a, out, w } => {
-                    for j in 0..w {
-                        scratch[out + j] = simd::tanh(scratch[a + j]);
-                    }
+                    let (dst, r) = out_reg(scratch, out, w);
+                    map_lanes_inline(dst, &r[a..a + w], simd::tanh);
                 }
                 Instr::ReduceFeat { a, wa, out } => {
                     scratch[out] = scratch[a..a + wa].iter().sum();
@@ -415,6 +396,35 @@ impl EdgePlan<'_> {
             }
         }
     }
+}
+
+/// Output register `out..out + w` and every register before it, which
+/// holds the operands: allocation is monotonic, so an instruction's
+/// output lies after its operands and splitting there borrows them apart.
+#[inline(always)]
+fn out_reg(scratch: &mut [f32], out: usize, w: usize) -> (&mut [f32], &[f32]) {
+    let (lo, hi) = scratch.split_at_mut(out);
+    (&mut hi[..w], lo)
+}
+
+/// `dst[j] = f(a[j], b[j])`, where the narrower operand has width 1 and
+/// stands for every `j` (the IR's broadcast rule): the one row walk of
+/// every binary op, node- and edge-space.
+#[inline(always)]
+fn broadcast_zip(dst: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+    if a.len() == b.len() {
+        zip_lanes(dst, a, b, f)
+    } else if a.len() == 1 {
+        map_lanes_inline(dst, b, |y| f(a[0], y))
+    } else {
+        map_lanes_inline(dst, a, |x| f(x, b[0]))
+    }
+}
+
+/// `g · leaky_relu'(x)`.
+#[inline(always)]
+fn leaky_relu_grad(g: f32, x: f32, slope: f32) -> f32 {
+    g * if x >= 0.0 { 1.0 } else { slope }
 }
 
 /// Aggregation kind for the fused kernel.
@@ -625,10 +635,8 @@ fn materialize_edge_value(plan: &EdgePlan<'_>, rev: &Csr, num_edges: usize) -> T
     Tensor::from_buf(Shape::Mat(num_edges, w), out)
 }
 
-/// Node-space elementwise binary with width-1 row broadcast. One pooled
-/// output and one parallel driver serve both the equal-width and the
-/// broadcast path; the per-row loop is specialised outside the hot loop so
-/// the equal-width case stays branch-free per element.
+/// Node-space elementwise binary with width-1 row broadcast: one pooled
+/// output, row by row through [`broadcast_zip`].
 fn node_binary(a: &Tensor, b: &Tensor, w: usize, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
     let n = a.rows();
     debug_assert_eq!(b.rows(), n);
@@ -637,28 +645,7 @@ fn node_binary(a: &Tensor, b: &Tensor, w: usize, f: impl Fn(f32, f32) -> f32 + S
     let mut out = TrackedBuf::raw(n * w);
     let dst = out.as_mut_slice();
     let row_body = |(i, drow): (usize, &mut [f32])| {
-        let arow = &ad[i * wa..i * wa + wa];
-        let brow = &bd[i * wb..i * wb + wb];
-        match (wa == 1, wb == 1) {
-            (false, false) => {
-                for (d, (&x, &y)) in drow.iter_mut().zip(arow.iter().zip(brow)) {
-                    *d = f(x, y);
-                }
-            }
-            (true, false) => {
-                for (d, &y) in drow.iter_mut().zip(brow) {
-                    *d = f(arow[0], y);
-                }
-            }
-            (false, true) => {
-                for (d, &x) in drow.iter_mut().zip(arow) {
-                    *d = f(x, brow[0]);
-                }
-            }
-            (true, true) => {
-                drow.fill(f(arow[0], brow[0]));
-            }
-        }
+        broadcast_zip(drow, &ad[i * wa..i * wa + wa], &bd[i * wb..i * wb + wb], &f)
     };
     if n * w >= par_min() {
         dst.par_chunks_mut(w).enumerate().for_each(row_body);
@@ -779,7 +766,7 @@ pub fn execute(
                 values[g].as_ref().unwrap(),
                 values[x].as_ref().unwrap(),
                 w,
-                move |gv, xv| gv * if xv >= 0.0 { 1.0 } else { s },
+                move |gv, xv| leaky_relu_grad(gv, xv, s),
             ),
             Op::Exp(a) => values[a].as_ref().unwrap().exp(),
             Op::Sigmoid(a) => values[a].as_ref().unwrap().sigmoid(),
@@ -827,7 +814,7 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{gcn_aggregation, ProgramBuilder};
+    use crate::ir::{gcn_aggregation, ProgramBuilder, Val};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use stgraph_graph::base::{dense_adjacency, gcn_norm, Snapshot};
@@ -997,6 +984,48 @@ mod tests {
             }
         }
         assert!(got.approx_eq(&Tensor::from_vec((4, 2), want), 1e-5));
+    }
+
+    /// Edge-space binary ops with a width-1 operand on either side (or
+    /// none) are bitwise their node-space form: on a cycle every vertex
+    /// sums exactly one in-edge, so `agg_sum_dst(op(gather_src(a),
+    /// gather_src(b)))` is `0 + op(a, b)` of its source.
+    #[test]
+    fn edge_binary_ops_broadcast_like_node_space() {
+        type Build = fn(&mut ProgramBuilder, Val, Val) -> Val;
+        let ops: [(&str, Build); 5] = [
+            ("add", |b, x, y| b.add(x, y)),
+            ("sub", |b, x, y| b.sub(x, y)),
+            ("mul", |b, x, y| b.mul(x, y)),
+            ("div", |b, x, y| b.div(x, y)),
+            ("leaky_relu_grad", |b, x, y| b.leaky_relu_grad(x, y, 0.2)),
+        ];
+        let n = 7;
+        let edges: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let snap = Snapshot::from_edges(n as usize, &edges);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for (wa, wb) in [(11, 1), (1, 11), (11, 11), (1, 1)] {
+            let a = Tensor::rand_uniform((n as usize, wa), -2.0, 2.0, &mut rng);
+            let b = Tensor::rand_uniform((n as usize, wb), -2.0, 2.0, &mut rng);
+            for (name, op) in ops {
+                let mut eb = ProgramBuilder::new();
+                let (x, y) = (eb.input(wa), eb.input(wb));
+                let (gx, gy) = (eb.gather_src(x), eb.gather_src(y));
+                let e = op(&mut eb, gx, gy);
+                let out = eb.agg_sum_dst(e);
+                let edge_prog = eb.finish(&[out]);
+                let mut nb = ProgramBuilder::new();
+                let (x, y) = (nb.input(wa), nb.input(wb));
+                let v = op(&mut nb, x, y);
+                let gv = nb.gather_src(v);
+                let out = nb.agg_sum_dst(gv);
+                let node_prog = nb.finish(&[out]);
+                let run = |p: &Program| execute(p, &snap, &[&a, &b], &[], &[], &[]).outputs;
+                let (got, want) = (run(&edge_prog), run(&node_prog));
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got[0]), bits(&want[0]), "{name} at widths {wa}, {wb}");
+            }
+        }
     }
 
     /// The cut covers `0..n` with contiguous, non-empty ranges, and no

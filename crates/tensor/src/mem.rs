@@ -191,13 +191,6 @@ pub fn all_stats() -> Vec<(String, PoolStats)> {
     out
 }
 
-/// Reads the workspace buffer pool's counters (hits, misses, recycled and
-/// cached bytes) alongside the per-pool byte stats above. See [`crate::pool`]
-/// for how cached bytes interact with `live`.
-pub fn buffer_pool_stats() -> crate::pool::BufPoolStats {
-    crate::pool::stats()
-}
-
 /// A raw tracked heap buffer of `f32`s. All tensor storage goes through this
 /// type so device-memory accounting is exhaustive.
 pub struct TrackedBuf {
@@ -310,46 +303,6 @@ impl Drop for TrackedBuf {
     }
 }
 
-/// A tracked buffer of `i64` indices (edge lists, CSR arrays, labels).
-pub struct TrackedIndexBuf {
-    data: Vec<i64>,
-    pool: u32,
-}
-
-impl TrackedIndexBuf {
-    /// Takes ownership of an index vector, charging its capacity.
-    pub fn from_vec(data: Vec<i64>) -> TrackedIndexBuf {
-        let pool = track_alloc(data.capacity() * std::mem::size_of::<i64>());
-        TrackedIndexBuf { data, pool }
-    }
-
-    /// Immutable view of the indices.
-    pub fn as_slice(&self) -> &[i64] {
-        &self.data
-    }
-
-    /// Mutable view of the indices.
-    pub fn as_mut_slice(&mut self) -> &mut [i64] {
-        &mut self.data
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-impl Drop for TrackedIndexBuf {
-    fn drop(&mut self) {
-        track_free(self.pool, self.data.capacity() * std::mem::size_of::<i64>());
-    }
-}
-
 /// Records an untyped allocation of `bytes` and returns a guard that frees it
 /// on drop. Used by graph structures that keep their own `Vec<u32>`/`Vec<usize>`
 /// arrays but still want the bytes charged to a pool.
@@ -441,15 +394,6 @@ mod tests {
             assert_eq!(stats("mem-charge").live, 256);
             drop(c);
             assert_eq!(stats("mem-charge").live, 0);
-        });
-    }
-
-    #[test]
-    fn index_buf_tracks() {
-        with_pool("mem-idx", || {
-            let v = TrackedIndexBuf::from_vec(vec![1i64, 2, 3, 4]);
-            assert!(stats("mem-idx").live >= 32);
-            assert_eq!(v.as_slice(), &[1, 2, 3, 4]);
         });
     }
 }

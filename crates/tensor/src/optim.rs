@@ -1,6 +1,6 @@
-//! First-order optimizers over a [`ParamSet`]: SGD (with optional momentum)
-//! and Adam — the paper's TGCN experiments train with PyTorch's Adam
-//! defaults, which we replicate here.
+//! The first-order optimizer over a [`ParamSet`]: Adam — the paper's TGCN
+//! experiments train with PyTorch's Adam defaults, which we replicate
+//! here.
 
 use crate::nn::{ParamSet, StateEntry};
 use crate::shape::Shape;
@@ -22,55 +22,6 @@ pub fn clip_grad_norm(params: &ParamSet, max_norm: f32) -> f32 {
         }
     }
     norm
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    params: ParamSet,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(params: ParamSet, lr: f32) -> Sgd {
-        Sgd::with_momentum(params, lr, 0.0)
-    }
-
-    /// SGD with momentum `mu` (0 disables).
-    pub fn with_momentum(params: ParamSet, lr: f32, momentum: f32) -> Sgd {
-        let velocity = params
-            .iter()
-            .map(|p| Tensor::zeros(p.value().shape()))
-            .collect();
-        Sgd {
-            params,
-            lr,
-            momentum,
-            velocity,
-        }
-    }
-
-    /// Applies one update from the accumulated gradients.
-    pub fn step(&mut self) {
-        for (i, p) in self.params.iter().enumerate() {
-            let g = p.grad();
-            let update = if self.momentum != 0.0 {
-                let v = self.velocity[i].mul_scalar(self.momentum).add(&g);
-                self.velocity[i] = v.clone();
-                v
-            } else {
-                g
-            };
-            p.set_value(p.value().sub(&update.mul_scalar(self.lr)));
-        }
-    }
-
-    /// Zeroes all gradients.
-    pub fn zero_grad(&self) {
-        self.params.zero_grad();
-    }
 }
 
 /// Adam (Kingma & Ba) with PyTorch's default hyperparameters.
@@ -247,46 +198,6 @@ mod tests {
         let norm2 = clip_grad_norm(&ps, 100.0);
         assert!((norm2 - 2.5).abs() < 1e-5);
         assert!((a.grad().to_vec()[0] - 1.5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut ps = ParamSet::new();
-        let w = ps.register("w", Tensor::from_vec(3, vec![0.0, 10.0, -4.0]));
-        let mut opt = Sgd::new(ps, 0.1);
-        let err = run(
-            &w.value(),
-            || {
-                opt.zero_grad();
-                let tape = Tape::new();
-                let wv = tape.param(&w);
-                let loss = wv.add_scalar(-3.0).square().sum();
-                tape.backward(&loss);
-                opt.step();
-            },
-            || w.value(),
-        );
-        assert!(err < 1e-3, "sgd residual {err}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut ps = ParamSet::new();
-        let w = ps.register("w", Tensor::from_vec(2, vec![8.0, -8.0]));
-        let mut opt = Sgd::with_momentum(ps, 0.05, 0.9);
-        let err = run(
-            &w.value(),
-            || {
-                opt.zero_grad();
-                let tape = Tape::new();
-                let wv = tape.param(&w);
-                let loss = wv.add_scalar(-3.0).square().sum();
-                tape.backward(&loss);
-                opt.step();
-            },
-            || w.value(),
-        );
-        assert!(err < 1e-2, "momentum residual {err}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ const N_CLASSES: usize = (MAX_CLASS_FLOATS.trailing_zeros() - MIN_CLASS_SHIFT) a
 
 /// Cap on cached buffers per (memory pool, size class); returns beyond this
 /// are freed normally so a burst can't pin unbounded memory.
-const MAX_CACHED_PER_CLASS: usize = 64;
+const MAX_CACHED_PER_CLASS: usize = 128;
 
 /// Returns the size-class index serving a request of `len` floats, or `None`
 /// if the request is pool-ineligible (zero-length or beyond

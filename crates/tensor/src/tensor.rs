@@ -226,87 +226,64 @@ impl Tensor {
         self.shape == other.shape && self.max_abs_diff(other) <= tol
     }
 
-    // ---------- kernel helpers ----------
+    // ---------- elementwise drivers ----------
+    //
+    // One driver per arity. A kernel passes only its per-element scalar
+    // expression; [`simd`] derives the lane form from it, so the result is
+    // bitwise the per-element scalar loop whatever the chunking.
 
-    /// Generic per-element map for ops without a lane form (libm `ln` /
-    /// `sqrt` and branchy activations). The slice re-borrows here hoist the Arc
-    /// deref out of the loop; the zip keeps the body bounds-check free.
+    /// `out[i] = f(self[i])` ([`simd::map_lanes`]).
     #[inline]
-    fn unary(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let src = self.data();
-        let mut out = TrackedBuf::raw(src.len());
-        let dst = out.as_mut_slice();
-        if src.len() >= par_min() {
-            dst.par_iter_mut()
-                .zip(src.par_iter())
-                .for_each(|(d, &s)| *d = f(s));
-        } else {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = f(s);
-            }
-        }
-        Tensor {
-            buf: Arc::new(out),
-            shape: self.shape,
-        }
-    }
-
-    /// Lane-wise unary map ([`simd::map_lanes`] per chunk): `lane` over
-    /// [`LANES`]-wide chunks, `scalar` for the remainder. Both closures
-    /// must compute the same per-element IEEE expression, so the result is
-    /// bitwise the per-element scalar map.
-    #[inline]
-    fn unary_lanes(
-        &self,
-        lane: impl Fn(F32x8) -> F32x8 + Sync,
-        scalar: impl Fn(f32) -> f32 + Sync,
-    ) -> Tensor {
-        let src = self.data();
-        let mut out = TrackedBuf::raw(src.len());
-        let dst = out.as_mut_slice();
-        let body = |(d, s): (&mut [f32], &[f32])| simd::map_lanes(d, s, &lane, &scalar);
-        if src.len() >= par_min() {
-            dst.par_chunks_mut(ELEMWISE_BLOCK)
-                .zip(src.par_chunks(ELEMWISE_BLOCK))
-                .for_each(body);
-        } else {
-            body((dst, src));
-        }
-        Tensor {
-            buf: Arc::new(out),
-            shape: self.shape,
-        }
-    }
-
-    /// Lane-wise binary map ([`simd::zip_lanes`] per chunk); see
-    /// [`Tensor::unary_lanes`] for the contract between `lane` and `scalar`.
-    #[inline]
-    fn binary_lanes(
-        &self,
-        other: &Tensor,
-        lane: impl Fn(F32x8, F32x8) -> F32x8 + Sync,
-        scalar: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Tensor {
-        assert_eq!(
-            self.shape, other.shape,
-            "elementwise op on mismatched shapes {} vs {}",
-            self.shape, other.shape
-        );
+    fn map1(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let a = self.data();
-        let b = other.data();
-        let mut out = TrackedBuf::raw(a.len());
+        self.elementwise(|r, d| simd::map_lanes(d, &a[r], &f))
+    }
+
+    /// `out[i] = f(self[i], b[i])` over same-shape tensors
+    /// ([`simd::zip_lanes`]).
+    #[inline]
+    fn map2(&self, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+        assert_eq!(
+            self.shape, b.shape,
+            "elementwise op on mismatched shapes {} vs {}",
+            self.shape, b.shape
+        );
+        let (a, b) = (self.data(), b.data());
+        self.elementwise(|r, d| simd::zip_lanes(d, &a[r.clone()], &b[r], &f))
+    }
+
+    /// `out[i] = f(self[i], b[i], c[i])` over same-shape tensors
+    /// ([`simd::zip3_lanes`]).
+    #[inline]
+    fn map3(&self, b: &Tensor, c: &Tensor, f: impl Fn(f32, f32, f32) -> f32 + Sync) -> Tensor {
+        assert!(
+            self.shape == b.shape && b.shape == c.shape,
+            "elementwise op on mismatched shapes {}, {}, {}",
+            self.shape,
+            b.shape,
+            c.shape
+        );
+        let (a, b, c) = (self.data(), b.data(), c.data());
+        self.elementwise(|r, d| simd::zip3_lanes(d, &a[r.clone()], &b[r.clone()], &c[r], &f))
+    }
+
+    /// A fresh tensor of `self`'s shape whose elements `body(range, dst)`
+    /// writes: in one call below the cutover, above it in parallel
+    /// [`ELEMWISE_BLOCK`] chunks, each given its element range.
+    #[inline]
+    fn elementwise(&self, body: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync) -> Tensor {
+        let len = self.numel();
+        let mut out = TrackedBuf::raw(len);
         let dst = out.as_mut_slice();
-        let body =
-            |(d, (a, b)): (&mut [f32], (&[f32], &[f32]))| simd::zip_lanes(d, a, b, &lane, &scalar);
-        if a.len() >= par_min() {
+        if len >= par_min() {
             dst.par_chunks_mut(ELEMWISE_BLOCK)
-                .zip(
-                    a.par_chunks(ELEMWISE_BLOCK)
-                        .zip(b.par_chunks(ELEMWISE_BLOCK)),
-                )
-                .for_each(body);
+                .enumerate()
+                .for_each(|(blk, d)| {
+                    let lo = blk * ELEMWISE_BLOCK;
+                    body(lo..lo + d.len(), d)
+                });
         } else {
-            body((dst, (a, b)));
+            body(0..len, dst);
         }
         Tensor {
             buf: Arc::new(out),
@@ -318,82 +295,82 @@ impl Tensor {
 
     /// Elementwise negation.
     pub fn neg(&self) -> Tensor {
-        self.unary(|x| -x)
+        self.map1(|x| -x)
     }
 
     /// Elementwise sum with a same-shape tensor.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.binary_lanes(other, |a, b| a.add(b), |a, b| a + b)
+        self.map2(other, |a, b| a + b)
     }
 
     /// Elementwise difference.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.binary_lanes(other, |a, b| a.sub(b), |a, b| a - b)
+        self.map2(other, |a, b| a - b)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.binary_lanes(other, |a, b| a.mul(b), |a, b| a * b)
+        self.map2(other, |a, b| a * b)
     }
 
     /// Elementwise quotient.
     pub fn div(&self, other: &Tensor) -> Tensor {
-        self.binary_lanes(other, |a, b| a.div(b), |a, b| a / b)
+        self.map2(other, |a, b| a / b)
     }
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.unary_lanes(move |x| x.add(F32x8::splat(s)), move |x| x + s)
+        self.map1(move |x| x + s)
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
-        self.unary_lanes(move |x| x.mul(F32x8::splat(s)), move |x| x * s)
+        self.map1(move |x| x * s)
     }
 
     /// Elementwise exponential ([`simd::exp`]).
     pub fn exp(&self) -> Tensor {
-        self.unary_lanes(F32x8::exp, simd::exp)
+        self.map1(simd::exp)
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Tensor {
-        self.unary(f32::ln)
+        self.map1(f32::ln)
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Tensor {
-        self.unary(f32::sqrt)
+        self.map1(f32::sqrt)
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
-        self.unary_lanes(|x| x.mul(x), |x| x * x)
+        self.map1(|x| x * x)
     }
 
     /// Logistic sigmoid ([`simd::sigmoid`]).
     pub fn sigmoid(&self) -> Tensor {
-        self.unary_lanes(F32x8::sigmoid, simd::sigmoid)
+        self.map1(simd::sigmoid)
     }
 
     /// Hyperbolic tangent ([`simd::tanh`]).
     pub fn tanh(&self) -> Tensor {
-        self.unary_lanes(F32x8::tanh, simd::tanh)
+        self.map1(simd::tanh)
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        self.unary_lanes(|x| x.max(F32x8::splat(0.0)), |x| x.max(0.0))
+        self.map1(|x| x.max(0.0))
     }
 
     /// Leaky ReLU with negative slope `slope`.
     pub fn leaky_relu(&self, slope: f32) -> Tensor {
-        self.unary(move |x| if x >= 0.0 { x } else { slope * x })
+        self.map1(move |x| if x >= 0.0 { x } else { slope * x })
     }
 
     /// Clamps every element into `[lo, hi]`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.unary(move |x| x.clamp(lo, hi))
+        self.map1(move |x| x.clamp(lo, hi))
     }
 
     // ---------- fused elementwise (backward and gate kernels) ----------
@@ -404,90 +381,40 @@ impl Tensor {
 
     /// Sigmoid backward from the output `y`: `self · (y · (−y + 1))`.
     pub fn sigmoid_backward(&self, y: &Tensor) -> Tensor {
-        self.binary_map(y, |g, y| g * (y * (-y + 1.0)))
+        self.map2(y, |g, y| g * (y * (-y + 1.0)))
     }
 
     /// Tanh backward from the output `y`: `self · (−(y · y) + 1)`.
     pub fn tanh_backward(&self, y: &Tensor) -> Tensor {
-        self.binary_map(y, |g, y| g * (-(y * y) + 1.0))
+        self.map2(y, |g, y| g * (-(y * y) + 1.0))
     }
 
     /// ReLU backward from the input `x`: `self · [x > 0]`. The multiply
     /// (not a select) keeps the bits of `−0.0` and of NaN gradients.
     pub fn relu_backward(&self, x: &Tensor) -> Tensor {
-        self.binary_map(x, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })
+        self.map2(x, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })
     }
 
     /// Leaky-ReLU backward from the input `x`: `self · (x ≥ 0 ? 1 : slope)`.
     pub fn leaky_relu_backward(&self, x: &Tensor, slope: f32) -> Tensor {
-        self.binary_map(x, move |g, x| g * if x >= 0.0 { 1.0 } else { slope })
+        self.map2(x, move |g, x| g * if x >= 0.0 { 1.0 } else { slope })
     }
 
     /// The GRU update `z·a + (1 − z)·b`, as `z·a + (−z + 1)·b`.
     pub fn mix(z: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
-        z.ternary_map(a, b, |z, a, b| z * a + (-z + 1.0) * b)
+        z.map3(a, b, |z, a, b| z * a + (-z + 1.0) * b)
     }
 
     /// [`Tensor::mix`]'s gradient for `z` from the incoming `self`:
     /// `−(g·b) + g·a`.
     pub fn mix_backward_z(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        self.ternary_map(a, b, |g, a, b| -(g * b) + g * a)
+        self.map3(a, b, |g, a, b| -(g * b) + g * a)
     }
 
     /// [`Tensor::mix`]'s gradient for `b` from the incoming `self`:
     /// `g · (−z + 1)`.
     pub fn mix_backward_b(&self, z: &Tensor) -> Tensor {
-        self.binary_map(z, |g, z| g * (-z + 1.0))
-    }
-
-    /// [`Tensor::binary_lanes`] with the lane form derived from one scalar
-    /// expression ([`F32x8::zip_map`]).
-    fn binary_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Copy) -> Tensor {
-        self.binary_lanes(other, move |a, b| a.zip_map(b, f), f)
-    }
-
-    /// `out[i] = f(self[i], b[i], c[i])` over same-shape tensors, in
-    /// [`ELEMWISE_BLOCK`] chunks above the cutover. The loop body is plain
-    /// per-element arithmetic, which the compiler vectorizes unfused.
-    fn ternary_map(
-        &self,
-        b: &Tensor,
-        c: &Tensor,
-        f: impl Fn(f32, f32, f32) -> f32 + Sync,
-    ) -> Tensor {
-        assert!(
-            self.shape == b.shape && b.shape == c.shape,
-            "elementwise op on mismatched shapes {}, {}, {}",
-            self.shape,
-            b.shape,
-            c.shape
-        );
-        let (a, b, c) = (self.data(), b.data(), c.data());
-        let mut out = TrackedBuf::raw(a.len());
-        let body = |(blk, d): (usize, &mut [f32])| {
-            let lo = blk * ELEMWISE_BLOCK;
-            let r = lo..lo + d.len();
-            for (((d, &x), &y), &z) in d
-                .iter_mut()
-                .zip(&a[r.clone()])
-                .zip(&b[r.clone()])
-                .zip(&c[r])
-            {
-                *d = f(x, y, z);
-            }
-        };
-        let dst = out.as_mut_slice();
-        if a.len() >= par_min() {
-            dst.par_chunks_mut(ELEMWISE_BLOCK)
-                .enumerate()
-                .for_each(body);
-        } else {
-            dst.chunks_mut(ELEMWISE_BLOCK).enumerate().for_each(body);
-        }
-        Tensor {
-            buf: Arc::new(out),
-            shape: self.shape,
-        }
+        self.map2(z, |g, z| g * (-z + 1.0))
     }
 
     // ---------- linear algebra ----------
@@ -626,9 +553,8 @@ impl Tensor {
         let a = self.data();
         let mut out = TrackedBuf::raw(a.len());
         let dst = out.as_mut_slice();
-        let body = |(drow, arow): (&mut [f32], &[f32])| {
-            simd::zip_lanes(drow, arow, b, |x, y| x.add(y), |x, y| x + y)
-        };
+        let body =
+            |(drow, arow): (&mut [f32], &[f32])| simd::zip_lanes(drow, arow, b, |x, y| x + y);
         if a.len() >= par_min() {
             dst.par_chunks_mut(m).zip(a.par_chunks(m)).for_each(body);
         } else {
@@ -651,8 +577,7 @@ impl Tensor {
         let dst = out.as_mut_slice();
         let body = |(i, (drow, arow)): (usize, (&mut [f32], &[f32]))| {
             let f = sv[i];
-            let fx = F32x8::splat(f);
-            simd::map_lanes_inline(drow, arow, |x| x.mul(fx), |x| x * f)
+            simd::map_lanes_inline(drow, arow, |x| x * f)
         };
         if a.len() >= par_min() {
             dst.par_chunks_mut(m)
@@ -864,7 +789,7 @@ impl Tensor {
     }
 }
 
-/// Elements per rayon task in the lane-dispatched elementwise kernels.
+/// Elements per rayon task of the elementwise drivers.
 /// A multiple of [`LANES`] so only the final block carries a scalar
 /// remainder; big enough that task hand-off stays negligible.
 const ELEMWISE_BLOCK: usize = 4096;

@@ -1,10 +1,10 @@
 //! Property-based testing of the SIMD microkernel layer: random shapes
 //! and values, then assert
 //!
-//! 1. every [`F32x8`] lane op — arithmetic and the `exp` / `tanh` /
-//!    `sigmoid` family — is *bitwise* identical to the scalar function it
-//!    claims to be (the contract that lets elementwise kernels skip
-//!    epsilon tolerances entirely);
+//! 1. every elementwise driver — unary ([`simd::map_lanes`] and its
+//!    inline form), binary and ternary — is *bitwise* the per-element loop
+//!    of the scalar closure it is given, at every length (the contract
+//!    that lets elementwise kernels skip epsilon tolerances entirely);
 //! 2. the transcendental family tracks f64 to 1e-6 relative error and
 //!    keeps its special values (signed zeros, odd symmetry, saturation,
 //!    infinities, NaN in → NaN out);
@@ -24,13 +24,19 @@ use stgraph_tensor::simd::{self, F32x8, LANES};
 use stgraph_tensor::tensor::{gemm, gemm_scalar};
 use stgraph_tensor::Tensor;
 
-fn lane_inputs() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, Vec<f32>)> {
-    let v = || prop::collection::vec(-1e3f32..1e3, LANES);
+/// The longest slice the drivers are checked at: every length up to it
+/// covers no chunk, whole chunks and every remainder.
+const MAX_LEN: usize = 3 * LANES + 7;
+
+fn driver_inputs() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, Vec<f32>)> {
+    let v = || prop::collection::vec(-1e3f32..1e3, MAX_LEN);
     (v(), v(), v())
 }
 
-/// A ternary scalar reference op: `(x, y, z) -> result`.
-type ScalarOp = fn(f32, f32, f32) -> f32;
+/// Bit patterns of `xs`.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
 
 /// `[n, k] x [k, m]` shapes covering every edge of the microkernel: row
 /// counts off the 4-row block, widths off the 16- and 8-column tiles, wide
@@ -91,37 +97,61 @@ fn family() -> Family {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Each lane of every F32x8 op computes exactly the scalar op — no
-    /// hardware FMA contraction, no reassociation, bit-for-bit.
+    /// Each driver writes exactly `f` of every element — lane chunks and
+    /// remainder alike, no FMA contraction, no reassociation — at every
+    /// length `0..=MAX_LEN`.
     #[test]
-    fn lane_ops_are_bitwise_scalar((a, b, c) in lane_inputs()) {
-        let (va, vb, vc) = (F32x8::load(&a), F32x8::load(&b), F32x8::load(&c));
-        let small = va.mul(F32x8::splat(0.03));
-        let cases: [(&str, F32x8, ScalarOp); 13] = [
-            ("add", va.add(vb), |x, y, _| x + y),
-            ("sub", va.sub(vb), |x, y, _| x - y),
-            ("mul", va.mul(vb), |x, y, _| x * y),
-            ("div", va.div(vb), |x, y, _| x / y),
-            ("max", va.max(vb), |x, y, _| x.max(y)),
-            ("min", va.min(vb), |x, y, _| x.min(y)),
-            ("mul_add", va.mul_add(vb, vc), |x, y, z| x * y + z),
-            ("exp", va.exp(), |x, _, _| simd::exp(x)),
-            ("tanh", va.tanh(), |x, _, _| simd::tanh(x)),
-            ("sigmoid", va.sigmoid(), |x, _, _| simd::sigmoid(x)),
+    fn drivers_are_bitwise_the_scalar_loop((a, b, c) in driver_inputs()) {
+        type Unary = fn(f32) -> f32;
+        type Binary = fn(f32, f32) -> f32;
+        type Ternary = fn(f32, f32, f32) -> f32;
+        let unary: [(&str, Unary); 9] = [
+            ("neg", |x| -x),
+            ("square", |x| x * x),
+            ("sqrt", |x| x.abs().sqrt()),
+            ("leaky_relu", |x| if x >= 0.0 { x } else { 0.37 * x }),
+            ("exp", simd::exp),
+            ("tanh", simd::tanh),
+            ("sigmoid", simd::sigmoid),
             // The same three away from saturation, where every branch runs.
-            ("exp small", small.exp(), |x, _, _| simd::exp(x * 0.03)),
-            ("tanh small", small.tanh(), |x, _, _| simd::tanh(x * 0.03)),
-            ("sigmoid small", small.sigmoid(), |x, _, _| simd::sigmoid(x * 0.03)),
+            ("exp small", |x| simd::exp(x * 0.03)),
+            ("tanh small", |x| simd::tanh(x * 0.03)),
         ];
-        for (name, got, scalar) in cases {
-            let mut out = [0f32; LANES];
-            got.store(&mut out);
-            for l in 0..LANES {
-                let want = scalar(a[l], b[l], c[l]);
-                prop_assert_eq!(
-                    out[l].to_bits(), want.to_bits(),
-                    "{} lane {}: {} vs {}", name, l, out[l], want
-                );
+        let binary: [(&str, Binary); 6] = [
+            ("add", |x, y| x + y),
+            ("sub", |x, y| x - y),
+            ("mul", |x, y| x * y),
+            ("div", |x, y| x / y),
+            ("max", f32::max),
+            ("min", f32::min),
+        ];
+        let ternary: [(&str, Ternary); 2] = [
+            ("mul_add", |x, y, z| x * y + z),
+            ("mix", |z, x, y| z * x + (-z + 1.0) * y),
+        ];
+        for len in 0..=MAX_LEN {
+            let (a, b, c) = (&a[..len], &b[..len], &c[..len]);
+            let mut got = vec![f32::NAN; len];
+            for (name, f) in unary {
+                let want: Vec<f32> = a.iter().map(|&x| f(x)).collect();
+                got.fill(f32::NAN);
+                simd::map_lanes(&mut got, a, f);
+                prop_assert_eq!(bits(&got), bits(&want), "map_lanes {} at {}", name, len);
+                got.fill(f32::NAN);
+                simd::map_lanes_inline(&mut got, a, f);
+                prop_assert_eq!(bits(&got), bits(&want), "map_lanes_inline {} at {}", name, len);
+            }
+            for (name, f) in binary {
+                let want: Vec<f32> = a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect();
+                got.fill(f32::NAN);
+                simd::zip_lanes(&mut got, a, b, f);
+                prop_assert_eq!(bits(&got), bits(&want), "zip_lanes {} at {}", name, len);
+            }
+            for (name, f) in ternary {
+                let want: Vec<f32> = (0..len).map(|i| f(a[i], b[i], c[i])).collect();
+                got.fill(f32::NAN);
+                simd::zip3_lanes(&mut got, a, b, c, f);
+                prop_assert_eq!(bits(&got), bits(&want), "zip3_lanes {} at {}", name, len);
             }
         }
     }
@@ -272,7 +302,11 @@ fn transcendental_special_values() {
         );
     }
     let lane = F32x8::splat(f32::NAN);
-    for got in [lane.exp(), lane.tanh(), lane.sigmoid()] {
+    for got in [
+        lane.map(simd::exp),
+        lane.map(simd::tanh),
+        lane.map(simd::sigmoid),
+    ] {
         assert!(got.0.iter().all(|v| v.is_nan()), "NaN lane {got:?}");
     }
 }

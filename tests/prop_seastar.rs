@@ -340,7 +340,8 @@ fn memory_row_loop<'v>(
             let (rm, rt) = row.split_at_mut(main);
             for (rc, vc) in rm.chunks_exact_mut(LANES).zip(val.chunks_exact(LANES)) {
                 let (r, x) = (F32x8::load(rc), F32x8::load(vc));
-                if max { r.max(x) } else { r.add(x) }.store(rc);
+                r.zip_map(x, |r, x| if max { r.max(x) } else { r + x })
+                    .store(rc);
             }
             for (r, &x) in rt.iter_mut().zip(&val[main..]) {
                 *r = if max { r.max(x) } else { *r + x };

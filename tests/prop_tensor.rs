@@ -120,9 +120,10 @@ proptest! {
         }
     }
 
-    /// Every lane kernel is bitwise its per-element scalar expression, at
-    /// widths 1..=40 (full 8-lane chunks plus every remainder) and at sizes
-    /// above `par_min()`, where the work is split into parallel chunks.
+    /// Every elementwise kernel is bitwise its per-element scalar
+    /// expression, at widths 1..=40 (full 8-lane chunks plus every
+    /// remainder) and at sizes above `par_min()`, where the work is split
+    /// into parallel chunks.
     #[test]
     fn elementwise_kernels_are_bitwise_scalar(
         m in 1usize..=40,
@@ -159,6 +160,17 @@ proptest! {
         check("sigmoid", &a.sigmoid(), &|i, j| simd::sigmoid(x(i, j)));
         check("tanh", &a.tanh(), &|i, j| simd::tanh(x(i, j)));
         check("relu", &a.relu(), &|i, j| x(i, j).max(0.0));
+        check("neg", &a.neg(), &|i, j| -x(i, j));
+        check("square", &a.square(), &|i, j| x(i, j) * x(i, j));
+        let pos = a.square().add_scalar(1e-3);
+        let p = |i: usize, j: usize| x(i, j) * x(i, j) + 1e-3;
+        check("ln", &pos.ln(), &|i, j| p(i, j).ln());
+        check("sqrt", &pos.sqrt(), &|i, j| p(i, j).sqrt());
+        check("leaky_relu", &a.leaky_relu(c), &|i, j| {
+            let v = x(i, j);
+            if v >= 0.0 { v } else { c * v }
+        });
+        check("clamp", &a.clamp(-5.0, 7.5), &|i, j| x(i, j).clamp(-5.0, 7.5));
         check("add_bias", &a.add_bias(&bias), &|i, j| x(i, j) + bias.data()[j]);
         check("scale_rows", &a.scale_rows(&s), &|i, j| x(i, j) * s.data()[i]);
         // The fused backward and gate kernels: the composition's expression.
