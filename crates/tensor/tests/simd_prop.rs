@@ -105,7 +105,7 @@ proptest! {
         type Unary = fn(f32) -> f32;
         type Binary = fn(f32, f32) -> f32;
         type Ternary = fn(f32, f32, f32) -> f32;
-        let unary: [(&str, Unary); 9] = [
+        let unary: [(&str, Unary); 10] = [
             ("neg", |x| -x),
             ("square", |x| x * x),
             ("sqrt", |x| x.abs().sqrt()),
@@ -116,6 +116,7 @@ proptest! {
             // The same three away from saturation, where every branch runs.
             ("exp small", |x| simd::exp(x * 0.03)),
             ("tanh small", |x| simd::tanh(x * 0.03)),
+            ("sigmoid small", |x| simd::sigmoid(x * 0.03)),
         ];
         let binary: [(&str, Binary); 6] = [
             ("add", |x, y| x + y),
