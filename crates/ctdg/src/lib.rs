@@ -32,7 +32,7 @@ pub use event::{CtdgStore, EventLog};
 pub use memory::{TgnMemory, TgnMemoryConfig, TIME_ENC_DIM};
 pub use sampler::{sample, NeighborSample, SamplerConfig, Strategy};
 pub use tcsr::{Entry, TCsr};
-pub use workload::{CtdgConfig, CtdgReport, CtdgWorkload, EpochStats};
+pub use workload::{mean_neighbors, CtdgConfig, CtdgReport, CtdgWorkload, EpochStats};
 
 use stgraph_faultline::FaultError;
 

@@ -154,7 +154,6 @@ impl TgnMemory {
         partner: &Var<'t>,
         enc: &Var<'t>,
     ) -> Var<'t> {
-        let x = Var::concat_cols(&[partner, enc]);
         let wz = tape.param(&self.w_z);
         let uz = tape.param(&self.u_z);
         let bz = tape.param(&self.b_z);
@@ -164,10 +163,17 @@ impl TgnMemory {
         let wh = tape.param(&self.w_h);
         let uh = tape.param(&self.u_h);
         let bh = tape.param(&self.b_h);
-        let z = x.matmul(&wz).add(&h.matmul(&uz)).add_bias(&bz).sigmoid();
-        let r = x.matmul(&wr).add(&h.matmul(&ur)).add_bias(&br).sigmoid();
-        let h_tilde = x
-            .matmul(&wh)
+        // The message `x = [partner | enc]` is read in place as GEMM parts.
+        let x = [partner, enc];
+        let z = Var::matmul_parts(&x, &wz)
+            .add(&h.matmul(&uz))
+            .add_bias(&bz)
+            .sigmoid();
+        let r = Var::matmul_parts(&x, &wr)
+            .add(&h.matmul(&ur))
+            .add_bias(&br)
+            .sigmoid();
+        let h_tilde = Var::matmul_parts(&x, &wh)
             .add(&r.mul(h).matmul(&uh))
             .add_bias(&bh)
             .tanh();

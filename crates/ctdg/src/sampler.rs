@@ -14,14 +14,21 @@
 //!   schedule and batch partitioning — the parallel sampler is bitwise
 //!   reproducible.
 //!
-//! Output is a padded `q × k` struct-of-arrays batch with an f32 validity
-//! mask and per-slot mean-aggregation weights (`mask / count`), shaped to
-//! feed the tensor stack directly: gather rows with
-//! [`NeighborSample::nbrs`], scale with [`NeighborSample::weights`],
-//! scatter-add with [`NeighborSample::scatter_idx`]. The f32 planes are
-//! allocated through `stgraph-tensor`'s tracked buffers, so a surrounding
-//! [`PoolScope`](stgraph_tensor::PoolScope) (the train loop and bench hold
-//! one) recycles them across batches instead of hitting the allocator.
+//! Output is ragged, CSR-style: query `i` owns entries
+//! `offsets[i]..offsets[i + 1]`, and only sampled neighbors have an entry
+//! (a query with no history owns none). Each entry carries its neighbor,
+//! time and event id, its query's mean-aggregation weight `1 / count`, and
+//! the query row it folds back onto, so the tensor stack reads the batch
+//! directly: gather rows with [`NeighborSample::nbrs`], scale with
+//! [`NeighborSample::weights`], scatter-add with [`NeighborSample::query`].
+//! The weight plane is allocated through `stgraph-tensor`'s tracked
+//! buffers, so a surrounding [`PoolScope`](stgraph_tensor::PoolScope) (the
+//! train loop and bench hold one) recycles it across batches.
+//!
+//! The fill is two passes: the histories give every query's count, a
+//! prefix sum places its entries (and their weights and query rows), and
+//! then each query draws into its own disjoint slices in parallel — the
+//! same bits on every thread count.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -65,7 +72,8 @@ impl std::str::FromStr for Strategy {
 /// Seeded sampler configuration.
 #[derive(Debug, Clone)]
 pub struct SamplerConfig {
-    /// Neighbors per query (slots; queries with fewer valid neighbors pad).
+    /// Neighbors per query, at most (a query with a shorter history takes
+    /// all of it).
     pub k: usize,
     /// Sampling strategy.
     pub strategy: Strategy,
@@ -73,39 +81,40 @@ pub struct SamplerConfig {
     pub seed: u64,
 }
 
-/// A sampled `q × k` neighbor batch (see module docs for the layout).
+/// A sampled neighbor batch, ragged by query (see module docs for the
+/// layout). Per-entry planes have [`total_valid`](Self::total_valid)
+/// entries.
 #[derive(Clone)]
 pub struct NeighborSample {
-    /// Slots per query.
+    /// The per-query bound it was sampled with.
     pub k: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Sampled neighbor per slot (`q*k`; padding slots hold node 0 and are
-    /// masked out).
-    pub nbrs: Vec<u32>,
-    /// Interaction timestamp per slot (`q*k`).
-    pub times: Vec<u64>,
-    /// Event id per slot (`q*k`).
-    pub eids: Vec<u64>,
-    /// 1.0 for a valid slot, 0.0 for padding (`[q*k]`, pool-allocated).
-    pub mask: Tensor,
-    /// `mask / valid_count(query)` — mean-aggregation weights (`[q*k]`,
-    /// pool-allocated; all-zero for queries with no history).
-    pub weights: Tensor,
-    /// Valid neighbors per query (`q`).
+    /// Sampled neighbors per query (`q`).
     pub counts: Vec<u32>,
+    /// Query `i`'s entries are `offsets[i]..offsets[i + 1]` (`q + 1`).
+    pub offsets: Vec<usize>,
+    /// Sampled neighbor per entry.
+    pub nbrs: Vec<u32>,
+    /// Interaction timestamp per entry.
+    pub times: Vec<u64>,
+    /// Event id per entry.
+    pub eids: Vec<u64>,
+    /// `1 / counts[query]` per entry — mean-aggregation weights
+    /// (pool-allocated).
+    pub weights: Tensor,
+    /// The query (output row) each entry scatter-adds into.
+    pub query: Vec<u32>,
 }
 
 impl PartialEq for NeighborSample {
     fn eq(&self, other: &NeighborSample) -> bool {
         self.k == other.k
-            && self.queries == other.queries
+            && self.counts == other.counts
+            && self.offsets == other.offsets
             && self.nbrs == other.nbrs
             && self.times == other.times
             && self.eids == other.eids
-            && self.counts == other.counts
-            && self.mask.data() == other.mask.data()
             && self.weights.data() == other.weights.data()
+            && self.query == other.query
     }
 }
 
@@ -113,28 +122,17 @@ impl std::fmt::Debug for NeighborSample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NeighborSample")
             .field("k", &self.k)
-            .field("queries", &self.queries)
+            .field("counts", &self.counts)
             .field("nbrs", &self.nbrs)
             .field("times", &self.times)
-            .field("counts", &self.counts)
             .finish_non_exhaustive()
     }
 }
 
 impl NeighborSample {
-    /// Row index (into a `q`-row output) for each of the `q*k` slots —
-    /// the scatter-add map that folds slot rows back onto their query.
-    pub fn scatter_idx(&self) -> Vec<u32> {
-        let mut idx = Vec::with_capacity(self.queries * self.k);
-        for q in 0..self.queries as u32 {
-            idx.extend(std::iter::repeat_n(q, self.k));
-        }
-        idx
-    }
-
-    /// Total valid (non-padding) slots.
+    /// Sampled entries across the batch.
     pub fn total_valid(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+        self.nbrs.len()
     }
 }
 
@@ -149,30 +147,24 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One query's slots, borrowed disjointly from the batch output.
+/// One query's entries, borrowed disjointly from the batch output.
 struct Slot<'a> {
-    node: u32,
+    hist: &'a [Entry],
     t: u64,
     qi: usize,
     nbr: &'a mut [u32],
     times: &'a mut [u64],
     eid: &'a mut [u64],
-    mask: &'a mut [f32],
-    weights: &'a mut [f32],
-    count: &'a mut u32,
 }
 
-fn sample_one(index: &TCsr, cfg: &SamplerConfig, s: &mut Slot<'_>) {
-    let hist = index.history(s.node, s.t);
-    let take = hist.len().min(cfg.k);
-    let w = if take == 0 { 0.0 } else { 1.0 / take as f32 };
+fn sample_one(cfg: &SamplerConfig, s: &mut Slot<'_>) {
+    let hist = s.hist;
+    let take = s.nbr.len();
     let mut put = |slot: usize, e: &Entry| {
         debug_assert!(e.t < s.t, "sampled neighbor must predate the query");
         s.nbr[slot] = e.nbr;
         s.times[slot] = e.t;
         s.eid[slot] = e.eid;
-        s.mask[slot] = 1.0;
-        s.weights[slot] = w;
     };
     if cfg.strategy == Strategy::Uniform && take < hist.len() {
         // Floyd's algorithm: `take` distinct draws from 0..len, emitted in
@@ -195,14 +187,6 @@ fn sample_one(index: &TCsr, cfg: &SamplerConfig, s: &mut Slot<'_>) {
             put(slot, e);
         }
     }
-    *s.count = take as u32;
-    for slot in take..cfg.k {
-        s.nbr[slot] = 0;
-        s.times[slot] = 0;
-        s.eid[slot] = 0;
-        s.mask[slot] = 0.0;
-        s.weights[slot] = 0.0;
-    }
 }
 
 /// Samples temporal neighbors for a batch of `(node, t)` queries,
@@ -213,65 +197,72 @@ pub fn sample(index: &TCsr, queries: &[(u32, u64)], cfg: &SamplerConfig) -> Neig
     let _sp = stgraph_telemetry::span_cat("ctdg.sample", "ctdg");
     let q = queries.len();
     let k = cfg.k;
-    let mut nbrs = vec![0u32; q * k];
-    let mut times = vec![0u64; q * k];
-    let mut eids = vec![0u64; q * k];
-    let mut mask = TrackedBuf::raw(q * k);
-    let mut weights = TrackedBuf::raw(q * k);
-    let mut counts = vec![0u32; q];
 
+    // Count pass: each query's history, and where its entries start.
+    let hists: Vec<&[Entry]> = queries
+        .iter()
+        .map(|&(node, t)| index.history(node, t))
+        .collect();
+    let counts: Vec<u32> = hists.iter().map(|h| h.len().min(k) as u32).collect();
+    let mut offsets = Vec::with_capacity(q + 1);
+    offsets.push(0usize);
+    for &c in &counts {
+        offsets.push(offsets[offsets.len() - 1] + c as usize);
+    }
+    let v = offsets[q];
+
+    let mut weights = TrackedBuf::raw(v);
+    let mut query = Vec::with_capacity(v);
+    for (qi, w) in offsets.windows(2).enumerate() {
+        weights.as_mut_slice()[w[0]..w[1]].fill(1.0 / (w[1] - w[0]) as f32);
+        query.extend(std::iter::repeat_n(qi as u32, w[1] - w[0]));
+    }
+
+    let mut nbrs = vec![0u32; v];
+    let mut times = vec![0u64; v];
+    let mut eids = vec![0u64; v];
     {
-        // Zip the six output planes into per-query work items so rayon
+        // Zip the three sampled planes into per-query work items so rayon
         // hands each thread disjoint slices, with no shared writes.
         let mut slots: Vec<Slot<'_>> = Vec::with_capacity(q);
         let mut nbr_rest: &mut [u32] = &mut nbrs;
         let mut t_rest: &mut [u64] = &mut times;
         let mut eid_rest: &mut [u64] = &mut eids;
-        let mut mask_rest: &mut [f32] = mask.as_mut_slice();
-        let mut w_rest: &mut [f32] = weights.as_mut_slice();
-        let mut count_rest: &mut [u32] = &mut counts;
-        for (qi, &(node, t)) in queries.iter().enumerate() {
-            let (nbr, nr) = nbr_rest.split_at_mut(k);
-            let (tt, tr) = t_rest.split_at_mut(k);
-            let (eid, er) = eid_rest.split_at_mut(k);
-            let (m, mr) = mask_rest.split_at_mut(k);
-            let (w, wr) = w_rest.split_at_mut(k);
-            let (c, cr) = count_rest.split_at_mut(1);
+        for (qi, (&(_, t), hist)) in queries.iter().zip(&hists).enumerate() {
+            let c = counts[qi] as usize;
+            let (nbr, nr) = nbr_rest.split_at_mut(c);
+            let (tt, tr) = t_rest.split_at_mut(c);
+            let (eid, er) = eid_rest.split_at_mut(c);
             nbr_rest = nr;
             t_rest = tr;
             eid_rest = er;
-            mask_rest = mr;
-            w_rest = wr;
-            count_rest = cr;
             slots.push(Slot {
-                node,
+                hist,
                 t,
                 qi,
                 nbr,
                 times: tt,
                 eid,
-                mask: m,
-                weights: w,
-                count: &mut c[0],
             });
         }
         slots.par_chunks_mut(32).for_each(|chunk| {
             for s in chunk {
-                sample_one(index, cfg, s);
+                sample_one(cfg, s);
             }
         });
     }
 
     stgraph_telemetry::counter("ctdg.samples").add(q as u64);
+    stgraph_telemetry::counter("ctdg.sampled_neighbors").add(v as u64);
     NeighborSample {
         k,
-        queries: q,
+        counts,
+        offsets,
         nbrs,
         times,
         eids,
-        mask: Tensor::from_buf(Shape::Vec(q * k), mask),
-        weights: Tensor::from_buf(Shape::Vec(q * k), weights),
-        counts,
+        weights: Tensor::from_buf(Shape::Vec(v), weights),
+        query,
     }
 }
 
@@ -306,29 +297,28 @@ mod tests {
         assert_eq!(s.counts, vec![3]);
         // Before 75: t = 10..70. Most recent 3: 50,60,70 (oldest first).
         assert_eq!(&s.times[..3], &[50, 60, 70]);
-        assert_eq!(&s.nbrs[..3], &[5, 6, 7]);
-        assert_eq!(&s.mask.data()[..3], &[1.0; 3]);
+        assert_eq!(&s.nbrs[..], &[5, 6, 7]);
+        assert_eq!(s.offsets, vec![0, 3]);
+        assert_eq!(s.weights.data(), &[1.0 / 3.0; 3]);
     }
 
     #[test]
-    fn queries_pad_when_history_is_short() {
+    fn short_histories_own_only_their_entries() {
         let x = chain_index();
         let cfg = SamplerConfig {
             k: 4,
             strategy: Strategy::Recent,
             seed: 0,
         };
-        let s = sample(&x, &[(0, 25), (3, 5), (15, 99)], &cfg);
-        assert_eq!(s.counts, vec![2, 0, 0]);
-        assert_eq!(&s.times[..2], &[10, 20]);
-        assert_eq!(s.mask.data()[2], 0.0);
-        assert_eq!(s.weights.data()[0], 0.5);
+        let s = sample(&x, &[(0, 25), (3, 5), (15, 99), (0, 35)], &cfg);
+        assert_eq!(s.counts, vec![2, 0, 0, 3]);
+        assert_eq!(s.offsets, vec![0, 2, 2, 2, 5], "empty queries own no entry");
+        assert_eq!(&s.times[..], &[10, 20, 10, 20, 30]);
         assert_eq!(
-            &s.weights.data()[4..8],
-            &[0.0; 4],
-            "empty query: zero weights"
+            s.weights.data(),
+            &[0.5, 0.5, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
         );
-        assert_eq!(s.total_valid(), 2);
+        assert_eq!(s.total_valid(), 5);
     }
 
     #[test]
@@ -343,6 +333,7 @@ mod tests {
         let a = sample(&x, &queries, &cfg);
         let b = sample(&x, &queries, &cfg);
         assert_eq!(a, b, "same seed must reproduce bitwise");
+        assert_eq!(a.counts, vec![3; 8]);
         for qi in 0..8 {
             let slice = &a.times[qi * 3..qi * 3 + 3];
             assert!(slice.windows(2).all(|w| w[0] < w[1]), "time-ordered");
@@ -365,18 +356,39 @@ mod tests {
         assert_ne!(a, c, "different seed, different draws");
     }
 
-    /// FNV-1a over every output plane of one batch (f32 planes by bits).
+    /// Lays a per-entry plane out as `q × k` slots, `pad` after each
+    /// query's entries.
+    fn padded<T: Copy>(s: &NeighborSample, plane: &[T], pad: T) -> Vec<T> {
+        let mut out = Vec::with_capacity(s.counts.len() * s.k);
+        for w in s.offsets.windows(2) {
+            out.extend_from_slice(&plane[w[0]..w[1]]);
+            out.resize(out.len() + s.k - (w[1] - w[0]), pad);
+        }
+        out
+    }
+
+    /// FNV-1a over the batch laid out as padded `q × k` planes with an f32
+    /// validity mask (f32 planes by bits), the form these pins were taken
+    /// in: a padding slot holds node 0, time 0, event 0, mask and weight 0.
     fn fingerprint(s: &NeighborSample) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let words = s
-            .nbrs
-            .iter()
-            .map(|&v| v as u64)
-            .chain(s.times.iter().copied())
-            .chain(s.eids.iter().copied())
+        let ones = vec![1.0f32; s.total_valid()];
+        let words = padded(s, &s.nbrs, 0)
+            .into_iter()
+            .map(|v| v as u64)
+            .chain(padded(s, &s.times, 0))
+            .chain(padded(s, &s.eids, 0))
             .chain(s.counts.iter().map(|&v| v as u64))
-            .chain(s.mask.data().iter().map(|v| v.to_bits() as u64))
-            .chain(s.weights.data().iter().map(|v| v.to_bits() as u64));
+            .chain(
+                padded(s, &ones, 0.0)
+                    .into_iter()
+                    .map(|v| v.to_bits() as u64),
+            )
+            .chain(
+                padded(s, s.weights.data(), 0.0)
+                    .into_iter()
+                    .map(|v| v.to_bits() as u64),
+            );
         for w in words {
             for b in w.to_le_bytes() {
                 h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
@@ -424,14 +436,15 @@ mod tests {
     }
 
     #[test]
-    fn scatter_idx_maps_slots_to_queries() {
+    fn query_rows_map_entries_to_queries() {
         let x = chain_index();
         let cfg = SamplerConfig {
             k: 2,
             strategy: Strategy::Recent,
             seed: 0,
         };
-        let s = sample(&x, &[(0, 95), (1, 95)], &cfg);
-        assert_eq!(s.scatter_idx(), vec![0, 0, 1, 1]);
+        let s = sample(&x, &[(0, 95), (4, 5), (1, 95)], &cfg);
+        assert_eq!(s.query, vec![0, 0, 2]);
+        assert_eq!(s.offsets, vec![0, 2, 2, 3]);
     }
 }

@@ -27,9 +27,9 @@ use stgraph_datasets::{fraud_stream, FraudConfig, FraudEvent};
 use stgraph_serve::manager::CheckpointManager;
 use stgraph_tensor::nn::{Linear, ParamSet, StateEntry};
 use stgraph_tensor::optim::{clip_grad_norm, Adam};
-use stgraph_tensor::{Param, PoolScope, Shape, StateDict, Tape, Tensor};
+use stgraph_tensor::{Param, PoolScope, Shape, StateDict, Tape, Tensor, Var};
 
-use crate::sampler::{sample, SamplerConfig, Strategy};
+use crate::sampler::{sample, NeighborSample, SamplerConfig, Strategy};
 use crate::{CtdgStore, TgnMemory, TgnMemoryConfig};
 
 /// Name of the bookkeeping entry that records the last finished epoch in
@@ -149,6 +149,23 @@ impl StateDict for CtdgModel {
         ps.extend(self.head.iter().cloned());
         ps
     }
+}
+
+/// Each query's mean projected neighbor memory, `[queries, d]`: the
+/// memory rows of the sampled neighbors, mapped through `proj`, scaled by
+/// `1 / count` and scatter-added onto their query. Only the
+/// [`total_valid`](NeighborSample::total_valid) sampled rows are touched;
+/// a query with no history reads a zero row.
+pub fn mean_neighbors<'t>(
+    tape: &'t Tape,
+    proj: &Linear,
+    memory: &TgnMemory,
+    ns: &NeighborSample,
+) -> Var<'t> {
+    let nbr_mem = tape.constant(memory.read_rows(&ns.nbrs));
+    proj.forward(tape, &nbr_mem)
+        .scale_rows_const(&ns.weights)
+        .scatter_add_rows(Rc::new(ns.query.clone()), ns.counts.len())
 }
 
 /// splitmix64-style mix for deriving per-(epoch, batch) stream seeds.
@@ -277,13 +294,7 @@ impl CtdgWorkload {
         let enc = tape.constant(self.model.memory.time_encode(&rows, &times));
         let h2 = self.model.memory.update(&tape, &h, &p, &enc);
 
-        let nbr_mem = tape.constant(self.model.memory.read_rows(&ns.nbrs));
-        let agg = self
-            .model
-            .nbr_proj
-            .forward(&tape, &nbr_mem)
-            .scale_rows_const(&ns.weights)
-            .scatter_add_rows(Rc::new(ns.scatter_idx()), 3 * b);
+        let agg = mean_neighbors(&tape, &self.model.nbr_proj, &self.model.memory, &ns);
         let emb = self.model.self_proj.forward(&tape, &h2).add(&agg).relu();
 
         let idx =
@@ -331,6 +342,14 @@ impl CtdgWorkload {
         (loss_v, pos.value().to_vec(), neg.value().to_vec())
     }
 
+    /// Trains on batch `batch` of the training slice as epoch `epoch` does
+    /// (one optimizer step, memory committed) and returns its loss.
+    pub fn train_batch(&mut self, epoch: usize, batch: usize) -> f32 {
+        let lo = batch * self.cfg.batch_size;
+        let hi = (lo + self.cfg.batch_size).min(self.train_end);
+        self.run_batch(lo, hi, epoch, batch, true).0
+    }
+
     /// Replays `events[lo..hi]` without gradients and returns ROC-AUC.
     fn evaluate(&mut self, lo: usize, hi: usize, epoch: usize, tag: u64) -> f32 {
         let bs = self.cfg.batch_size;
@@ -360,16 +379,10 @@ impl CtdgWorkload {
     fn run_epoch(&mut self, epoch: usize) -> EpochStats {
         let _sp = stgraph_telemetry::span_cat("ctdg.epoch", "ctdg");
         self.model.memory.reset_state();
-        let bs = self.cfg.batch_size;
+        let batches = self.train_end.div_ceil(self.cfg.batch_size);
         let mut loss_sum = 0.0;
-        let mut batches = 0usize;
-        let mut start = 0usize;
-        while start < self.train_end {
-            let end = (start + bs).min(self.train_end);
-            let (loss, _, _) = self.run_batch(start, end, epoch, batches, true);
-            loss_sum += loss;
-            batches += 1;
-            start = end;
+        for batch in 0..batches {
+            loss_sum += self.train_batch(epoch, batch);
         }
         let val_auc = self.evaluate(self.train_end, self.val_end, epoch, 1 << 32);
         stgraph_telemetry::counter("ctdg.epochs").inc();

@@ -4,7 +4,8 @@
 //! One TGCN step, forward plus backward, must read exactly its analytic
 //! counts — reading concatenated and transposed operands in place, or
 //! summing in registers, moves memory, not arithmetic — on every kernel
-//! thread count.
+//! thread count. So must one CTDG training batch, whose neighbor term
+//! scales with the neighbors it sampled, not with `queries · k`.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -13,6 +14,7 @@ use std::sync::Mutex;
 use stgraph::backend::create_backend;
 use stgraph::executor::{GraphSource, TemporalExecutor};
 use stgraph::tgnn::{RecurrentCell, Tgcn};
+use stgraph_ctdg::{CtdgConfig, CtdgWorkload, TIME_ENC_DIM};
 use stgraph_graph::base::Snapshot;
 use stgraph_tensor::nn::ParamSet;
 use stgraph_tensor::{Tape, Tensor};
@@ -79,21 +81,62 @@ fn tgcn_step_reads_the_analytic_edge_lane_count() {
     assert_eq!(got as usize, M * (F + 1), "one TGCN step's edge lanes");
 }
 
+#[test]
+fn ctdg_batch_reads_the_analytic_mac_count() {
+    let cfg = CtdgConfig::smoke(7);
+    let (b, d, k) = (cfg.batch_size, cfg.dim, cfg.k);
+    let mut w = CtdgWorkload::new(cfg);
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let macs = stgraph_telemetry::counter("tensor.gemm_macs");
+    let sampled = stgraph_telemetry::counter("ctdg.sampled_neighbors");
+    let (macs0, sampled0) = (macs.get(), sampled.get());
+    // A batch late enough that most of its 3b queries have some history.
+    w.train_batch(0, 8);
+    let (got, v) = (
+        (macs.get() - macs0) as usize,
+        (sampled.get() - sampled0) as usize,
+    );
+    assert!(
+        0 < v && v < 3 * b * k,
+        "V = {v} sampled of {} slots",
+        3 * b * k
+    );
+
+    let x = d + TIME_ENC_DIM;
+    // GRU over the 3b rows: per gate, forward [partner | enc]·W and the
+    // recurrent map, backward dW and dU; the candidate gate's recurrent
+    // map also passes a gradient back into its r ⊙ h input.
+    let gru = 2 * 3 * (3 * b * x * d + 3 * b * d * d) + 3 * b * d * d;
+    // Neighbors: forward and dW over the V sampled rows only (the memory
+    // they read is a constant).
+    let nbr = 2 * v * d * d;
+    // self_proj on h': forward, dW and the input gradient.
+    let self_proj = 3 * (3 * b * d * d);
+    // score1 on [src | dst] and [src | neg]: forward, dW, two part
+    // gradients; score2 on each: forward, dW, input gradient.
+    let score = 2 * (3 * b * 2 * d * d) + 2 * 3 * b * d;
+    assert_eq!(
+        got,
+        gru + nbr + self_proj + score,
+        "one CTDG batch's MACs (V = {v})"
+    );
+}
+
 /// The counts do not depend on the kernel thread count (latched per
-/// process): rerun the two tests above in this binary at 1, 2 and 4
+/// process): rerun the three tests above in this binary at 1, 2 and 4
 /// threads.
 #[test]
 fn the_mac_count_holds_at_1_2_and_4_threads() {
     let exe = std::env::current_exe().expect("test binary path");
     for threads in [1, 2, 4] {
         let out = Command::new(&exe)
-            .arg("tgcn_step_reads_the_analytic_")
+            .arg("_reads_the_analytic_")
             .env("RAYON_NUM_THREADS", threads.to_string())
             .output()
             .expect("rerun the test binary");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            out.status.success() && stdout.contains("2 passed"),
+            out.status.success() && stdout.contains("3 passed"),
             "at {threads} threads:\n{stdout}{}",
             String::from_utf8_lossy(&out.stderr)
         );
