@@ -27,6 +27,7 @@ use stgraph_datasets::{fraud_stream, FraudConfig, FraudEvent};
 use stgraph_serve::manager::CheckpointManager;
 use stgraph_tensor::nn::{Linear, ParamSet, StateEntry};
 use stgraph_tensor::optim::{clip_grad_norm, Adam};
+use stgraph_tensor::simd::FlushSubnormals;
 use stgraph_tensor::{Param, PoolScope, Shape, StateDict, Tape, Tensor, Var};
 
 use crate::sampler::{sample, NeighborSample, SamplerConfig, Strategy};
@@ -189,6 +190,13 @@ pub struct CtdgWorkload {
     val_end: usize,
     model: CtdgModel,
     opt: Adam,
+    /// Keeps the tensor buffer pool open while the workload lives, so a
+    /// second `run` reuses the first one's buffers. A pool opened and
+    /// trimmed per `run` hands its megabytes back to the allocator, which
+    /// may return them to the OS and fault them in again on the next run;
+    /// whether it does depends on the heap layout, not on the work. Last
+    /// field: the model's buffers park before the pool is trimmed.
+    _pool: PoolScope,
 }
 
 impl CtdgWorkload {
@@ -222,6 +230,7 @@ impl CtdgWorkload {
             val_end,
             model,
             opt,
+            _pool: PoolScope::new(),
         }
     }
 
@@ -237,7 +246,8 @@ impl CtdgWorkload {
 
     /// Forward pass over `events[lo..hi]`. Steps the optimizer when
     /// `train`; always commits memory. Returns `(loss, pos, neg)` logits
-    /// for metric accumulation.
+    /// for metric accumulation. Subnormals flush to zero for the batch, so
+    /// its cost does not depend on how far training has decayed.
     fn run_batch(
         &mut self,
         lo: usize,
@@ -246,6 +256,7 @@ impl CtdgWorkload {
         batch: usize,
         train: bool,
     ) -> (f32, Vec<f32>, Vec<f32>) {
+        let _ftz = FlushSubnormals::enter();
         let b = hi - lo;
         let d = self.cfg.dim;
         let slice = &self.events[lo..hi];
@@ -445,7 +456,6 @@ impl CtdgWorkload {
     }
 
     fn run_from(&mut self, start: usize, manager: Option<&CheckpointManager>) -> CtdgReport {
-        let _scope = PoolScope::new();
         let mut epochs = Vec::new();
         for e in start..self.cfg.epochs {
             let stats = self.run_epoch(e);
